@@ -5,6 +5,7 @@ state, 3 I/O or parse error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -66,6 +67,26 @@ def _parser():
     r.add_argument("--tau-max", type=float, default=1.0)
     r.add_argument("--steps", type=int, default=11)
     return p
+
+
+# Domains of the numeric options, checked before any work: a value outside
+# its domain exits with code 1 instead of failing deep inside the library.
+_OPTION_DOMAINS = (
+    ("mc_samples", "an integer >= 0", lambda v: v >= 0),
+    ("seed", "an integer in [0, 2**64)", lambda v: 0 <= v < 2 ** 64),
+    ("step", "a finite number > 0", lambda v: 0.0 < v < math.inf),
+    ("steps", "an integer >= 2", lambda v: v >= 2),
+    ("tau_min", "a finite number", math.isfinite),
+    ("tau_max", "a finite number", math.isfinite),
+)
+
+
+def _check_options(args):
+    for name, domain, ok in _OPTION_DOMAINS:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ValidationError(f"--{name.replace('_', '-')} must be {domain}, "
+                                  f"got {value}")
 
 
 def _evaluate_k(balls):
@@ -181,6 +202,7 @@ def main(argv=None):
         "probe": cmd_probe,
     }
     try:
+        _check_options(args)
         return handlers[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,11 +1,24 @@
 """Alpha complex of a weighted ball set, built by direct nerve tests.
 
-Candidate simplices are accepted by checking the defining condition
-directly: the clipped ball pieces B_i cap V_i of the member balls must have
-a common point.  At desk scale (n up to ~100) this brute-force route is
-simpler and more transparent than incremental flipping, and it yields the
-boundary bookkeeping (exposed circle arcs with their terminating corners)
-as a byproduct of the same clipping.
+The alpha complex is the nerve of the clipped balls B_i cap V_i.
+Triangles and tetrahedra are accepted by checking that condition directly
+(the corner segment meets the Voronoi edge V_ijk; the orthocenter lies in
+every member ball and in no other ball's cell).  Vertices and edges come
+from a centre test plus closure under faces:
+
+* vertex i when x_i lies in V_i, edge ij when the circle centre q_ij lies
+  in V_ij;
+* every other vertex and edge is a face of a higher simplex.  If B_i cap
+  V_i is not empty but misses x_i, the segment from one of its points to
+  x_i leaves V_i at a point y of B_i on a facet V_ij, where pow_j(y) =
+  pow_i(y) <= 0, so y is in B_j and edge ij is in the complex.  The same
+  argument in the radical plane takes an edge whose disk meets V_ij away
+  from q_ij to an alpha triangle ijm.
+
+At desk scale (n up to ~100) this brute-force route is simpler and more
+transparent than incremental flipping, and it yields the boundary
+bookkeeping (exposed circle arcs with their terminating corners) as a
+byproduct of the same clipping.
 """
 
 import math
@@ -14,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CoincidentCenters, DegenerateState, DegenerateTriple
-from .geometry import EPS_GEO, TripleGeometry, pair_geometry, triple_geometry
+from .errors import CoincidentCenters, DegenerateState
+from .geometry import EPS_GEO, TripleGeometry, pair_geometry
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
@@ -84,10 +97,7 @@ class EdgeData:
     on_boundary: bool = False
     arcs: list = field(default_factory=list)
     covered: list = field(default_factory=list)   # (start, extent, occluder, refs)
-    covered_measure: float = 0.0
     fully_covered: bool = False
-    incident_triangles: list = field(default_factory=list)
-    gap_count: int = 0
 
 
 @dataclass
@@ -152,16 +162,10 @@ class AlphaComplex:
         key = tuple(sorted((i, j, k)))
         if key in self._triples:
             return self._triples[key]
+        # Only triples of pairwise intersecting spheres can meet in two
+        # points, and _build_triangles records every such triple.
         raw = self._triple_raw.get(key)
-        if raw is not None:
-            center, axis, h_sq = raw
-            tg = self._triple_from_raw(key, center, axis, h_sq)
-        else:
-            try:
-                tg = triple_geometry(self.balls.ball(key[0]), self.balls.ball(key[1]),
-                                     self.balls.ball(key[2]), *key, eps=self.eps)
-            except DegenerateTriple:
-                tg = None
+        tg = None if raw is None else self._triple_from_raw(key, *raw)
         self._triples[key] = tg
         return tg
 
@@ -223,7 +227,6 @@ def build_alpha_complex(balls, eps=EPS_GEO, strict=True):
     _close_faces(cx)
     _build_arcs(cx)
     _mark_boundary_vertices(cx)
-    _cyclic_gaps(cx)
 
     if strict:
         cx.require_generic()
@@ -281,89 +284,16 @@ def _check_pair_degeneracies(cx):
 
 
 def _build_vertices(cx):
+    """Vertex i is in the complex when x_i lies in V_i; closure adds the rest."""
     balls = cx.balls
-    n = balls.n
-    for i in range(n):
+    for i in range(balls.n):
         pows = _power_row(balls, balls.centers[i])
-        if pows[i] <= pows.min() + cx.tol ** 2:
-            cx.vertices[i] = VertexData(i, in_alpha=True)
-            continue
-        # Center outside its own power cell; project onto the cell.
-        a_mat, b_vec = _cell_constraints(balls, i)
-        dist = _distance_to_polyhedron(balls.centers[i], a_mat, b_vec)
-        in_alpha = dist is not None and dist <= balls.radii[i]
-        cx.vertices[i] = VertexData(i, in_alpha=bool(in_alpha))
-
-
-def _cell_constraints(balls, i, exclude=()):
-    """Halfspace description of V_i: rows a.x <= b for every other ball."""
-    keep = [m for m in range(balls.n) if m != i and m not in exclude]
-    xm = balls.centers[keep]
-    xi = balls.centers[i]
-    a_mat = 2.0 * (xm - xi)
-    b_vec = (np.einsum("ij,ij->i", xm, xm) - balls.radii[keep] ** 2
-             - xi @ xi + balls.radii[i] ** 2)
-    return a_mat, b_vec
-
-
-def _nearest_feasible(p, cands, a_mat, b_vec, feas_tol):
-    """Distance from p to the nearest candidate satisfying A x <= b."""
-    if cands.shape[0] == 0:
-        return None
-    feas = np.all(cands @ a_mat.T <= b_vec + feas_tol, axis=1)
-    if not feas.any():
-        return None
-    diff = cands[feas] - p
-    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).min()))
-
-
-def _distance_to_polyhedron(p, a_mat, b_vec, tol=1e-12):
-    """Distance from p to {x : A x <= b} in R^3, or None when empty.
-
-    The projection of any point onto a nonempty closed polyhedron lies on a
-    face, edge or vertex of the cell (or is the point itself), so examining
-    those candidates is exhaustive.
-    """
-    m = a_mat.shape[0]
-    if m == 0:
-        return 0.0
-    norms = np.linalg.norm(a_mat, axis=1)
-    feas_tol = tol * np.maximum(1.0, np.abs(b_vec)) + 1e-9 * np.maximum(norms, 1e-300)
-    if np.all(a_mat @ p <= b_vec + feas_tol):
-        return 0.0
-    cands = []
-    nn = np.einsum("ij,ij->i", a_mat, a_mat)
-    good = nn > 0
-    if good.any():
-        shift = (a_mat[good] @ p - b_vec[good]) / nn[good]
-        cands.append(p - shift[:, None] * a_mat[good])
-    pairs = np.array(list(combinations(range(m), 2)))
-    if pairs.size:
-        a1, a2 = a_mat[pairs[:, 0]], a_mat[pairs[:, 1]]
-        g11 = np.einsum("ij,ij->i", a1, a1)
-        g12 = np.einsum("ij,ij->i", a1, a2)
-        g22 = np.einsum("ij,ij->i", a2, a2)
-        det = g11 * g22 - g12 ** 2
-        ok = det > 1e-20 * np.maximum(g11 * g22, 1e-300)
-        if ok.any():
-            r1 = a1[ok] @ p - b_vec[pairs[ok, 0]]
-            r2 = a2[ok] @ p - b_vec[pairs[ok, 1]]
-            l1 = (g22[ok] * r1 - g12[ok] * r2) / det[ok]
-            l2 = (g11[ok] * r2 - g12[ok] * r1) / det[ok]
-            cands.append(p - l1[:, None] * a1[ok] - l2[:, None] * a2[ok])
-    triples = np.array(list(combinations(range(m), 3)))
-    if triples.size:
-        sub = a_mat[triples]
-        det = np.linalg.det(sub)
-        ok = np.abs(det) > 1e-12 * np.maximum(
-            norms[triples].prod(axis=1), 1e-300)
-        if ok.any():
-            cands.append(np.linalg.solve(sub[ok], b_vec[triples[ok]][:, :, None])[:, :, 0])
-    cands = np.concatenate(cands, axis=0) if cands else np.empty((0, 3))
-    return _nearest_feasible(p, cands, a_mat, b_vec, feas_tol)
+        cx.vertices[i] = VertexData(i, in_alpha=bool(pows[i] <= pows.min() + cx.tol ** 2))
 
 
 def _build_edges(cx):
+    """Edge ij is in the complex when the circle centre q_ij lies in V_ij;
+    closure adds the rest."""
     balls = cx.balls
     n = balls.n
     cand = [(i, j) for i, j in combinations(range(n), 2) if cx._circle[i, j]]
@@ -377,65 +307,10 @@ def _build_edges(cx):
     for (i, j), pg, row in zip(cand, pgs, pows):
         if not pg.has_circle:
             continue
-        e1, e2 = plane_basis(pg.u_ij)
-        data = EdgeData(pair=pg, e1=e1, e2=e2)
         others = np.delete(row, [i, j])
-        # Fast path: the circle center already has minimal power.
         if others.size == 0 or row[i] <= others.min() + cx.tol ** 2:
-            data.in_alpha = True
-        else:
-            data.in_alpha = _edge_alpha_slow(cx, i, j, pg, e1, e2)
-        if data.in_alpha:
-            cx.edges[(i, j)] = data
-
-
-def _edge_alpha_slow(cx, i, j, pg, e1, e2):
-    """Does the intersection disk of B_i and B_j reach V_ij?"""
-    balls = cx.balls
-    keep = [m for m in range(balls.n) if m not in (i, j)]
-    if not keep:
-        return True
-    xm = balls.centers[keep]
-    xi = balls.centers[i]
-    a3 = 2.0 * (xm - xi)
-    b3 = (np.einsum("ij,ij->i", xm, xm) - balls.radii[keep] ** 2
-          - xi @ xi + balls.radii[i] ** 2)
-    # Restrict the halfspaces to the radical plane q + s*e1 + t*e2.
-    a2 = np.stack([a3 @ e1, a3 @ e2], axis=1)
-    b2 = b3 - a3 @ pg.center
-    dist = _distance_to_polygon(np.zeros(2), a2, b2)
-    return dist is not None and dist <= pg.r
-
-
-def _distance_to_polygon(p, a_mat, b_vec, tol=1e-12):
-    """Distance from p to {x : A x <= b} in R^2, or None when empty."""
-    m = a_mat.shape[0]
-    if m == 0:
-        return 0.0
-    norms = np.linalg.norm(a_mat, axis=1)
-    feas_tol = tol * np.maximum(1.0, np.abs(b_vec)) + 1e-9 * np.maximum(norms, 1e-300)
-    if np.all(a_mat @ p <= b_vec + feas_tol):
-        return 0.0
-    cands = []
-    nn = np.einsum("ij,ij->i", a_mat, a_mat)
-    good = nn > 0
-    if good.any():
-        shift = (a_mat[good] @ p - b_vec[good]) / nn[good]
-        cands.append(p - shift[:, None] * a_mat[good])
-    pairs = np.array(list(combinations(range(m), 2)))
-    if pairs.size:
-        a1, a2 = a_mat[pairs[:, 0]], a_mat[pairs[:, 1]]
-        det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
-        ok = np.abs(det) > 1e-14 * np.maximum(
-            norms[pairs[:, 0]] * norms[pairs[:, 1]], 1e-300)
-        if ok.any():
-            b1, b2 = b_vec[pairs[ok, 0]], b_vec[pairs[ok, 1]]
-            a1, a2, dt = a1[ok], a2[ok], det[ok]
-            x = (b1 * a2[:, 1] - a1[:, 1] * b2) / dt
-            y = (a1[:, 0] * b2 - b1 * a2[:, 0]) / dt
-            cands.append(np.stack([x, y], axis=1))
-    cands = np.concatenate(cands, axis=0) if cands else np.empty((0, 2))
-    return _nearest_feasible(p, cands, a_mat, b_vec, feas_tol)
+            e1, e2 = plane_basis(pg.u_ij)
+            cx.edges[(i, j)] = EdgeData(pair=pg, e1=e1, e2=e2, in_alpha=True)
 
 
 def _build_triangles(cx):
@@ -654,15 +529,12 @@ def _build_arcs(cx):
         if full:
             data.arcs = []
             data.covered = covered
-            data.covered_measure = TWO_PI
             data.fully_covered = True
             data.on_boundary = False
             continue
-        arcs, measure = _assemble_arcs(cx, (i, j), covered)
-        data.arcs = arcs
+        data.arcs = _assemble_arcs(cx, (i, j), covered)
         data.covered = covered
-        data.covered_measure = measure
-        data.on_boundary = bool(arcs)
+        data.on_boundary = bool(data.arcs)
 
 
 def _cover_intervals(cx, i, j, data):
@@ -730,7 +602,7 @@ def _assemble_arcs(cx, edge, covered):
     wraps across the base point.
     """
     if not covered:
-        return [Arc(edge=edge, alpha_start=0.0, alpha_end=TWO_PI, extent=TWO_PI)], 0.0
+        return [Arc(edge=edge, alpha_start=0.0, alpha_end=TWO_PI, extent=TWO_PI)]
     base = covered[0][0]
     base_start_ref = covered[0][3]
     events = []   # (relative angle, +1 cover starts / -1 cover ends, corner ref)
@@ -754,12 +626,7 @@ def _assemble_arcs(cx, edge, covered):
     depth = depth0
     exposure_start = None     # (relative angle, corner ref)
     arcs_rel = []
-    covered_measure = 0.0
-    last = 0.0
     for ang, delta, ref in events:
-        if depth > 0:
-            covered_measure += ang - last
-        last = ang
         depth += delta
         if delta == -1 and depth == 0:
             exposure_start = (ang, ref)
@@ -771,14 +638,12 @@ def _assemble_arcs(cx, edge, covered):
         # Exposure runs to the base angle, where the first cover begins.
         s_ang, s_ref = exposure_start
         arcs_rel.append((s_ang, TWO_PI - s_ang, s_ref, base_start_ref))
-    elif depth > 0:
-        covered_measure += TWO_PI - last
     arcs = []
     for s_rel, extent, s_ref, e_ref in arcs_rel:
         a0 = (s_rel + base) % TWO_PI
         arcs.append(Arc(edge=edge, alpha_start=a0, alpha_end=a0 + extent,
                         extent=extent, start=s_ref, end=e_ref))
-    return arcs, covered_measure
+    return arcs
 
 
 def _mark_boundary_vertices(cx):
@@ -797,34 +662,3 @@ def _mark_boundary_vertices(cx):
         pows[i] = _INF
         vd.on_boundary = bool(pows.min() >= 0.0)
 
-
-def _cyclic_gaps(cx):
-    """Count arc gaps around each boundary edge from the cyclic fan."""
-    for (i, j), data in cx.edges.items():
-        tris = sorted(t for t in cx.triangles
-                      if cx.triangles[t].in_alpha and i in t and j in t)
-        data.incident_triangles = tris
-        if not data.on_boundary:
-            data.gap_count = 0
-            continue
-        if not tris:
-            data.gap_count = 1
-            continue
-        angles = []
-        for t in tris:
-            k = next(v for v in t if v not in (i, j))
-            rel = cx.balls.centers[k] - data.pair.center
-            ang = math.atan2(rel @ data.e2, rel @ data.e1) % TWO_PI
-            angles.append((ang, t, k))
-        angles.sort()
-        gaps = 0
-        for (a1, t1, k1), (a2, t2, k2) in zip(angles, angles[1:] + angles[:1]):
-            quad = tuple(sorted({i, j, k1, k2}))
-            # A tetrahedron fills only the wedge between its two apexes that
-            # subtends less than pi around the edge.
-            wedge = (a2 - a1) % TWO_PI
-            joined = (len(quad) == 4 and quad in cx.tetrahedra
-                      and cx.tetrahedra[quad].in_alpha and wedge < math.pi)
-            if not joined:
-                gaps += 1
-        data.gap_count = gaps

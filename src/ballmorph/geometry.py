@@ -237,13 +237,3 @@ def u_edge(balls, i, j):
     delta = balls.centers[i] - balls.centers[j]
     return delta / np.linalg.norm(delta)
 
-
-def u_triangle(balls, i, j, k):
-    """Unit normal to u_ij with positive component toward u_ik (in-plane)."""
-    uij = u_edge(balls, i, j)
-    uik = u_edge(balls, i, k)
-    w = uik - (uik @ uij) * uij
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        raise DegenerateTriple("centers are collinear")
-    return w / nw

@@ -3,8 +3,8 @@
 The derivative splits into four terms: patch-fraction change (d), arc
 fraction change (e), arc angle change (f), and corner quadrangle change
 (h).  Each term is assembled per boundary simplex into per-ball gradient
-vectors; the scalar directional derivatives are accumulated alongside from
-the same coefficients, so scalar and vector views agree up to rounding.
+vectors; a directional derivative is the inner product with a momentum
+(``directional_derivative``).
 """
 
 import math
@@ -182,12 +182,10 @@ def sigma_i_prime(balls, cx, measures, i, t):
     return total
 
 
-def term_d(balls, cx, measures, t=None):
+def term_d(balls, cx, measures):
     """Patch term: 4*pi sum of w_i sigma_i'."""
     n = balls.n
     vec = np.zeros((n, 3))
-    scalar = 0.0
-    t = as_momentum(t, n) if t is not None else None
     w = balls.weights
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
@@ -201,23 +199,17 @@ def term_d(balls, cx, measures, t=None):
             uab = u_edge(balls, a, b)
             vec[a] += c1 * uab
             vec[b] -= c1 * uab
-            if t is not None:
-                scalar += c1 * float(uab @ (t[a] - t[b]))
             c2 = w[a] * pg.r / (r_a * pg.d)
             for tang in _cap_endpoint_terms(balls, cx, a, data):
                 vec[a] -= c2 * tang
                 vec[b] += c2 * tang
-                if t is not None:
-                    scalar -= c2 * float(tang @ (t[a] - t[b]))
-    return (scalar if t is not None else None), vec
+    return vec
 
 
-def term_e(balls, cx, t=None):
+def term_e(balls, cx):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'."""
     n = balls.n
     vec = np.zeros((n, 3))
-    scalar = 0.0
-    t = as_momentum(t, n) if t is not None else None
     w = balls.weights
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
@@ -229,17 +221,13 @@ def term_e(balls, cx, t=None):
             vec[i] += kappa * ep.vec_i
             vec[j] += kappa * ep.vec_j
             vec[ep.occluder] += kappa * ep.vec_k
-            if t is not None:
-                scalar += kappa * ep.rate(t[i], t[j], t[ep.occluder])
-    return (scalar if t is not None else None), vec
+    return vec
 
 
-def term_f(balls, cx, measures, t=None):
+def term_f(balls, cx, measures):
     """Arc-angle term: -pi sum of (w_i + w_j) sigma_ij lambda_ij'."""
     n = balls.n
     vec = np.zeros((n, 3))
-    scalar = 0.0
-    t = as_momentum(t, n) if t is not None else None
     w = balls.weights
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
@@ -250,17 +238,13 @@ def term_f(balls, cx, measures, t=None):
         uij = u_edge(balls, i, j)
         vec[i] += cf * uij
         vec[j] -= cf * uij
-        if t is not None:
-            scalar += cf * float(uij @ (t[i] - t[j]))
-    return (scalar if t is not None else None), vec
+    return vec
 
 
-def term_h(balls, cx, measures, t=None):
+def term_h(balls, cx, measures):
     """Corner term: quadrangle-area derivatives weighted by the ball weights."""
     n = balls.n
     vec = np.zeros((n, 3))
-    scalar = 0.0
-    t = as_momentum(t, n) if t is not None else None
     w = balls.weights
     for (i, j, k), tdata in sorted(cx.triangles.items()):
         sig = measures.sigma_t.get((i, j, k), 0.0)
@@ -280,9 +264,7 @@ def term_h(balls, cx, measures, t=None):
             uab = u_edge(balls, a, b)
             vec[a] += h_ab * uab
             vec[b] -= h_ab * uab
-            if t is not None:
-                scalar += h_ab * float(uab @ (t[a] - t[b]))
-    return (scalar if t is not None else None), vec
+    return vec
 
 
 @dataclass(frozen=True)
@@ -309,11 +291,8 @@ class GaussGradient:
 
 def gauss_gradient(balls, cx, measures):
     """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i."""
-    _, vec_d = term_d(balls, cx, measures)
-    _, vec_e = term_e(balls, cx)
-    _, vec_f = term_f(balls, cx, measures)
-    _, vec_h = term_h(balls, cx, measures)
-    return GaussGradient(d=vec_d, e=vec_e, f=vec_f, h=vec_h)
+    return GaussGradient(d=term_d(balls, cx, measures), e=term_e(balls, cx),
+                         f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 
 
 def directional_derivative(grad, t):

@@ -108,7 +108,8 @@ def _sphere_segments(balls, cx, s):
     """All boundary arcs on sphere s oriented for the region walk."""
     segments = []
     lone = []
-    for key, data in cx.edges.items():
+    # Key order fixes the summation order of the lone caps in sigma_i.
+    for key, data in sorted(cx.edges.items()):
         if s not in key or not data.on_boundary:
             continue
         pg = data.pair

@@ -75,6 +75,15 @@ def test_exit_codes(tmp_path, capsys):
     tangent = write(tmp_path, "tan.txt", "0 0 0 1 1\n2 0 0 1 1\n")
     assert main(["compute", "--input", tangent]) == 2
     capsys.readouterr()
+    # Numeric options outside their domain: exit 1 with a one-line message.
+    two = write(tmp_path, "two.txt", TWO)
+    mom = write(tmp_path, "mom.txt", "0 0 0\n1 0 0\n")
+    for argv in (["compute", "--mc-samples", "-5"], ["grad", "--mc-samples", "-1"],
+                 ["compute", "--seed", "-1"], ["fdcheck", "--step", "0"],
+                 ["probe", "--momentum", mom, "--steps", "1"]):
+        assert main([*argv, "--input", two]) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1, (argv, out)
 
 
 def test_grad_single_ball(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, boundary_arcs, build_alpha_complex, euler
+from ballmorph import BallSet, boundary_arcs, build_alpha_complex, euler, sigma_ij
 from ballmorph.errors import DegenerateState
 from conftest import make_config, octant_balls, two_balls
 
@@ -72,12 +74,39 @@ def test_tangency_raises_degenerate_state():
                for cond, simplex, _ in cx.degeneracies)
 
 
+def cyclic_gap_count(cx, edge):
+    """Arc gaps around a boundary edge, counted from its cyclic triangle fan."""
+    i, j = edge
+    data = cx.edges[edge]
+    tris = sorted(t for t in cx.triangles
+                  if cx.triangles[t].in_alpha and i in t and j in t)
+    if not tris:
+        return 1
+    angles = []
+    for t in tris:
+        k = next(v for v in t if v not in (i, j))
+        rel = cx.balls.centers[k] - data.pair.center
+        angles.append((math.atan2(rel @ data.e2, rel @ data.e1) % (2 * math.pi), k))
+    angles.sort()
+    gaps = 0
+    for (a1, k1), (a2, k2) in zip(angles, angles[1:] + angles[:1]):
+        quad = tuple(sorted({i, j, k1, k2}))
+        # A tetrahedron fills only the wedge between its two apexes that
+        # subtends less than pi around the edge.
+        wedge = (a2 - a1) % (2 * math.pi)
+        joined = (len(quad) == 4 and quad in cx.tetrahedra
+                  and cx.tetrahedra[quad].in_alpha and wedge < math.pi)
+        if not joined:
+            gaps += 1
+    return gaps
+
+
 def test_gap_count_equals_arc_count(rng):
     for _ in range(10):
         balls, cx = make_config(rng, int(rng.integers(4, 10)))
         for e in cx.boundary_edges():
-            data = cx.edges[e]
-            assert data.gap_count == len(data.arcs), (e, data.gap_count, len(data.arcs))
+            gaps = cyclic_gap_count(cx, e)
+            assert gaps == len(cx.edges[e].arcs), (e, gaps, len(cx.edges[e].arcs))
 
 
 def test_face_closure(rng):
@@ -128,4 +157,5 @@ def test_arc_extents_sum_to_exposed_measure(rng):
         for e in cx.boundary_edges():
             data = cx.edges[e]
             total = sum(a.extent for a in data.arcs)
-            assert total + data.covered_measure == pytest.approx(2 * np.pi, abs=1e-9)
+            covered = 2 * np.pi * (1.0 - sigma_ij(balls, cx, e))
+            assert total + covered == pytest.approx(2 * np.pi, abs=1e-9)

@@ -1,0 +1,35 @@
+"""Golden outputs of small seeded diagrams.
+
+Each ``data/gNN.txt`` is a random diagram with n = NN (radii 0.2 to 2.5,
+weights -2 to 2) in which some vertices and edges enter the complex only
+as faces of higher simplices.  ``data/gNN.json`` holds its alpha simplices,
+A, M, K and per-ball G as computed by commit 452ec6d, which decided vertex
+and edge membership by projecting onto the power cells.  A change that
+keeps the outputs must match them exactly (simplices) or to rel 1e-12.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ballmorph import build_alpha_complex, compute_measures, gauss_gradient, \
+    intrinsic_volumes
+from ballmorph.serial import parse_diagram
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["g08", "g12", "g16", "g20"])
+def test_golden_outputs(name):
+    want = json.loads((DATA / f"{name}.json").read_text())
+    balls = parse_diagram(str(DATA / f"{name}.txt"))
+    cx = build_alpha_complex(balls)
+    assert sorted(list(s) for s in cx.alpha_simplices()) == want["simplices"]
+    meas = compute_measures(balls, cx)
+    vols = intrinsic_volumes(balls, cx, meas)
+    assert [vols.area, vols.mean, vols.gauss] == pytest.approx(
+        [want["A"], want["M"], want["K"]], rel=1e-12)
+    g = gauss_gradient(balls, cx, meas).per_ball
+    for row, want_row in zip(g.tolist(), want["G"], strict=True):
+        assert row == pytest.approx(want_row, rel=1e-12)
