@@ -75,6 +75,7 @@ _OPTION_DOMAINS = (
     ("mc_samples", "an integer >= 0", lambda v: v >= 0),
     ("seed", "an integer in [0, 2**64)", lambda v: 0 <= v < 2 ** 64),
     ("step", "a finite number > 0", lambda v: 0.0 < v < math.inf),
+    ("tol", "a finite number > 0", lambda v: 0.0 < v < math.inf),
     ("steps", "an integer >= 2", lambda v: v >= 2),
     ("tau_min", "a finite number", math.isfinite),
     ("tau_max", "a finite number", math.isfinite),
@@ -96,12 +97,11 @@ def _evaluate_k(balls):
 
 
 def cmd_compute(args):
-    balls = parse_diagram(args.input)
     wanted = [s.strip().lower() for s in args.measures.split(",") if s.strip()]
-    bad = [s for s in wanted if s not in ("v", "a", "m", "k")]
-    if bad:
-        print(f"unknown measures: {','.join(bad)}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    if not wanted or any(s not in ("v", "a", "m", "k") for s in wanted):
+        raise ValidationError("--measures must be a non-empty comma list out of "
+                              f"v,a,m,k, got {args.measures!r}")
+    balls = parse_diagram(args.input)
     cx = build_alpha_complex(balls)
     mc = args.mc_samples if "v" in wanted else 0
     meas = compute_measures(balls, cx, mc_samples=mc, seed=args.seed)
@@ -120,7 +120,7 @@ def cmd_compute(args):
             print(f"{name} = {fmt(value)} +/- {fmt(err)}")
     if args.json:
         doc = result_document(balls, volumes=vols,
-                              report=general_position_check(balls),
+                              report=general_position_check(balls, cx),
                               input_sha256=input_digest(args.input),
                               seed=args.seed, mc_samples=mc)
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -138,7 +138,7 @@ def cmd_grad(args):
         print(f"G[{i}] = {fmt(g[0])} {fmt(g[1])} {fmt(g[2])}")
     if args.json:
         doc = result_document(balls, volumes=vols, grad=grad,
-                              report=general_position_check(balls),
+                              report=general_position_check(balls, cx),
                               input_sha256=input_digest(args.input),
                               seed=args.seed, mc_samples=args.mc_samples)
         with open(args.json, "w", encoding="utf-8") as fh:

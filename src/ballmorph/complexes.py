@@ -145,7 +145,8 @@ class AlphaComplex:
         self.condition2_margin = _INF   # cheapest distance-to-tangency seen
         self._pairs = {}
         self._triples = {}
-        self._triple_raw = {}     # key -> (center, axis, h_sq)
+        self._triple_raw = {}     # key -> (center, axis, h_sq), None if collinear
+        self._quads = None        # candidate-quad reductions of _build_tetrahedra
 
     # -- cached elementary geometry -------------------------------------
 
@@ -165,24 +166,12 @@ class AlphaComplex:
         # Only triples of pairwise intersecting spheres can meet in two
         # points, and _build_triangles records every such triple.
         raw = self._triple_raw.get(key)
-        tg = None if raw is None else self._triple_from_raw(key, *raw)
+        tg = None
+        if raw is not None and raw[2] > self.tol * self.balls.scale:
+            tg = TripleGeometry.from_center([self.balls.ball(m) for m in key], key,
+                                            raw[0], raw[1], math.sqrt(raw[2]))
         self._triples[key] = tg
         return tg
-
-    def _triple_from_raw(self, key, center, axis, h_sq):
-        if h_sq <= self.tol * self.balls.scale:
-            return None
-        h = math.sqrt(h_sq)
-        p_plus = center + h * axis
-        p_minus = center - h * axis
-        blls = [self.balls.ball(m) for m in key]
-        return TripleGeometry(i=key[0], j=key[1], k=key[2], center=center,
-                              half_length=h, axis=axis, p_plus=p_plus,
-                              p_minus=p_minus,
-                              normals_plus=tuple((p_plus - b.center) / b.radius
-                                                 for b in blls),
-                              normals_minus=tuple((p_minus - b.center) / b.radius
-                                                  for b in blls))
 
     # -- queries ---------------------------------------------------------
 
@@ -279,7 +268,7 @@ def _check_pair_degeneracies(cx):
         raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
     for i, j in zip(iu[gap[iu, ju] < cx.tol], ju[gap[iu, ju] < cx.tol]):
         cx.degeneracies.append(("II", (int(i), int(j)), float(gap[i, j])))
-    cx._dist = dist
+    cx._pair_gap = gap
     cx._circle = (r_dif < dist) & (dist < r_sum)
 
 
@@ -471,6 +460,14 @@ def _build_tetrahedra(cx):
     flat = np.abs(det) < 1e-12 * row_scale
     for q, dt, sc in zip(idx[flat], det[flat], row_scale[flat]):
         cx.degeneracies.append(("I", tuple(int(v) for v in q), float(abs(dt) / sc)))
+    # Per candidate, for general_position_check: |det| / row_scale, the
+    # orthocenter's power over the least power of all balls, and its
+    # closest power tie |pow_m - own| with a fifth ball m.  The last two
+    # stay inf on flat quads, and the tie stays inf when n == 4.
+    excess = np.full(idx.shape[0], _INF)
+    tie = np.full(idx.shape[0], _INF)
+    tie_ball = np.zeros(idx.shape[0], dtype=int)
+    cx._quads = (idx, np.abs(det) / row_scale, excess, tie, tie_ball)
     keep = ~flat
     idx = idx[keep]
     if idx.size == 0:
@@ -496,6 +493,11 @@ def _build_tetrahedra(cx):
     for m in np.nonzero(in_alpha)[0]:
         cx.tetrahedra[tuple(int(v) for v in idx[m])] = TetData(
             orthocenter=z[m], in_alpha=True)
+    excess[keep] = own - pows.min(axis=1)
+    masked -= own[:, None]
+    np.abs(masked, out=masked)
+    tie_ball[keep] = masked.argmin(axis=1)
+    tie[keep] = masked.min(axis=1)
 
 
 def _close_faces(cx):

@@ -14,8 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .complexes import build_alpha_complex
-from .errors import DegenerateState, DegenerateTriple, Unclassifiable
-from .geometry import as_momentum, radical_center_2d
+from .errors import DegenerateState, Unclassifiable
+from .geometry import as_momentum
 from .gradient import gauss_gradient
 from .intrinsic import weighted_gauss
 from .measures import compute_measures
@@ -49,86 +49,64 @@ class DegeneracyReport:
 
 
 def general_position_check(balls, cx=None, tol=1e-6):
-    """Scan all small tuples for proximity to a general-position violation.
+    """Residuals of the state against every general-position violation.
 
-    Residuals are lengths (power gaps are divided by the diagram scale);
-    ``min_residual`` over all scanned tuples serves as the distance-to-
-    degeneracy metric even when no violation is below ``tol``.
+    A view over the geometry of the alpha complex ``cx`` (built with
+    strict=False when None): ``tol`` only picks the records reported as
+    violations.  Residuals are lengths (power gaps are divided by the
+    diagram scale); ``min_residual`` over all records serves as the
+    distance-to-degeneracy metric even when no violation is below ``tol``.
+    Records come in the order pairs, circle triples, the corners of each
+    triple against every fourth sphere, then candidate quads.
     """
-    n = balls.n
-    centers, radii = balls.centers, balls.radii
-    scale = balls.scale
+    if cx is None:
+        cx = build_alpha_complex(balls, strict=False)
+    n, radii, scale = balls.n, balls.radii, balls.scale
     violations = []
-    min_res = math.inf
 
-    def note(cond, simplex, res, affects_min=True):
-        nonlocal min_res
-        if affects_min:
-            min_res = min(min_res, res)
-        if res < tol:
-            violations.append(Violation(cond, tuple(simplex), float(res)))
+    def note(residuals, record):
+        """Report each record below tol; record(k) is the (condition,
+        simplex) of residuals.flat[k], which is in record order."""
+        for k in np.flatnonzero(residuals < tol):
+            violations.append(Violation(*record(k), float(residuals.flat[k])))
 
-    pair_circle = {}
-    for i, j in combinations(range(n), 2):
-        d = float(np.linalg.norm(centers[i] - centers[j]))
-        res = min(abs(d - (radii[i] + radii[j])), abs(d - abs(radii[i] - radii[j])))
-        note("II", (i, j), res)
-        pair_circle[(i, j)] = abs(radii[i] - radii[j]) < d < radii[i] + radii[j]
+    iu, ju = np.triu_indices(n, k=1)
+    pair_res = cx._pair_gap[iu, ju]
+    note(pair_res, lambda k: ("II", (int(iu[k]), int(ju[k]))))
 
-    corner_points = {}
-    for tri in combinations(range(n), 3):
-        if not all(pair_circle[p] for p in combinations(tri, 2)):
-            continue
-        try:
-            z, axis = radical_center_2d(balls.ball(tri[0]), balls.ball(tri[1]),
-                                        balls.ball(tri[2]))
-        except DegenerateTriple:
-            note("I", tri, 0.0)
-            continue
-        h_sq = radii[tri[0]] ** 2 - float(np.dot(z - centers[tri[0]], z - centers[tri[0]]))
-        # The discriminant h^2 is the smooth residual of the two-point
-        # intersection folding away; state-space distance scales with it.
-        note("II", tri, abs(h_sq) / scale)
-        if h_sq > 0:
-            h = math.sqrt(h_sq)
-            corner_points[tri] = (z + h * axis, z - h * axis)
+    # The discriminant h^2 is the smooth residual of the two-point
+    # intersection folding away; state-space distance scales with it.
+    # Collinear centres (no radical center) are a Condition I record at 0.
+    tris = sorted(cx._triple_raw)
+    raw = [cx._triple_raw[t] for t in tris]
+    tri_res = np.array([0.0 if r is None else abs(r[2]) / scale for r in raw])
+    note(tri_res, lambda k: ("I" if raw[k] is None else "II", tris[k]))
 
-    for tri, points in corner_points.items():
-        for p in points:
-            gaps = np.sqrt(np.einsum("ij,ij->i", centers - p, centers - p)) - radii
-            for m in range(n):
-                if m in tri:
-                    continue
-                note("II", tuple(sorted(tri + (m,))), abs(float(gaps[m])))
+    live = [k for k, r in enumerate(raw) if r is not None and r[2] > 0.0]
+    z = np.array([raw[k][0] for k in live]).reshape(-1, 3)
+    axis = np.array([raw[k][1] for k in live]).reshape(-1, 3)
+    h = np.sqrt([raw[k][2] for k in live])[:, None]
+    diff = np.stack([z + h * axis, z - h * axis], axis=1)[:, :, None, :] - balls.centers
+    corner_gap = np.abs(np.sqrt(np.einsum("tsmj,tsmj->tsm", diff, diff)) - radii)
+    members = np.array([tris[k] for k in live], dtype=int).reshape(-1, 3)
+    corner_gap[np.arange(len(live))[:, None], :, members] = math.inf
+    note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]]
+                                                   + (int(k % n),)))))
 
-    for quad in combinations(range(n), 4):
-        if not all(pair_circle[p] for p in combinations(quad, 2)):
-            continue
-        xi = centers[quad[0]]
-        rows = 2.0 * (centers[list(quad[1:])] - xi)
-        rhs = (np.einsum("ij,ij->i", centers[list(quad[1:])], centers[list(quad[1:])])
-               - radii[list(quad[1:])] ** 2 - xi @ xi + radii[quad[0]] ** 2)
-        det = np.linalg.det(rows)
-        row_scale = np.prod(np.linalg.norm(rows, axis=1))
-        coplanarity = abs(det) / max(row_scale, 1e-300) * scale
+    five_res = np.empty(0)
+    if cx._quads is not None:
+        idx, coplanar, excess, tie, fifth = cx._quads
         # Flattening tets matter only when the quad is locally Delaunay, so
-        # a small determinant is reported but kept out of the metric.
-        note("I", quad, coplanarity, affects_min=False)
-        if abs(det) < 1e-12 * max(row_scale, 1e-300):
-            continue
-        z = np.linalg.solve(rows, rhs)
-        pows = np.einsum("ij,ij->i", centers - z, centers - z) - radii ** 2
-        others = [m for m in range(n) if m not in quad]
-        if not others:
-            continue
-        gaps = pows[others] - pows[quad[0]]
-        m = others[int(np.argmin(np.abs(gaps)))]
-        gap = float(np.min(np.abs(gaps))) / (2.0 * scale)
-        # Only a tie in the minimal power changes the mosaic.
-        if pows[quad[0]] <= pows.min() + tol * 2.0 * scale:
-            note("I", quad + (m,), gap)
+        # a small determinant is reported but kept out of the metric.  Only
+        # a tie in the minimal power changes the mosaic.
+        five_res = np.where(excess <= 2.0 * tol * scale, tie / (2.0 * scale), math.inf)
+        note(np.stack([coplanar * scale, five_res], axis=1),
+             lambda k: ("I", tuple(int(v) for v in idx[k // 2])
+                        + ((int(fifth[k // 2]),) if k % 2 else ())))
 
-    return DegeneracyReport(violations=violations, min_residual=float(min_res))
+    min_res = min((float(r.min()) for r in (pair_res, tri_res, corner_gap, five_res)
+                   if r.size), default=math.inf)
+    return DegeneracyReport(violations=violations, min_residual=min_res)
 
 
 # -- simplicial homology over GF(2) ---------------------------------------
@@ -198,11 +176,10 @@ def classify_event(balls, cx, violation, delta=None):
         point = centers[i] + radii[i] * u
         mover, direction = j, u
     elif len(simplex) == 3:
-        try:
-            point, _ = radical_center_2d(balls.ball(simplex[0]), balls.ball(simplex[1]),
-                                         balls.ball(simplex[2]))
-        except DegenerateTriple as exc:
-            raise Unclassifiable(str(exc)) from exc
+        raw = cx._triple_raw.get(tuple(sorted(simplex)))
+        if raw is None:
+            raise Unclassifiable(f"no radical center for triple {simplex}")
+        point = raw[0]
         mover = simplex[2]
         direction = centers[mover] - point
         nd = np.linalg.norm(direction)
@@ -210,7 +187,7 @@ def classify_event(balls, cx, violation, delta=None):
             raise Unclassifiable("degenerate separation direction")
         direction = direction / nd
     elif len(simplex) == 4:
-        point, mover, direction = _closest_corner(balls, simplex)
+        point, mover, direction = _closest_corner(cx, simplex)
     else:
         raise Unclassifiable(f"unsupported tuple size {len(simplex)}")
 
@@ -247,20 +224,16 @@ def classify_event(balls, cx, violation, delta=None):
     return "interior_nongeneric"
 
 
-def _closest_corner(balls, quad):
+def _closest_corner(cx, quad):
     """Corner of some sub-triple of the quad lying on the fourth sphere."""
+    balls = cx.balls
     best = None
     for tri in combinations(quad, 3):
         m = next(v for v in quad if v not in tri)
-        try:
-            z, axis = radical_center_2d(balls.ball(tri[0]), balls.ball(tri[1]),
-                                        balls.ball(tri[2]))
-        except DegenerateTriple:
+        raw = cx._triple_raw.get(tuple(sorted(tri)))
+        if raw is None or raw[2] <= 0:
             continue
-        h_sq = balls.radii[tri[0]] ** 2 - float(np.dot(z - balls.centers[tri[0]],
-                                                       z - balls.centers[tri[0]]))
-        if h_sq <= 0:
-            continue
+        z, axis, h_sq = raw
         for p in (z + math.sqrt(h_sq) * axis, z - math.sqrt(h_sq) * axis):
             gap = abs(np.linalg.norm(p - balls.centers[m]) - balls.radii[m])
             if best is None or gap < best[0]:

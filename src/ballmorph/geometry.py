@@ -182,13 +182,26 @@ class TripleGeometry:
     def points(self):
         return self.p_plus, self.p_minus
 
+    @classmethod
+    def from_center(cls, balls, key, center, axis, h):
+        """The points center +/- h * axis shared by the three ``balls``,
+        whose indices are ``key``, with the outward normals there."""
+        p_plus = center + h * axis
+        p_minus = center - h * axis
+        return cls(i=key[0], j=key[1], k=key[2], center=center, half_length=h,
+                   axis=axis, p_plus=p_plus, p_minus=p_minus,
+                   normals_plus=tuple((p_plus - b.center) / b.radius for b in balls),
+                   normals_minus=tuple((p_minus - b.center) / b.radius for b in balls))
 
-def radical_center_2d(b_i, b_j, b_k):
-    """Point of equal power in the affine plane of the three centers.
 
-    Returns (point, plane_normal); the normal follows the orientation rule
-    normalize((x_j - x_i) x (x_k - x_i)).  Raises DegenerateTriple for
-    collinear centers.
+def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
+    """Intersection points of three spheres with outward normals.
+
+    The points lie on the line through the radical center (the point of
+    equal power in the plane of the centers) along the plane normal
+    normalize((x_j - x_i) x (x_k - x_i)).  Raises DegenerateTriple when the
+    centers are collinear or the spheres meet in fewer than two points
+    (within tolerance).
     """
     xi, xj, xk = b_i.center, b_j.center, b_k.center
     a1 = xj - xi
@@ -196,7 +209,7 @@ def radical_center_2d(b_i, b_j, b_k):
     nrm = np.cross(a1, a2)
     area2 = np.linalg.norm(nrm)
     scale = max(b_i.radius, b_j.radius, b_k.radius)
-    if area2 <= (EPS_GEO * scale) ** 2:
+    if area2 <= (eps * scale) ** 2:
         raise DegenerateTriple("centers are collinear")
     axis = nrm / area2
     # pi_i(p) = pi_j(p)  <=>  2 <p, xj - xi> = |xj|^2 - rj^2 - |xi|^2 + ri^2
@@ -204,32 +217,14 @@ def radical_center_2d(b_i, b_j, b_k):
     b2 = 0.5 * (xk @ xk - b_k.radius ** 2 - xi @ xi + b_i.radius ** 2)
     # Solve within the plane: p = xi + s*a1 + t*a2.
     g = np.array([[a1 @ a1, a1 @ a2], [a1 @ a2, a2 @ a2]])
-    rhs = np.array([b1 - a1 @ xi, b2 - a2 @ xi])
-    s, t = np.linalg.solve(g, rhs)
-    return xi + s * a1 + t * a2, axis
-
-
-def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
-    """Intersection points of three spheres with outward normals.
-
-    Raises DegenerateTriple when the spheres meet in fewer than two points
-    (within tolerance) or the centers are collinear.
-    """
-    center, axis = radical_center_2d(b_i, b_j, b_k)
-    scale = max(b_i.radius, b_j.radius, b_k.radius)
-    h_sq = b_i.radius ** 2 - float(np.dot(center - b_i.center, center - b_i.center))
+    s, t = np.linalg.solve(g, np.array([b1 - a1 @ xi, b2 - a2 @ xi]))
+    center = xi + s * a1 + t * a2
+    h_sq = b_i.radius ** 2 - float(np.dot(center - xi, center - xi))
     if h_sq <= (eps * scale) ** 2:
         raise DegenerateTriple(
             f"spheres {(i, j, k)} do not meet in two points (h^2={h_sq:.3e})")
-    h = float(np.sqrt(h_sq))
-    p_plus = center + h * axis
-    p_minus = center - h * axis
-    balls = (b_i, b_j, b_k)
-    n_plus = tuple((p_plus - b.center) / b.radius for b in balls)
-    n_minus = tuple((p_minus - b.center) / b.radius for b in balls)
-    return TripleGeometry(i=i, j=j, k=k, center=center, half_length=h, axis=axis,
-                          p_plus=p_plus, p_minus=p_minus,
-                          normals_plus=n_plus, normals_minus=n_minus)
+    return TripleGeometry.from_center((b_i, b_j, b_k), (i, j, k), center, axis,
+                                      float(np.sqrt(h_sq)))
 
 
 def u_edge(balls, i, j):

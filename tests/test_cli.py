@@ -80,7 +80,9 @@ def test_exit_codes(tmp_path, capsys):
     mom = write(tmp_path, "mom.txt", "0 0 0\n1 0 0\n")
     for argv in (["compute", "--mc-samples", "-5"], ["grad", "--mc-samples", "-1"],
                  ["compute", "--seed", "-1"], ["fdcheck", "--step", "0"],
-                 ["probe", "--momentum", mom, "--steps", "1"]):
+                 ["probe", "--momentum", mom, "--steps", "1"],
+                 ["degeneracy", "--tol", "nan"], ["degeneracy", "--tol", "-1"],
+                 ["fdcheck", "--tol", "nan"], ["compute", "--measures", ""]):
         assert main([*argv, "--input", two]) == 1, argv
         out = capsys.readouterr()
         assert out.out == "" and len(out.err.splitlines()) == 1, (argv, out)
@@ -98,8 +100,11 @@ def test_fdcheck_generic_and_strict_tol(tmp_path, capsys, rng):
     balls, _ = make_config(rng, 5)
     path = write(tmp_path, "five.txt", serialize_diagram(balls))
     assert main(["fdcheck", "--input", path, "--step", "1e-5", "--tol", "1e-5"]) == 0
-    assert main(["fdcheck", "--input", path, "--tol", "1e-16"]) == 1
     capsys.readouterr()
+    # A tiny --tol is valid: the comparison runs and fails it.
+    assert main(["fdcheck", "--input", path, "--tol", "1e-16"]) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("max abs gap") and out.err == ""
 
 
 def test_json_reproducibility(tmp_path, capsys, rng):
