@@ -15,10 +15,18 @@ from a centre test plus closure under faces:
   argument in the radical plane takes an edge whose disk meets V_ij away
   from q_ij to an alpha triangle ijm.
 
-At desk scale (n up to ~100) this brute-force route is simpler and more
-transparent than incremental flipping, and it yields the boundary
-bookkeeping (exposed circle arcs with their terminating corners) as a
-byproduct of the same clipping.
+Every test needs only the balls that meet a member ball: if B_m misses
+B_i, then pow_i <= 0 < pow_m on all of B_i, so m's halfspace is redundant
+in any test restricted to B_i.  Candidate edges, triangles and tetrahedra
+are therefore the cliques of the circle graph (pairs of spheres that meet
+in a circle), enumerated by extending each sorted clique with the common
+larger neighbours of its members, and the cover of a circle S_ij visits
+only the balls that come within tolerance of it.  Construction cost thus
+follows the cliques rather than all index tuples; the batched power
+kernels still take a column for every ball, because
+diagnostics.general_position_check reads their all-ball records.  The
+same clipping yields the boundary bookkeeping (exposed circle arcs with
+their terminating corners) as a byproduct.
 """
 
 import math
@@ -28,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CoincidentCenters, DegenerateState
-from .geometry import EPS_GEO, TripleGeometry, pair_geometry
+from .geometry import EPS_GEO, TripleGeometry, cross3, pair_geometry
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
@@ -38,9 +46,9 @@ def plane_basis(u):
     """Orthonormal (e1, e2) spanning the plane normal to u, with e1 x e2 = u."""
     a = np.zeros(3)
     a[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = np.cross(a, u)
+    e1 = cross3(a, u)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
+    e2 = cross3(u, e1)
     return e1, e2
 
 
@@ -209,10 +217,11 @@ def build_alpha_complex(balls, eps=EPS_GEO, strict=True):
     """
     cx = AlphaComplex(balls, eps)
     _check_pair_degeneracies(cx)
+    pairs, triples, quads = _circle_cliques(cx._circle)
     _build_vertices(cx)
-    _build_edges(cx)
-    _build_triangles(cx)
-    _build_tetrahedra(cx)
+    _build_edges(cx, pairs)
+    _build_triangles(cx, triples)
+    _build_tetrahedra(cx, quads)
     _close_faces(cx)
     _build_arcs(cx)
     _mark_boundary_vertices(cx)
@@ -249,6 +258,24 @@ def _power_row(balls, p):
     return np.einsum("ij,ij->i", d, d) - balls.radii ** 2
 
 
+def _circle_cliques(circle):
+    """Pairs, triples and quads of balls whose spheres pairwise meet in
+    circles, each as an index array in lexicographic order.
+
+    A sorted row is extended by every larger index adjacent to all its
+    members: the AND of the members' rows of the strict upper triangle of
+    ``circle``.  np.nonzero walks that row-major, which is the order of
+    itertools.combinations.
+    """
+    upper = np.triu(circle, 1)
+    cliques = [np.argwhere(upper)]
+    for _ in range(2):
+        rows = cliques[-1]
+        r, m = np.nonzero(upper[rows].all(axis=1))
+        cliques.append(np.column_stack([rows[r], m]))
+    return cliques
+
+
 def _check_pair_degeneracies(cx):
     """Pairwise distances, tangency residuals and the circle-pair mask."""
     balls = cx.balls
@@ -280,12 +307,11 @@ def _build_vertices(cx):
         cx.vertices[i] = VertexData(i, in_alpha=bool(pows[i] <= pows.min() + cx.tol ** 2))
 
 
-def _build_edges(cx):
+def _build_edges(cx, pairs):
     """Edge ij is in the complex when the circle centre q_ij lies in V_ij;
     closure adds the rest."""
     balls = cx.balls
-    n = balls.n
-    cand = [(i, j) for i, j in combinations(range(n), 2) if cx._circle[i, j]]
+    cand = pairs.tolist()
     if not cand:
         return
     pgs = [cx.pair(i, j) for i, j in cand]
@@ -302,15 +328,10 @@ def _build_edges(cx):
             cx.edges[(i, j)] = EdgeData(pair=pg, e1=e1, e2=e2, in_alpha=True)
 
 
-def _build_triangles(cx):
+def _build_triangles(cx, idx):
     balls = cx.balls
-    n = balls.n
-    cand = [t for t in combinations(range(n), 3)
-            if cx._circle[t[0], t[1]] and cx._circle[t[0], t[2]]
-            and cx._circle[t[1], t[2]]]
-    if not cand:
+    if not len(idx):
         return
-    idx = np.array(cand)
     xi = balls.centers[idx[:, 0]]
     a1 = balls.centers[idx[:, 1]] - xi
     a2 = balls.centers[idx[:, 2]] - xi
@@ -440,16 +461,10 @@ def _points_exposed(cx, idx, pts):
     return nearest > 0.0
 
 
-def _build_tetrahedra(cx):
+def _build_tetrahedra(cx, idx):
     balls = cx.balls
-    n = balls.n
-    circ = cx._circle
-    cand = [q for q in combinations(range(n), 4)
-            if circ[q[0], q[1]] and circ[q[0], q[2]] and circ[q[0], q[3]]
-            and circ[q[1], q[2]] and circ[q[1], q[3]] and circ[q[2], q[3]]]
-    if not cand:
+    if not len(idx):
         return
-    idx = np.array(cand)
     xi = balls.centers[idx[:, 0]]
     rows = 2.0 * (balls.centers[idx[:, 1:]] - xi[:, None, :])
     sq = np.einsum("ij,ij->i", balls.centers, balls.centers)
@@ -549,8 +564,13 @@ def _cover_intervals(cx, i, j, data):
     pg = data.pair
     q, rho = pg.center, pg.r
     u, e1, e2 = pg.u_ij, data.e1, data.e2
+    # |x_m - q| - rho - r_m is a lower bound on dmin - r_m below, and the
+    # loop body records or covers nothing while dmin - r_m >= tol, so the
+    # balls with a bound of 2 tol or more can be skipped.
+    d = balls.centers - q
+    bound = np.sqrt(np.einsum("ij,ij->i", d, d)) - rho - balls.radii
     out = []
-    for m in range(balls.n):
+    for m in np.nonzero(bound < 2.0 * cx.tol)[0].tolist():
         if m in (i, j):
             continue
         g = balls.centers[m] - q

@@ -85,6 +85,17 @@ class BallSet:
         return BallSet(self.centers, self.radii, weights)
 
 
+def cross3(a, b):
+    """Cross product of two 3-vectors, bit-identical to np.cross.
+
+    Three scalar products in Python cost a fraction of np.cross, whose
+    general broadcasting setup dominates on single vectors.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def as_momentum(t, n):
     """Validate a momentum and return it with shape (n, 3)."""
     t = np.asarray(t, dtype=float)
@@ -206,7 +217,7 @@ def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
     xi, xj, xk = b_i.center, b_j.center, b_k.center
     a1 = xj - xi
     a2 = xk - xi
-    nrm = np.cross(a1, a2)
+    nrm = cross3(a1, a2)
     area2 = np.linalg.norm(nrm)
     scale = max(b_i.radius, b_j.radius, b_k.radius)
     if area2 <= (eps * scale) ** 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, NoIntersection, NonRealizableTriangle
-from .geometry import as_momentum, pair_geometry, u_edge
+from .geometry import as_momentum, cross3, pair_geometry, u_edge
 from .sphtri import corner_geometry, quad_area_gradient
 
 TWO_PI = 2.0 * math.pi
@@ -97,7 +97,7 @@ def arc_endpoint_data(balls, cx, edge):
             p = ref.point
             g = balls.centers[k] - p
             e_rho = (p - q) / rho
-            e_tan = np.cross(u, e_rho)
+            e_tan = cross3(u, e_rho)
             g_u = float(g @ u)
             g_rho = float(g @ e_rho)
             g_tan = float(g @ e_tan)
@@ -151,7 +151,7 @@ def _cap_endpoint_terms(balls, cx, i, data):
             continue
         for ref, s_ccw_u in ((arc.start, -1.0), (arc.end, 1.0)):
             s_p = -s_ccw_u if own_is_i else s_ccw_u
-            tangent = np.cross(axis, ref.point - pg.center)
+            tangent = cross3(axis, ref.point - pg.center)
             tangent /= np.linalg.norm(tangent)
             yield s_p * tangent
 

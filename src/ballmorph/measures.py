@@ -14,6 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DegenerateState
+from .geometry import EPS_GEO, cross3
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -187,7 +188,7 @@ def sigma_i(balls, cx, i):
             t_in = _cw_tangent(p, seg.center, seg.axis)
             t_out = _cw_tangent(p, nxt.center, nxt.axis)
             normal = (p - x_i) / r_i
-            turn = math.atan2(float(normal @ np.cross(t_in, t_out)),
+            turn = math.atan2(float(normal @ cross3(t_in, t_out)),
                               float(t_in @ t_out))
             area -= turn
         total += area
@@ -198,7 +199,7 @@ def sigma_i(balls, cx, i):
 
 def _cw_tangent(p, center, axis):
     """Unit tangent of the cap circle at p, clockwise around the cap axis."""
-    t = np.cross(p - center, axis)
+    t = cross3(p - center, axis)
     return t / np.linalg.norm(t)
 
 
@@ -211,17 +212,31 @@ def nu_i_mc(balls, i, samples, seed):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    # Only the balls that meet B_i take part.  A ball m with |x_m - x_i| >=
+    # r_i + r_m + tol has power more than 2 r_m tol at every sample, while
+    # the sample's own power is <= 0 up to rounding (about 1e-16 |x| r_i,
+    # which stays far below 2 r_m tol unless the coordinates are ~1e6 times
+    # the radii), so every comparison with m keeps its outcome.
+    dist = np.linalg.norm(balls.centers - balls.centers[i], axis=1)
+    near = dist < balls.radii[i] + balls.radii + EPS_GEO * balls.scale
+    near[i] = False
+    cols = np.concatenate(([i], np.nonzero(near)[0]))
+    centers, radii2 = balls.centers[cols], balls.radii[cols] ** 2
     inside = 0
     done = 0
     block_idx = 0
     while done < samples:
         count = min(_MC_BLOCK, samples - done)
         pts = _ball_block(balls, i, seed, block_idx, count)
-        pows = _powers(balls, pts)
-        own = pows[:, i]
-        others = np.delete(pows, i, axis=1)
-        if others.size:
-            inside += int(np.sum(own <= others.min(axis=1)))
+        # One column at a time with a running minimum: the working set is a
+        # few block-sized vectors, whatever the number of neighbours.
+        d = np.empty_like(pts)
+        own = _power(pts, centers[0], radii2[0], d)
+        if len(cols) > 1:
+            best = _power(pts, centers[1], radii2[1], d)
+            for m in range(2, len(cols)):
+                np.minimum(best, _power(pts, centers[m], radii2[m], d), out=best)
+            inside += int(np.sum(own <= best))
         else:
             inside += count
         done += count
@@ -243,9 +258,10 @@ def _ball_block(balls, i, seed, block_idx, count):
     return balls.centers[i] + balls.radii[i] * (u[:, None] * v)
 
 
-def _powers(balls, pts):
-    d = pts[:, None, :] - balls.centers[None, :, :]
-    return np.einsum("pij,pij->pi", d, d) - balls.radii[None, :] ** 2
+def _power(pts, center, radius2, d):
+    """Power of every point w.r.t. one ball; d is scratch of pts' shape."""
+    np.subtract(pts, center, out=d)
+    return np.einsum("pj,pj->p", d, d) - radius2
 
 
 def compute_measures(balls, cx, mc_samples=0, seed=0):

@@ -43,12 +43,15 @@ def _parse_floats(lineno, raw, line, count):
     if len(parts) != count:
         raise ParseError(f"expected {count} fields, got {len(parts)}", line=lineno)
     values = []
+    pos = 0
     for tok in parts:
+        # Only whitespace lies between the previous token and this one.
+        pos = raw.index(tok, pos)
         try:
             values.append(float(tok))
         except ValueError:
-            col = raw.index(tok) + 1
-            raise ParseError(f"bad number {tok!r}", line=lineno, column=col) from None
+            raise ParseError(f"bad number {tok!r}", line=lineno, column=pos + 1) from None
+        pos += len(tok)
     if not all(math.isfinite(v) for v in values):
         raise ParseError("non-finite value", line=lineno)
     return values

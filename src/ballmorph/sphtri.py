@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntersection, NonRealizableTriangle
+from .geometry import cross3
 
 
 def product_of_sines(a, b, c):
@@ -216,7 +217,7 @@ def _circumcenter(n_i, n_j, n_k):
     """Unit vector equidistant from the three normals, on the cap side R < pi/2."""
     # Equal dot products with all three normals means z is orthogonal to
     # both difference vectors.
-    nrm = np.cross(n_j - n_i, n_k - n_i)
+    nrm = cross3(n_j - n_i, n_k - n_i)
     nn = np.linalg.norm(nrm)
     if nn == 0.0:
         raise NonRealizableTriangle("normals are coplanar with the origin")

@@ -29,6 +29,12 @@ def test_parse_diagram_errors():
     with pytest.raises(ParseError) as err:
         parse_diagram_text("0 0 zero 1 1\n")
     assert err.value.line == 1
+    # The column is the bad token's own, not that of an earlier substring.
+    for text, column in (("1e5 e5 0 1 1\n", 5), ("n 1\n  0 0 zero 1 1\n", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_diagram_text(text)
+        assert (err.value.line, err.value.column) == (text.count("\n"), column)
+    assert str(err.value) == "bad number 'zero' (line 2, column 7)"
     with pytest.raises(ValidationError):
         parse_diagram_text("n 3\n0 0 0 1 1\n")
     with pytest.raises(ParseError):

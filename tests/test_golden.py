@@ -4,8 +4,13 @@ Each ``data/gNN.txt`` is a random diagram with n = NN (radii 0.2 to 2.5,
 weights -2 to 2) in which some vertices and edges enter the complex only
 as faces of higher simplices.  ``data/gNN.json`` holds its alpha simplices,
 A, M, K and per-ball G as computed by commit 452ec6d, which decided vertex
-and edge membership by projecting onto the power cells.  A change that
-keeps the outputs must match them exactly (simplices) or to rel 1e-12.
+and edge membership by projecting onto the power cells.  ``data/g60`` is
+drawn at the benchmark's density instead (radii 0.7 to 1.3 in a cube of
+side 1.1 n^(1/3), margin-filtered like perfbench/gen.py): a ball meets
+about 16 others, so the neighbour-local candidate, arc-cover and volume
+paths skip most balls.  Its outputs were computed by commit 1a50906,
+which scanned every index tuple and every ball.  A change that keeps the
+outputs must match them exactly (simplices) or to rel 1e-12.
 """
 
 import json
@@ -20,7 +25,7 @@ from ballmorph.serial import parse_diagram
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["g08", "g12", "g16", "g20"])
+@pytest.mark.parametrize("name", ["g08", "g12", "g16", "g20", "g60"])
 def test_golden_outputs(name):
     want = json.loads((DATA / f"{name}.json").read_text())
     balls = parse_diagram(str(DATA / f"{name}.txt"))
