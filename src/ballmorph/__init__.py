@@ -2,16 +2,15 @@
 the weighted Gaussian curvature, with finite-difference, Monte Carlo and
 Gauss-Bonnet verification oracles."""
 
-from .geometry import Ball, BallSet, PairGeometry, TripleGeometry, \
+from .geometry import Ball, BallSet, PairGeometry, TripleGeometry, lambda_pair, \
     pair_geometry, power_distance, triple_geometry
 from .complexes import AlphaComplex, boundary_arcs, build_alpha_complex, euler
 from .measures import FractionalMeasures, compute_measures, nu_i_mc, nu_ijk, \
     sigma_i, sigma_ij, sigma_ijk
 from .intrinsic import IntrinsicVolumes, intrinsic_volumes, weighted_area, \
     weighted_gauss, weighted_mean, weighted_volume
-from .gradient import GaussGradient, PairDerivatives, arc_endpoint_data, \
-    directional_derivative, gauss_gradient, lambda_derivative, lambda_pair, \
-    sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h
+from .gradient import GaussGradient, arc_endpoint_data, directional_derivative, \
+    gauss_gradient, lambda_derivative, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h
 from .oracles import FDConfig, fd_directional, fd_gradient, mc_boundary_integrals
 from . import errors
 
@@ -24,7 +23,7 @@ __all__ = [
     "nu_i_mc", "nu_ijk", "sigma_i", "sigma_ij", "sigma_ijk",
     "IntrinsicVolumes", "intrinsic_volumes", "weighted_area",
     "weighted_gauss", "weighted_mean", "weighted_volume", "GaussGradient",
-    "PairDerivatives", "arc_endpoint_data", "directional_derivative",
+    "arc_endpoint_data", "directional_derivative",
     "gauss_gradient", "lambda_derivative", "lambda_pair", "sigma_i_prime",
     "sigma_ij_prime", "term_d", "term_e", "term_f", "term_h", "FDConfig",
     "fd_directional", "fd_gradient", "mc_boundary_integrals", "errors",

@@ -23,7 +23,7 @@ in a circle), enumerated by extending each sorted clique with the common
 larger neighbours of its members, and the cover of a circle S_ij visits
 only the balls that come within tolerance of it.  Construction cost thus
 follows the cliques rather than all index tuples; the batched power
-kernels still take a column for every ball, because
+kernel ``_powers`` still takes a column for every ball, because
 diagnostics.general_position_check reads their all-ball records.  The
 same clipping yields the boundary bookkeeping (exposed circle arcs with
 their terminating corners) as a byproduct.
@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CoincidentCenters, DegenerateState
-from .geometry import EPS_GEO, TripleGeometry, cross3, pair_geometry
+from .geometry import EPS_GEO, TripleGeometry, cross3, pair_geometry, triple_points
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
@@ -176,8 +176,7 @@ class AlphaComplex:
         raw = self._triple_raw.get(key)
         tg = None
         if raw is not None and raw[2] > self.tol * self.balls.scale:
-            tg = TripleGeometry.from_center([self.balls.ball(m) for m in key], key,
-                                            raw[0], raw[1], math.sqrt(raw[2]))
+            tg = TripleGeometry.from_center(key, raw[0], raw[1], math.sqrt(raw[2]))
         self._triples[key] = tg
         return tg
 
@@ -252,10 +251,11 @@ def boundary_arcs(cx, edge):
 
 # -- construction helpers ------------------------------------------------
 
-def _power_row(balls, p):
-    """Power distance of point p to every ball."""
-    d = balls.centers - p
-    return np.einsum("ij,ij->i", d, d) - balls.radii ** 2
+def _powers(pts, balls):
+    """Power distance of every point in ``pts`` (shape (..., 3)) to every
+    ball, with shape (..., n)."""
+    d = pts[..., None, :] - balls.centers
+    return np.einsum("...j,...j->...", d, d) - balls.radii ** 2
 
 
 def _circle_cliques(circle):
@@ -303,7 +303,7 @@ def _build_vertices(cx):
     """Vertex i is in the complex when x_i lies in V_i; closure adds the rest."""
     balls = cx.balls
     for i in range(balls.n):
-        pows = _power_row(balls, balls.centers[i])
+        pows = _powers(balls.centers[i], balls)
         cx.vertices[i] = VertexData(i, in_alpha=bool(pows[i] <= pows.min() + cx.tol ** 2))
 
 
@@ -315,10 +315,7 @@ def _build_edges(cx, pairs):
     if not cand:
         return
     pgs = [cx.pair(i, j) for i, j in cand]
-    centers = np.stack([pg.center for pg in pgs])
-    pows = (np.einsum("eij,eij->ei", centers[:, None, :] - balls.centers[None, :, :],
-                      centers[:, None, :] - balls.centers[None, :, :])
-            - balls.radii[None, :] ** 2)
+    pows = _powers(np.stack([pg.center for pg in pgs]), balls)
     for (i, j), pg, row in zip(cand, pgs, pows):
         if not pg.has_circle:
             continue
@@ -332,36 +329,13 @@ def _build_triangles(cx, idx):
     balls = cx.balls
     if not len(idx):
         return
-    xi = balls.centers[idx[:, 0]]
-    a1 = balls.centers[idx[:, 1]] - xi
-    a2 = balls.centers[idx[:, 2]] - xi
-    nrm = np.cross(a1, a2)
-    area2 = np.linalg.norm(nrm, axis=1)
-    collinear = area2 <= (cx.tol) ** 2
+    collinear, center, axis, h_sq = triple_points(balls.centers, balls.radii, idx,
+                                                  cx.tol ** 2)
     for t in idx[collinear]:
         _note_collinear_triple(cx, tuple(int(v) for v in t))
-    keep = ~collinear
-    idx = idx[keep]
+    idx = idx[~collinear]
     if idx.size == 0:
         return
-    xi, a1, a2, nrm, area2 = xi[keep], a1[keep], a2[keep], nrm[keep], area2[keep]
-    axis = nrm / area2[:, None]
-    # Radical center within the plane of centers: equal power to all three.
-    sq = np.einsum("ij,ij->i", balls.centers, balls.centers)
-    b1 = 0.5 * (sq[idx[:, 1]] - balls.radii[idx[:, 1]] ** 2
-                - sq[idx[:, 0]] + balls.radii[idx[:, 0]] ** 2)
-    b2 = 0.5 * (sq[idx[:, 2]] - balls.radii[idx[:, 2]] ** 2
-                - sq[idx[:, 0]] + balls.radii[idx[:, 0]] ** 2)
-    g11 = np.einsum("ij,ij->i", a1, a1)
-    g12 = np.einsum("ij,ij->i", a1, a2)
-    g22 = np.einsum("ij,ij->i", a2, a2)
-    det = g11 * g22 - g12 ** 2
-    r1 = b1 - np.einsum("ij,ij->i", a1, xi)
-    r2 = b2 - np.einsum("ij,ij->i", a2, xi)
-    s = (g22 * r1 - g12 * r2) / det
-    t = (g11 * r2 - g12 * r1) / det
-    center = xi + s[:, None] * a1 + t[:, None] * a2
-    h_sq = balls.radii[idx[:, 0]] ** 2 - np.einsum("ij,ij->i", center - xi, center - xi)
     for row, c, ax, h2 in zip(idx, center, axis, h_sq):
         cx._triple_raw[tuple(int(v) for v in row)] = (c, ax, float(h2))
     # The discriminant h^2 is the smooth residual of the corner pair
@@ -419,8 +393,7 @@ def _voronoi_intervals(cx, idx, center, axis):
     n = balls.n
     m_count = idx.shape[0]
     # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per (triple, ball m).
-    diff = center[:, None, :] - balls.centers[None, :, :]
-    pows = np.einsum("tmj,tmj->tm", diff, diff) - balls.radii[None, :] ** 2
+    pows = _powers(center, balls)
     own = pows[np.arange(m_count), idx[:, 0]]
     inter = own[:, None] - pows
     slope = 2.0 * (axis @ balls.centers.T
@@ -488,8 +461,7 @@ def _build_tetrahedra(cx, idx):
     if idx.size == 0:
         return
     z = np.linalg.solve(rows[keep], rhs[keep][:, :, None])[:, :, 0]
-    diff = z[:, None, :] - balls.centers[None, :, :]
-    pows = np.einsum("qmj,qmj->qm", diff, diff) - balls.radii[None, :] ** 2
+    pows = _powers(z, balls)
     q_count = idx.shape[0]
     own = pows[np.arange(q_count), idx[:, 0]]
     masked = pows.copy()
@@ -680,7 +652,7 @@ def _mark_boundary_vertices(cx):
         # No exposed arcs on the sphere: it is entirely exposed or entirely
         # covered, so one test point decides.
         p = balls.centers[i] + balls.radii[i] * np.array([0.0, 0.0, 1.0])
-        pows = _power_row(balls, p)
+        pows = _powers(p, balls)
         pows[i] = _INF
         vd.on_boundary = bool(pows.min() >= 0.0)
 

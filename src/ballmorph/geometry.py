@@ -1,15 +1,19 @@
 """Elementary geometry of weighted balls.
 
-Pairwise and triple sphere intersections, signed distances to radical
-planes, and the unit vectors used throughout the gradient assembly.  All
-functions are pure and operate on immutable inputs.
+Pairwise and triple sphere intersections and signed distances to radical
+planes.  ``pair_geometry`` is the one pair kernel (with the normal
+projection length lambda_ij and its distance derivative), and
+``triple_points`` the one triple kernel: the batched radical-centre solve
+that gives the two points where three spheres meet.  All functions are
+pure and operate on immutable inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentCenters, DegenerateTriple, DimensionMismatch
+from .errors import CoincidentCenters, DegenerateTriple, DimensionMismatch, \
+    NoIntersection
 
 # Single relative geometric tolerance; scaled by the largest radius of the
 # ball set wherever a length is compared against it.
@@ -116,8 +120,10 @@ class PairGeometry:
     """Intersection data of two spheres.
 
     ``u_ij`` points from x_j to x_i.  ``xi_i`` and ``xi_j`` are the signed
-    distances of the centers from the radical plane (xi_i + xi_j = d).  The
-    circle fields are meaningful only when ``has_circle`` is true.
+    distances of the centers from the radical plane (xi_i + xi_j = d), and
+    ``lam`` = xi_i / r_i + xi_j / r_j is the combined projected normal
+    length.  The circle fields are meaningful only when ``has_circle`` is
+    true.
     """
 
     i: int
@@ -132,10 +138,8 @@ class PairGeometry:
     r: float = None                  # circle radius r_ij, 0 when tangent
     cos_phi: float = None            # cosine of the normal angle phi_ij
     phi: float = None                # normal angle in (0, pi)
-
-    @property
-    def u_ji(self):
-        return -self.u_ij
+    lam: float = None                # xi_i / r_i + xi_j / r_j
+    dlam_dd: float = None            # derivative of lam in the center distance
 
 
 def pair_geometry(b_i, b_j, i=0, j=1, eps=EPS_GEO):
@@ -163,20 +167,30 @@ def pair_geometry(b_i, b_j, i=0, j=1, eps=EPS_GEO):
         r = 0.0
     cos_phi = (ri ** 2 + rj ** 2 - d ** 2) / (2.0 * ri * rj)
     phi = float(np.arccos(np.clip(cos_phi, -1.0, 1.0))) if has_circle else None
-    return PairGeometry(i=i, j=j, d=d, u_ij=u, xi_i=float(xi_i), xi_j=float(xi_j),
+    xi_i, xi_j = float(xi_i), float(xi_j)
+    lam = xi_i / ri + xi_j / rj
+    dlam = (0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri ** 2 - rj ** 2) / d ** 2
+    return PairGeometry(i=i, j=j, d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
                         has_circle=bool(has_circle), center=center, r_sq=float(r_sq),
-                        r=r, cos_phi=float(cos_phi), phi=phi)
+                        r=r, cos_phi=float(cos_phi), phi=phi, lam=lam, dlam_dd=dlam)
+
+
+def lambda_pair(b_i, b_j):
+    """Pair geometry of two spheres; raises NoIntersection unless they meet
+    in a circle."""
+    pg = pair_geometry(b_i, b_j)
+    if not pg.has_circle:
+        raise NoIntersection("spheres do not intersect in a circle")
+    return pg
 
 
 @dataclass(frozen=True)
 class TripleGeometry:
-    """The two points where three spheres meet, with their normal frames.
+    """The two points where three spheres meet.
 
     ``p_plus`` lies on the positive side of the plane of centers: the triple
     product of (x_j - x_i, x_k - x_i, P - x_i) is positive there.  ``axis``
-    is the corresponding unit normal of the plane of centers, and ``u_ijk``
-    the in-plane unit vector normal to u_ij with positive component toward
-    u_ik.
+    is the corresponding unit normal of the plane of centers.
     """
 
     i: int
@@ -187,26 +201,59 @@ class TripleGeometry:
     axis: np.ndarray                 # unit normal of the center plane (orientation rule)
     p_plus: np.ndarray
     p_minus: np.ndarray
-    normals_plus: tuple = field(default=None)   # (n_i, n_j, n_k) at p_plus
-    normals_minus: tuple = field(default=None)
 
     def points(self):
         return self.p_plus, self.p_minus
 
     @classmethod
-    def from_center(cls, balls, key, center, axis, h):
-        """The points center +/- h * axis shared by the three ``balls``,
-        whose indices are ``key``, with the outward normals there."""
-        p_plus = center + h * axis
-        p_minus = center - h * axis
+    def from_center(cls, key, center, axis, h):
+        """The points center +/- h * axis of the triple with indices ``key``."""
         return cls(i=key[0], j=key[1], k=key[2], center=center, half_length=h,
-                   axis=axis, p_plus=p_plus, p_minus=p_minus,
-                   normals_plus=tuple((p_plus - b.center) / b.radius for b in balls),
-                   normals_minus=tuple((p_minus - b.center) / b.radius for b in balls))
+                   axis=axis, p_plus=center + h * axis, p_minus=center - h * axis)
+
+
+def triple_points(centers, radii, idx, area_eps):
+    """Radical centres of the index triples ``idx`` (rows into ``centers``).
+
+    Returns (collinear, center, axis, h_sq): ``collinear`` flags the rows
+    whose doubled triangle area |(x_j - x_i) x (x_k - x_i)| is at most
+    ``area_eps``; the other three arrays hold, for the remaining rows in
+    order, the point of equal power in the plane of the centers, the unit
+    normal of that plane and the squared half-distance h^2 from the centre
+    to the two points where the spheres meet (negative when they miss).
+    """
+    xi = centers[idx[:, 0]]
+    a1 = centers[idx[:, 1]] - xi
+    a2 = centers[idx[:, 2]] - xi
+    nrm = np.cross(a1, a2)
+    area2 = np.linalg.norm(nrm, axis=1)
+    collinear = area2 <= area_eps
+    keep = ~collinear
+    idx = idx[keep]
+    xi, a1, a2, nrm, area2 = xi[keep], a1[keep], a2[keep], nrm[keep], area2[keep]
+    axis = nrm / area2[:, None]
+    # pi_i(p) = pi_j(p)  <=>  2 <p, x_j - x_i> = |x_j|^2 - r_j^2 - |x_i|^2 + r_i^2,
+    # solved within the plane as p = x_i + s a1 + t a2.
+    sq = np.einsum("ij,ij->i", centers, centers)
+    b1 = 0.5 * (sq[idx[:, 1]] - radii[idx[:, 1]] ** 2
+                - sq[idx[:, 0]] + radii[idx[:, 0]] ** 2)
+    b2 = 0.5 * (sq[idx[:, 2]] - radii[idx[:, 2]] ** 2
+                - sq[idx[:, 0]] + radii[idx[:, 0]] ** 2)
+    g11 = np.einsum("ij,ij->i", a1, a1)
+    g12 = np.einsum("ij,ij->i", a1, a2)
+    g22 = np.einsum("ij,ij->i", a2, a2)
+    det = g11 * g22 - g12 ** 2
+    r1 = b1 - np.einsum("ij,ij->i", a1, xi)
+    r2 = b2 - np.einsum("ij,ij->i", a2, xi)
+    s = (g22 * r1 - g12 * r2) / det
+    t = (g11 * r2 - g12 * r1) / det
+    center = xi + s[:, None] * a1 + t[:, None] * a2
+    h_sq = radii[idx[:, 0]] ** 2 - np.einsum("ij,ij->i", center - xi, center - xi)
+    return collinear, center, axis, h_sq
 
 
 def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
-    """Intersection points of three spheres with outward normals.
+    """Intersection points of three spheres.
 
     The points lie on the line through the radical center (the point of
     equal power in the plane of the centers) along the plane normal
@@ -214,32 +261,15 @@ def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
     centers are collinear or the spheres meet in fewer than two points
     (within tolerance).
     """
-    xi, xj, xk = b_i.center, b_j.center, b_k.center
-    a1 = xj - xi
-    a2 = xk - xi
-    nrm = cross3(a1, a2)
-    area2 = np.linalg.norm(nrm)
     scale = max(b_i.radius, b_j.radius, b_k.radius)
-    if area2 <= (eps * scale) ** 2:
+    collinear, center, axis, h_sq = triple_points(
+        np.stack([b_i.center, b_j.center, b_k.center]),
+        np.array([b_i.radius, b_j.radius, b_k.radius]), np.array([[0, 1, 2]]),
+        (eps * scale) ** 2)
+    if collinear[0]:
         raise DegenerateTriple("centers are collinear")
-    axis = nrm / area2
-    # pi_i(p) = pi_j(p)  <=>  2 <p, xj - xi> = |xj|^2 - rj^2 - |xi|^2 + ri^2
-    b1 = 0.5 * (xj @ xj - b_j.radius ** 2 - xi @ xi + b_i.radius ** 2)
-    b2 = 0.5 * (xk @ xk - b_k.radius ** 2 - xi @ xi + b_i.radius ** 2)
-    # Solve within the plane: p = xi + s*a1 + t*a2.
-    g = np.array([[a1 @ a1, a1 @ a2], [a1 @ a2, a2 @ a2]])
-    s, t = np.linalg.solve(g, np.array([b1 - a1 @ xi, b2 - a2 @ xi]))
-    center = xi + s * a1 + t * a2
-    h_sq = b_i.radius ** 2 - float(np.dot(center - xi, center - xi))
+    h_sq = float(h_sq[0])
     if h_sq <= (eps * scale) ** 2:
         raise DegenerateTriple(
             f"spheres {(i, j, k)} do not meet in two points (h^2={h_sq:.3e})")
-    return TripleGeometry.from_center((b_i, b_j, b_k), (i, j, k), center, axis,
-                                      float(np.sqrt(h_sq)))
-
-
-def u_edge(balls, i, j):
-    """Unit vector from x_j to x_i."""
-    delta = balls.centers[i] - balls.centers[j]
-    return delta / np.linalg.norm(delta)
-
+    return TripleGeometry.from_center((i, j, k), center[0], axis[0], float(np.sqrt(h_sq)))

@@ -12,37 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateState, NoIntersection, NonRealizableTriangle
-from .geometry import as_momentum, cross3, pair_geometry, u_edge
+from .errors import DegenerateState, NonRealizableTriangle
+from .geometry import as_momentum, cross3
 from .sphtri import corner_geometry, quad_area_gradient
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PairDerivatives:
-    """Normal projection length of an intersecting pair and its derivative."""
-
-    lam: float            # xi_i / r_i + xi_j / r_j
-    dlam_dd: float        # derivative in the center distance
-    d: float
-    u_ij: np.ndarray      # unit vector from x_j toward x_i
-
-
-def lambda_pair(b_i, b_j):
-    """Combined projected normal length at a pair intersection."""
-    pg = pair_geometry(b_i, b_j)
-    if not pg.has_circle:
-        raise NoIntersection("spheres do not intersect in a circle")
-    ri, rj = b_i.radius, b_j.radius
-    lam = pg.xi_i / ri + pg.xi_j / rj
-    dlam = (0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri ** 2 - rj ** 2) / pg.d ** 2
-    return PairDerivatives(lam=lam, dlam_dd=dlam, d=pg.d, u_ij=pg.u_ij)
-
-
 def lambda_derivative(pair, t_i, t_j):
-    """Directional derivative of lambda under velocities of the two centers."""
+    """Directional derivative of lambda under velocities of the two centers
+    of the PairGeometry ``pair``."""
     rel = np.asarray(t_i, dtype=float) - np.asarray(t_j, dtype=float)
     return pair.dlam_dd * float(pair.u_ij @ rel)
 
@@ -133,7 +113,7 @@ def sigma_ij_prime(balls, cx, arcdata, edge, t):
     return total
 
 
-def _cap_endpoint_terms(balls, cx, i, data):
+def _cap_endpoint_terms(i, data):
     """Tilt contributions of the arc endpoints on one bounding circle.
 
     Yields (s_p * tangent) for every corner of the circle's exposed arcs,
@@ -157,33 +137,21 @@ def _cap_endpoint_terms(balls, cx, i, data):
 
 
 def sigma_i_prime(balls, cx, measures, i, t):
-    """Directional derivative of the exposed area fraction of sphere i.
-
-    Each bounding circle contributes the normal advance of its cap (depth
-    change) plus the swing of its exposed arcs as the cap axis tilts; the
-    latter is accumulated per arc endpoint.
-    """
+    """Directional derivative of the exposed area fraction of sphere i:
+    the patch term with weight one on ball i and zero elsewhere."""
     t = as_momentum(t, balls.n)
-    r_i = balls.radii[i]
-    total = 0.0
-    for (a, b), data in sorted(cx.edges.items()):
-        if not data.on_boundary or i not in (a, b):
-            continue
-        j = b if a == i else a
-        pg = data.pair
-        sig = measures.sigma_edge((a, b))
-        uij = u_edge(balls, i, j)
-        rel = t[i] - t[j]
-        coef = (sig / (4.0 * r_i)) * (1.0 - (r_i ** 2 - balls.radii[j] ** 2) / pg.d ** 2)
-        total += coef * float(uij @ rel)
-        swing = pg.r / (FOUR_PI * r_i * pg.d)
-        for tang in _cap_endpoint_terms(balls, cx, i, data):
-            total -= swing * float(tang @ rel)
-    return total
+    e_i = np.zeros(balls.n)
+    e_i[i] = 1.0
+    return float(np.sum(term_d(balls.with_weights(e_i), cx, measures) * t)) / FOUR_PI
 
 
 def term_d(balls, cx, measures):
-    """Patch term: 4*pi sum of w_i sigma_i'."""
+    """Patch term: 4*pi sum of w_i sigma_i'.
+
+    Each bounding circle of sphere a contributes the normal advance of its
+    cap (depth change) plus the swing of its exposed arcs as the cap axis
+    tilts; the latter is accumulated per arc endpoint.
+    """
     n = balls.n
     vec = np.zeros((n, 3))
     w = balls.weights
@@ -192,15 +160,14 @@ def term_d(balls, cx, measures):
             continue
         pg = data.pair
         sig = measures.sigma_edge((i, j))
-        for a, b in ((i, j), (j, i)):
+        for a, b, uab in ((i, j, pg.u_ij), (j, i, -pg.u_ij)):
             r_a = balls.radii[a]
             c1 = math.pi * w[a] * sig / r_a * (
                 1.0 - (r_a ** 2 - balls.radii[b] ** 2) / pg.d ** 2)
-            uab = u_edge(balls, a, b)
             vec[a] += c1 * uab
             vec[b] -= c1 * uab
             c2 = w[a] * pg.r / (r_a * pg.d)
-            for tang in _cap_endpoint_terms(balls, cx, a, data):
+            for tang in _cap_endpoint_terms(a, data):
                 vec[a] -= c2 * tang
                 vec[b] += c2 * tang
     return vec
@@ -214,7 +181,7 @@ def term_e(balls, cx):
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
             continue
-        lam = lambda_pair(balls.ball(i), balls.ball(j)).lam
+        lam = data.pair.lam
         rho = data.pair.r
         for ep in arc_endpoint_data(balls, cx, (i, j)):
             kappa = -(w[i] + w[j]) * lam / (2.0 * rho * ep.g_t)
@@ -232,12 +199,11 @@ def term_f(balls, cx, measures):
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
             continue
-        pair = lambda_pair(balls.ball(i), balls.ball(j))
+        pg = data.pair
         sig = measures.sigma_edge((i, j))
-        cf = -math.pi * (w[i] + w[j]) * sig * pair.dlam_dd
-        uij = u_edge(balls, i, j)
-        vec[i] += cf * uij
-        vec[j] -= cf * uij
+        cf = -math.pi * (w[i] + w[j]) * sig * pg.dlam_dd
+        vec[i] += cf * pg.u_ij
+        vec[j] -= cf * pg.u_ij
     return vec
 
 
@@ -250,18 +216,18 @@ def term_h(balls, cx, measures):
         sig = measures.sigma_t.get((i, j, k), 0.0)
         if sig == 0.0:
             continue
-        geo = corner_geometry(cx.pair(i, j).cos_phi, cx.pair(j, k).cos_phi,
-                              cx.pair(k, i).cos_phi)
+        pg_ij, pg_jk, pg_ki = cx.pair(i, j), cx.pair(j, k), cx.pair(k, i)
+        geo = corner_geometry(pg_ij.cos_phi, pg_jk.cos_phi, pg_ki.cos_phi)
         try:
-            p, q, s = quad_area_gradient(geo, cx.pair(i, j), cx.pair(j, k),
-                                         cx.pair(k, i))
+            p, q, s = quad_area_gradient(geo, pg_ij, pg_jk, pg_ki)
         except NonRealizableTriangle as exc:
             raise DegenerateState(str(exc), simplex=(i, j, k)) from exc
         h_coeffs = [2.0 * sig * (w[i] * p[m] + w[j] * q[m] + w[k] * s[m])
                     for m in range(3)]
-        pairs = ((i, j), (j, k), (k, i))
-        for (a, b), h_ab in zip(pairs, h_coeffs):
-            uab = u_edge(balls, a, b)
+        # The records are keyed (i, j), (j, k) and (i, k) with i < j < k, so
+        # the side from x_i to x_k has -u of the last.
+        sides = ((i, j, pg_ij.u_ij), (j, k, pg_jk.u_ij), (k, i, -pg_ki.u_ij))
+        for (a, b, uab), h_ab in zip(sides, h_coeffs):
             vec[a] += h_ab * uab
             vec[b] -= h_ab * uab
     return vec

@@ -9,7 +9,6 @@ characteristic of the surface and the mean curvature matches the additive
 import math
 from dataclasses import dataclass
 
-from .gradient import lambda_pair
 from .sphtri import corner_geometry
 
 FOUR_PI = 4.0 * math.pi
@@ -55,8 +54,7 @@ def weighted_gauss(balls, cx, measures):
     for (i, j), sig in sorted(measures.sigma_e.items()):
         if sig == 0.0:
             continue
-        lam = lambda_pair(balls.ball(i), balls.ball(j)).lam
-        arc -= math.pi * (w[i] + w[j]) * sig * lam
+        arc -= math.pi * (w[i] + w[j]) * sig * cx.pair(i, j).lam
     corner = 0.0
     for (i, j, k), sig in sorted(measures.sigma_t.items()):
         if sig == 0.0:

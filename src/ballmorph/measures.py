@@ -30,9 +30,6 @@ class FractionalMeasures:
     nu_t: dict = field(default_factory=dict)        # triangle -> nu_ijk
     nu_v: dict = field(default_factory=dict)        # vertex -> (estimate, std error)
 
-    def sigma_vertex(self, i):
-        return self.sigma_v.get(i, 0.0)
-
     def sigma_edge(self, e):
         return self.sigma_e.get(tuple(sorted(e)), 0.0)
 
@@ -254,8 +251,13 @@ def _ball_block(balls, i, seed, block_idx, count):
     gen_u = Generator(Philox(key=np.uint64(seed)).jumped(base + 1))
     v = gen_v.normal(size=(count, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
-    u = gen_u.random(count) ** (1.0 / 3.0)
-    return balls.centers[i] + balls.radii[i] * (u[:, None] * v)
+    # x_i + r_i (u^(1/3) v), formed in place to spare block-sized temporaries.
+    u = gen_u.random(count)
+    np.power(u, 1.0 / 3.0, out=u)
+    v *= u[:, None]
+    v *= balls.radii[i]
+    v += balls.centers[i]
+    return v
 
 
 def _power(pts, center, radius2, d):

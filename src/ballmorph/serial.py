@@ -147,7 +147,7 @@ def input_digest(path):
 
 
 def result_document(balls, volumes=None, grad=None, report=None,
-                    input_sha256=None, seed=0, mc_samples=0, fd_step=None):
+                    input_sha256=None, seed=0, mc_samples=0):
     """Assemble the machine-readable result document."""
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -158,7 +158,7 @@ def result_document(balls, volumes=None, grad=None, report=None,
             "mc_samples": int(mc_samples),
             "tolerances": {
                 "eps_geo": EPS_GEO,
-                "fd_step": fd_step,
+                "fd_step": None,      # no result carries an FD step
             },
         },
         "n_balls": balls.n,

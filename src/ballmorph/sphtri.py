@@ -147,10 +147,6 @@ class CornerGeometry:
     midpoints: tuple = None           # arc midpoints (m_i, m_j, m_k) of sides (jk, ki, ij)
     normals: tuple = None             # (n_i, n_j, n_k)
 
-    @property
-    def half_perimeter(self):
-        return 0.5 * (self.phi_ij + self.phi_jk + self.phi_ki)
-
 
 def quadrangle_areas(a, b, c):
     """Split the triangle area into the three vertex quadrangles.

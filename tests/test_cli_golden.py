@@ -1,0 +1,42 @@
+"""Byte-level golden outputs of the command-line interface.
+
+``data/cli`` holds what commit 96a047f printed (and wrote with ``--json``)
+for one run of each subcommand below; ``data/p20.txt`` is an n=20 diagram
+with three planted external near-tangencies, written with
+``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.
+The golden tests in test_golden.py compare floats to rel 1e-12; these
+require every byte to stay.  A change that means to move outputs
+regenerates these files and says so.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ballmorph.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli"
+
+CASES = {
+    "g20_grad": (["grad", "--input", "g20.txt"], True),
+    "g20_compute": (["compute", "--input", "g20.txt", "--mc-samples", "2000",
+                     "--seed", "3"], True),
+    "g08_fdcheck": (["fdcheck", "--input", "g08.txt"], False),
+    "p20_degeneracy": (["degeneracy", "--input", "p20.txt"], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes(name, tmp_path, capsysbinary):
+    args, writes_json = CASES[name]
+    args = [str(DATA / a) if a.endswith(".txt") else a for a in args]
+    out_json = tmp_path / "out.json"
+    if writes_json:
+        args += ["--json", str(out_json)]
+    assert main(args) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert captured.out == (GOLDEN / f"{name}.out").read_bytes()
+    if writes_json:
+        assert out_json.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,5 +1,5 @@
-"""numpy is the only declared dependency: the library imports nothing else
-outside the standard library."""
+"""Static checks of the library source: numpy is the only declared
+dependency, and downstream modules read geometry from the alpha complex."""
 
 import ast
 import sys
@@ -25,3 +25,23 @@ def test_library_imports_only_stdlib_and_numpy():
             foreign += [(path.name, name) for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+# The alpha complex's pair and triple records are the one source of pair
+# and triple geometry downstream of the build.
+REBUILDERS = {"pair_geometry", "lambda_pair", "triple_geometry", "ball"}
+
+
+def test_downstream_modules_read_complex_records():
+    root = Path(ballmorph.__file__).parent
+    calls = []
+    for name in ("gradient.py", "intrinsic.py", "measures.py"):
+        for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in REBUILDERS - {"ball"}:
+                calls.append((name, node.lineno, func.id))
+            elif isinstance(func, ast.Attribute) and func.attr in REBUILDERS:
+                calls.append((name, node.lineno, func.attr))
+    assert calls == []

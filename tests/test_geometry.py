@@ -67,14 +67,16 @@ def test_pair_geometry_coincident_centers():
 
 
 def test_triple_geometry_octant_points():
-    tg = triple_geometry(unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1]))
+    balls = [unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])]
+    tg = triple_geometry(*balls)
     assert np.allclose(tg.p_minus, [0, 0, 0], atol=1e-14)
     assert np.allclose(tg.p_plus, [2 / 3, 2 / 3, 2 / 3], atol=1e-14)
-    assert np.allclose(tg.normals_minus[0], [-1, 0, 0], atol=1e-14)
-    assert np.allclose(tg.normals_minus[1], [0, -1, 0], atol=1e-14)
-    assert np.allclose(tg.normals_minus[2], [0, 0, -1], atol=1e-14)
+    normals_minus = [(tg.p_minus - b.center) / b.radius for b in balls]
+    assert np.allclose(normals_minus[0], [-1, 0, 0], atol=1e-14)
+    assert np.allclose(normals_minus[1], [0, -1, 0], atol=1e-14)
+    assert np.allclose(normals_minus[2], [0, 0, -1], atol=1e-14)
     for na, nb in ((0, 1), (1, 2), (2, 0)):
-        assert tg.normals_minus[na] @ tg.normals_minus[nb] == pytest.approx(0.0, abs=1e-14)
+        assert normals_minus[na] @ normals_minus[nb] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_triple_geometry_near_tangent_raises():
@@ -111,7 +113,8 @@ def test_normal_angle_matches_pair_angle(rng):
             continue
         hits += 1
         pg = pair_geometry(balls[0], balls[1])
-        for normals in (tg.normals_plus, tg.normals_minus):
+        for p in tg.points():
+            normals = [(p - b.center) / b.radius for b in balls]
             ang = np.arccos(np.clip(normals[0] @ normals[1], -1, 1))
             assert abs(ang - pg.phi) < 1e-10
 
