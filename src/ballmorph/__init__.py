@@ -5,13 +5,14 @@ Gauss-Bonnet verification oracles."""
 from .geometry import Ball, BallSet, PairGeometry, TripleGeometry, lambda_pair, \
     pair_geometry, power_distance, triple_geometry
 from .complexes import AlphaComplex, boundary_arcs, build_alpha_complex, euler
-from .measures import FractionalMeasures, compute_measures, nu_i_mc, nu_ijk, \
-    sigma_i, sigma_ij, sigma_ijk
+from .measures import FractionalMeasures, compute_measures, nu_ijk, sigma_i, \
+    sigma_ij, sigma_ijk
 from .intrinsic import IntrinsicVolumes, intrinsic_volumes, weighted_area, \
     weighted_gauss, weighted_mean, weighted_volume
 from .gradient import GaussGradient, arc_endpoint_data, directional_derivative, \
     gauss_gradient, lambda_derivative, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h
-from .oracles import FDConfig, fd_directional, fd_gradient, mc_boundary_integrals
+from .oracles import FDConfig, fd_directional, fd_gradient, mc_boundary_integrals, \
+    nu_i_mc
 from . import errors
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .errors import DegenerateState, GeometryError, ParseError, Unclassifiable, 
 from .gradient import gauss_gradient
 from .intrinsic import intrinsic_volumes
 from .measures import compute_measures
-from .oracles import FDConfig, fd_gradient
+from .oracles import FDConfig, fd_gradient, mc_weighted_volume
 from .serial import fmt, input_digest, parse_diagram, parse_momentum, \
     result_document, to_json
 
@@ -38,8 +38,9 @@ def _parser():
     c.add_argument("--input", required=True)
     c.add_argument("--measures", default="v,a,m,k",
                    help="comma list out of v,a,m,k (default all)")
-    c.add_argument("--mc-samples", type=int, default=100000,
-                   help="Monte Carlo samples per ball for the volume")
+    c.add_argument("--mc-samples", type=int, default=0,
+                   help="Monte Carlo samples per ball for an estimate of V "
+                        "beside the exact value (default 0: none)")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--json", metavar="OUT", default=None)
 
@@ -96,53 +97,51 @@ def _evaluate_k(balls):
     return weighted_gauss(balls, cx, compute_measures(balls, cx))[0]
 
 
+def _write_json(args, balls, cx, volumes, volume_mc, mc_samples, grad=None):
+    doc = result_document(balls, volumes=volumes, volume_mc=volume_mc, grad=grad,
+                          report=general_position_check(balls, cx),
+                          input_sha256=input_digest(args.input),
+                          seed=args.seed, mc_samples=mc_samples)
+    with open(args.json, "w", encoding="utf-8") as fh:
+        fh.write(to_json(doc) + "\n")
+
+
 def cmd_compute(args):
     wanted = [s.strip().lower() for s in args.measures.split(",") if s.strip()]
-    if not wanted or any(s not in ("v", "a", "m", "k") for s in wanted):
-        raise ValidationError("--measures must be a non-empty comma list out of "
-                              f"v,a,m,k, got {args.measures!r}")
+    if (not wanted or len(set(wanted)) != len(wanted)
+            or any(s not in ("v", "a", "m", "k") for s in wanted)):
+        raise ValidationError("--measures must be a non-empty comma list of "
+                              f"distinct names out of v,a,m,k, got {args.measures!r}")
     balls = parse_diagram(args.input)
     cx = build_alpha_complex(balls)
+    vols = intrinsic_volumes(balls, cx, compute_measures(balls, cx))
     mc = args.mc_samples if "v" in wanted else 0
-    meas = compute_measures(balls, cx, mc_samples=mc, seed=args.seed)
-    vols = intrinsic_volumes(balls, cx, meas)
-    labels = {
-        "v": ("V", vols.volume, vols.volume_std_error),
-        "a": ("A", vols.area, None),
-        "m": ("M", vols.mean, None),
-        "k": ("K", vols.gauss, None),
-    }
+    vol_mc = mc_weighted_volume(balls, mc, args.seed) if mc else None
+    values = {"v": ("V", vols.volume), "a": ("A", vols.area),
+              "m": ("M", vols.mean), "k": ("K", vols.gauss)}
     for key in wanted:
-        name, value, err = labels[key]
-        if err is None:
-            print(f"{name} = {fmt(value)}")
-        else:
-            print(f"{name} = {fmt(value)} +/- {fmt(err)}")
+        name, value = values[key]
+        print(f"{name} = {fmt(value)}")
+        if key == "v" and vol_mc is not None:
+            print(f"V_mc = {fmt(vol_mc[0])} +/- {fmt(vol_mc[1])}")
     if args.json:
-        doc = result_document(balls, volumes=vols,
-                              report=general_position_check(balls, cx),
-                              input_sha256=input_digest(args.input),
-                              seed=args.seed, mc_samples=mc)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(to_json(doc) + "\n")
+        _write_json(args, balls, cx, vols, vol_mc, mc)
     return EXIT_OK
 
 
 def cmd_grad(args):
     balls = parse_diagram(args.input)
     cx = build_alpha_complex(balls)
-    meas = compute_measures(balls, cx, mc_samples=args.mc_samples, seed=args.seed)
+    meas = compute_measures(balls, cx)
     grad = gauss_gradient(balls, cx, meas)
-    vols = intrinsic_volumes(balls, cx, meas)
     for i, g in enumerate(grad.per_ball):
         print(f"G[{i}] = {fmt(g[0])} {fmt(g[1])} {fmt(g[2])}")
     if args.json:
-        doc = result_document(balls, volumes=vols, grad=grad,
-                              report=general_position_check(balls, cx),
-                              input_sha256=input_digest(args.input),
-                              seed=args.seed, mc_samples=args.mc_samples)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(to_json(doc) + "\n")
+        # Only the document carries the volumes, so only --json pays for them.
+        mc = args.mc_samples
+        vol_mc = mc_weighted_volume(balls, mc, args.seed) if mc else None
+        _write_json(args, balls, cx, intrinsic_volumes(balls, cx, meas), vol_mc, mc,
+                    grad=grad)
     return EXIT_OK
 
 

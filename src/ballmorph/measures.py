@@ -3,23 +3,22 @@
 sigma_i is the exposed area fraction of sphere i, sigma_ij the exposed
 length fraction of circle S_ij, sigma_ijk the exposed fraction of the two
 corner points, and nu_ijk the fraction of the corner segment inside the
-Voronoi edge.  The ball volume fraction nu_i is estimated by Monte Carlo;
-nothing downstream needs it exactly.
+Voronoi edge.  With the pair and triple records of the complex, these
+give the weighted volume exactly (intrinsic.weighted_volume); the ball
+volume fraction nu_i is left to the Monte Carlo cross-check
+oracles.nu_i_mc.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DegenerateState
-from .geometry import EPS_GEO, cross3
+from .geometry import cross3
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-
-_MC_BLOCK = 1 << 16
 
 
 @dataclass
@@ -28,7 +27,6 @@ class FractionalMeasures:
     sigma_e: dict = field(default_factory=dict)     # edge -> sigma_ij
     sigma_t: dict = field(default_factory=dict)     # triangle -> 0, 1/2 or 1
     nu_t: dict = field(default_factory=dict)        # triangle -> nu_ijk
-    nu_v: dict = field(default_factory=dict)        # vertex -> (estimate, std error)
 
     def sigma_edge(self, e):
         return self.sigma_e.get(tuple(sorted(e)), 0.0)
@@ -200,73 +198,7 @@ def _cw_tangent(p, center, axis):
     return t / np.linalg.norm(t)
 
 
-def nu_i_mc(balls, i, samples, seed):
-    """Monte Carlo estimate of the Voronoi volume fraction of ball i.
-
-    Uniform samples in the ball are tested for power minimality.  Streams
-    are keyed per (seed, ball, block), so any chunking of the work yields
-    the identical estimate.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    # Only the balls that meet B_i take part.  A ball m with |x_m - x_i| >=
-    # r_i + r_m + tol has power more than 2 r_m tol at every sample, while
-    # the sample's own power is <= 0 up to rounding (about 1e-16 |x| r_i,
-    # which stays far below 2 r_m tol unless the coordinates are ~1e6 times
-    # the radii), so every comparison with m keeps its outcome.
-    dist = np.linalg.norm(balls.centers - balls.centers[i], axis=1)
-    near = dist < balls.radii[i] + balls.radii + EPS_GEO * balls.scale
-    near[i] = False
-    cols = np.concatenate(([i], np.nonzero(near)[0]))
-    centers, radii2 = balls.centers[cols], balls.radii[cols] ** 2
-    inside = 0
-    done = 0
-    block_idx = 0
-    while done < samples:
-        count = min(_MC_BLOCK, samples - done)
-        pts = _ball_block(balls, i, seed, block_idx, count)
-        # One column at a time with a running minimum: the working set is a
-        # few block-sized vectors, whatever the number of neighbours.
-        d = np.empty_like(pts)
-        own = _power(pts, centers[0], radii2[0], d)
-        if len(cols) > 1:
-            best = _power(pts, centers[1], radii2[1], d)
-            for m in range(2, len(cols)):
-                np.minimum(best, _power(pts, centers[m], radii2[m], d), out=best)
-            inside += int(np.sum(own <= best))
-        else:
-            inside += count
-        done += count
-        block_idx += 1
-    p_hat = inside / samples
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return p_hat, std_err
-
-
-def _ball_block(balls, i, seed, block_idx, count):
-    # Separate substreams for directions and radii keep every sample a pure
-    # function of (seed, ball, block, index), whatever the block is cut to.
-    base = 2 * (i * (1 << 20) + block_idx)
-    gen_v = Generator(Philox(key=np.uint64(seed)).jumped(base))
-    gen_u = Generator(Philox(key=np.uint64(seed)).jumped(base + 1))
-    v = gen_v.normal(size=(count, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    # x_i + r_i (u^(1/3) v), formed in place to spare block-sized temporaries.
-    u = gen_u.random(count)
-    np.power(u, 1.0 / 3.0, out=u)
-    v *= u[:, None]
-    v *= balls.radii[i]
-    v += balls.centers[i]
-    return v
-
-
-def _power(pts, center, radius2, d):
-    """Power of every point w.r.t. one ball; d is scratch of pts' shape."""
-    np.subtract(pts, center, out=d)
-    return np.einsum("pj,pj->p", d, d) - radius2
-
-
-def compute_measures(balls, cx, mc_samples=0, seed=0):
+def compute_measures(balls, cx):
     """All fractional measures of the boundary simplices of the complex."""
     out = FractionalMeasures()
     for i in cx.boundary_vertices():
@@ -278,7 +210,4 @@ def compute_measures(balls, cx, mc_samples=0, seed=0):
         if data.in_alpha:
             out.sigma_t[t] = 0.5 * data.exposed_count
             out.nu_t[t] = data.nu
-    if mc_samples:
-        for i in range(balls.n):
-            out.nu_v[i] = nu_i_mc(balls, i, mc_samples, seed)
     return out

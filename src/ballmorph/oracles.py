@@ -1,9 +1,20 @@
 """Independent verification engines.
 
 Central finite differences for every analytic derivative and Monte Carlo
-estimators for the boundary measures.  These deliberately share no code
-with the analytic implementations they check: surface sampling here is raw
-point classification, and the FD driver only moves ball centers.
+estimators for the boundary measures and the volume.  These deliberately
+share no code with the analytic implementations they check: sampling here
+is raw point classification, and the FD driver only moves ball centers.
+
+Every Monte Carlo sample is a pure function of (seed, ball, block, index):
+each block draws from a Philox stream jumped by a key of its own, so any
+chunking of the work reproduces the identical estimate.  A sample of ball
+i is classified against the balls that overlap B_i only (centre distance
+below r_i + r_m + tol).  A ball m farther away has power above 2 r_m tol
+everywhere in B_i, while a point of B_i has power at most 0 for i up to
+rounding (about 1e-16 |x| r_i, far below 2 r_m tol unless the coordinates
+are ~1e6 times the radii), so no comparison with m can change outcome.
+The overlapping balls are taken one at a time, so the working set is a few
+block-sized vectors whatever their number.
 """
 
 import math
@@ -13,9 +24,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DegenerateState, OracleDegenerate
-from .geometry import as_momentum
+from .geometry import EPS_GEO, as_momentum
 
 _MC_BLOCK = 1 << 16
+FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,7 @@ def mc_boundary_integrals(balls, samples, seed):
     """Monte Carlo exposure fractions of every sphere.
 
     Returns (areas, sigmas, std_errors): uniform points on each sphere are
-    classified against all other balls; streams are keyed by (seed, ball,
-    block) so any work split reproduces the same estimate.
+    classified against the other balls.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -74,19 +85,21 @@ def mc_boundary_integrals(balls, samples, seed):
     sigmas = np.zeros(n)
     errors = np.zeros(n)
     for i in range(n):
+        near = _overlapping(balls, i)
+        centers, radii2 = balls.centers[near], balls.radii[near] ** 2
         exposed = 0
         done = 0
         block = 0
         while done < samples:
             count = min(_MC_BLOCK, samples - done)
-            gen = Generator(Philox(key=np.uint64(seed)).jumped((i + 1) * (1 << 22) + block))
-            v = gen.normal(size=(count, 3))
-            v /= np.linalg.norm(v, axis=1)[:, None]
-            pts = balls.centers[i] + balls.radii[i] * v
-            dist = pts[:, None, :] - balls.centers[None, :, :]
-            sq = np.einsum("pij,pij->pi", dist, dist) - balls.radii[None, :] ** 2
-            sq[:, i] = np.inf
-            exposed += int(np.sum(sq.min(axis=1) >= 0.0))
+            pts = _unit_directions(seed, (i + 1) * (1 << 22) + block, count)
+            pts *= balls.radii[i]
+            pts += balls.centers[i]
+            free = np.ones(count, dtype=bool)
+            d = np.empty_like(pts)
+            for m in range(len(near)):
+                free &= _power(pts, centers[m], radii2[m], d) >= 0.0
+            exposed += int(np.count_nonzero(free))
             done += count
             block += 1
         p_hat = exposed / samples
@@ -94,3 +107,84 @@ def mc_boundary_integrals(balls, samples, seed):
         errors[i] = math.sqrt(p_hat * (1.0 - p_hat) / samples)
         areas[i] = 4.0 * math.pi * balls.radii[i] ** 2 * p_hat
     return areas, sigmas, errors
+
+
+def nu_i_mc(balls, i, samples, seed):
+    """Monte Carlo estimate of the Voronoi volume fraction of ball i.
+
+    Uniform samples in the ball are tested for power minimality.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    cols = np.concatenate(([i], _overlapping(balls, i)))
+    centers, radii2 = balls.centers[cols], balls.radii[cols] ** 2
+    inside = 0
+    done = 0
+    block_idx = 0
+    while done < samples:
+        count = min(_MC_BLOCK, samples - done)
+        pts = _ball_block(balls, i, seed, block_idx, count)
+        d = np.empty_like(pts)
+        own = _power(pts, centers[0], radii2[0], d)
+        if len(cols) > 1:
+            best = _power(pts, centers[1], radii2[1], d)
+            for m in range(2, len(cols)):
+                np.minimum(best, _power(pts, centers[m], radii2[m], d), out=best)
+            inside += int(np.sum(own <= best))
+        else:
+            inside += count
+        done += count
+        block_idx += 1
+    p_hat = inside / samples
+    std_err = math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return p_hat, std_err
+
+
+def mc_weighted_volume(balls, samples, seed):
+    """Monte Carlo estimate of the weighted volume sum_i w_i vol(B_i cap V_i)
+    and its standard error, from nu_i_mc at ``samples`` points per ball."""
+    est = 0.0
+    var = 0.0
+    for i in range(balls.n):
+        nu, se = nu_i_mc(balls, i, samples, seed)
+        coef = (FOUR_PI / 3.0) * balls.weights[i] * balls.radii[i] ** 3
+        est += coef * nu
+        var += (coef * se) ** 2
+    return est, math.sqrt(var)
+
+
+def _overlapping(balls, i):
+    """Indices of the balls other than i whose centres lie within
+    r_i + r_m + tol of x_i."""
+    dist = np.linalg.norm(balls.centers - balls.centers[i], axis=1)
+    near = dist < balls.radii[i] + balls.radii + EPS_GEO * balls.scale
+    near[i] = False
+    return np.nonzero(near)[0]
+
+
+def _unit_directions(seed, jump, count):
+    """``count`` uniform unit vectors from the Philox stream of ``seed``
+    jumped ``jump`` times."""
+    v = Generator(Philox(key=np.uint64(seed)).jumped(jump)).normal(size=(count, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v
+
+
+def _ball_block(balls, i, seed, block_idx, count):
+    # Separate substreams for directions and radii keep every sample a pure
+    # function of (seed, ball, block, index), whatever the block is cut to.
+    base = 2 * (i * (1 << 20) + block_idx)
+    v = _unit_directions(seed, base, count)
+    # x_i + r_i (u^(1/3) v), formed in place to spare block-sized temporaries.
+    u = Generator(Philox(key=np.uint64(seed)).jumped(base + 1)).random(count)
+    np.power(u, 1.0 / 3.0, out=u)
+    v *= u[:, None]
+    v *= balls.radii[i]
+    v += balls.centers[i]
+    return v
+
+
+def _power(pts, center, radius2, d):
+    """Power of every point w.r.t. one ball; d is scratch of pts' shape."""
+    np.subtract(pts, center, out=d)
+    return np.einsum("pj,pj->p", d, d) - radius2

@@ -15,7 +15,7 @@ from .errors import ParseError, ValidationError
 from .geometry import BallSet, EPS_GEO
 from . import __version__
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _data_lines(text):
@@ -147,8 +147,12 @@ def input_digest(path):
 
 
 def result_document(balls, volumes=None, grad=None, report=None,
-                    input_sha256=None, seed=0, mc_samples=0):
-    """Assemble the machine-readable result document."""
+                    input_sha256=None, seed=0, mc_samples=0, volume_mc=None):
+    """Assemble the machine-readable result document.
+
+    ``volume_mc`` is an optional (estimate, std_error) Monte Carlo
+    cross-check of the exact volume, written as ``V_mc`` beside ``V``.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -164,11 +168,11 @@ def result_document(balls, volumes=None, grad=None, report=None,
         "n_balls": balls.n,
     }
     if volumes is not None:
+        vols = {"V": volumes.volume}
+        if volume_mc is not None:
+            vols["V_mc"] = {"estimate": volume_mc[0], "std_error": volume_mc[1]}
         doc["intrinsic_volumes"] = {
-            "V": None if math.isnan(volumes.volume) else {
-                "estimate": volumes.volume,
-                "std_error": volumes.volume_std_error,
-            },
+            **vols,
             "A": volumes.area,
             "M": volumes.mean,
             "K": volumes.gauss,

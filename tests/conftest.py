@@ -1,11 +1,18 @@
 """Shared helpers: random generic configurations and small oracles."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ballmorph import BallSet
 from ballmorph.complexes import build_alpha_complex
 from ballmorph.errors import DegenerateState
+
+# perfbench/ holds the benchmark's input generator (gen.py) and output
+# checks (run.py); tests import both as they are.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,

@@ -1,0 +1,35 @@
+"""The benchmark's own output checks, run on the CLI in-process.
+
+For two seeds of each workload in BENCHMARK.json, perfbench's generator
+writes the input diagram, ``ballmorph.cli.main`` runs the workload's
+command on it, and the exit code, standard output and JSON bytes go to the
+check function of ``perfbench/run.py``, imported unchanged.  compute runs
+twice, so the check also sees the byte identity it demands within a run.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+import run as perfbench
+from ballmorph.cli import main
+
+CASES = [(name, seed) for name in ("grad-large", "fdcheck-small", "compute-volume")
+         for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_workload_passes_benchmark_check(name, seed, tmp_path, capsys):
+    wl = perfbench.WORKLOADS[name]
+    inp = perfbench.make_input(SimpleNamespace(seed=seed), wl, tmp_path)
+    argv = [wl.command, "--input", str(inp.path)]
+    out_json = tmp_path / "out.json"
+    if wl.json_out:
+        argv += ["--json", str(out_json)]
+    state = {}
+    for _ in range(2 if wl.json_out else 1):
+        out_json.unlink(missing_ok=True)
+        rc = main(argv)
+        stdout = capsys.readouterr().out
+        json_bytes = out_json.read_bytes() if out_json.exists() else None
+        assert wl.check(inp, rc, stdout, json_bytes, state) is None

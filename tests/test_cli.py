@@ -65,11 +65,15 @@ def test_compute_two_balls(tmp_path, capsys):
 
 def test_compute_all_measures(tmp_path, capsys):
     path = write(tmp_path, "two.txt", TWO)
-    code = main(["compute", "--input", path, "--mc-samples", "20000"])
+    assert main(["compute", "--input", path]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert code == 0
     assert [line.split()[0] for line in out] == ["V", "A", "M", "K"]
-    assert "+/-" in out[0]
+    assert "+/-" not in out[0]
+    # --mc-samples adds a Monte Carlo cross-check of the exact V.
+    assert main(["compute", "--input", path, "--mc-samples", "20000"]) == 0
+    out_mc = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out_mc] == ["V", "V_mc", "A", "M", "K"]
+    assert out_mc[0] == out[0] and "+/-" in out_mc[1]
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -88,7 +92,8 @@ def test_exit_codes(tmp_path, capsys):
                  ["compute", "--seed", "-1"], ["fdcheck", "--step", "0"],
                  ["probe", "--momentum", mom, "--steps", "1"],
                  ["degeneracy", "--tol", "nan"], ["degeneracy", "--tol", "-1"],
-                 ["fdcheck", "--tol", "nan"], ["compute", "--measures", ""]):
+                 ["fdcheck", "--tol", "nan"], ["compute", "--measures", ""],
+                 ["compute", "--measures", "v,v,k"]):
         assert main([*argv, "--input", two]) == 1, argv
         out = capsys.readouterr()
         assert out.out == "" and len(out.err.splitlines()) == 1, (argv, out)
@@ -130,7 +135,8 @@ def test_json_reproducibility(tmp_path, capsys, rng):
     doc = json.loads(b1)
     assert doc["provenance"]["seed"] == 42
     assert len(doc["gradient"]["per_ball"]) == 5
-    assert doc["intrinsic_volumes"]["V"] is not None
+    assert isinstance(doc["intrinsic_volumes"]["V"], float)
+    assert set(doc["intrinsic_volumes"]["V_mc"]) == {"estimate", "std_error"}
 
 
 def test_degeneracy_command(tmp_path, capsys):

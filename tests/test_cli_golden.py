@@ -1,7 +1,9 @@
 """Byte-level golden outputs of the command-line interface.
 
 ``data/cli`` holds what commit 96a047f printed (and wrote with ``--json``)
-for one run of each subcommand below; ``data/p20.txt`` is an n=20 diagram
+for one run of each subcommand below, except that ``g20_compute.*`` and
+``g20_grad.json`` were regenerated when V became exact (schema version 2):
+only ``schema_version``, ``V`` and ``V_mc`` moved; ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.
 The golden tests in test_golden.py compare floats to rel 1e-12; these

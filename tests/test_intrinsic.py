@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex, compute_measures, euler, \
     intrinsic_volumes, weighted_area, weighted_gauss, weighted_mean, weighted_volume
+from ballmorph.oracles import mc_weighted_volume
+from ballmorph.serial import parse_diagram_text
 from conftest import make_config, random_rotation, two_balls
+
+import gen
+import run as perfbench
 
 FOUR_PI = 4 * math.pi
 
@@ -27,9 +33,18 @@ def lens_volume(r, d):
     return 2.0 * math.pi * h * h * (3 * r - h) / 3.0
 
 
-def setup(balls, mc=0, seed=0):
+def cap_volume(r, h):
+    return math.pi * h * h * (3 * r - h) / 3.0
+
+
+def setup(balls):
     cx = build_alpha_complex(balls)
-    return cx, compute_measures(balls, cx, mc_samples=mc, seed=seed)
+    return cx, compute_measures(balls, cx)
+
+
+def volume(balls):
+    cx, m = setup(balls)
+    return weighted_volume(balls, cx, m)
 
 
 def test_gauss_single_ball():
@@ -84,18 +99,83 @@ def test_mean_against_additivity_oracle():
 
 
 def test_volume_against_lens_oracle():
-    balls = BallSet([[0, 0, 0]], [1.0])
-    cx, m = setup(balls, mc=50_000)
-    v, se = weighted_volume(balls, m)
-    assert (v, se) == (pytest.approx(FOUR_PI / 3), 0.0)
-    balls = two_balls(d=1.0)
-    cx, m = setup(balls, mc=400_000, seed=5)
-    v, se = weighted_volume(balls, m)
+    assert volume(BallSet([[0, 0, 0]], [1.0])) == pytest.approx(FOUR_PI / 3, rel=1e-12)
     expected = 2 * FOUR_PI / 3 - lens_volume(1.0, 1.0)
-    assert abs(v - expected) <= 3.0 * se
-    zero = balls.with_weights([0.0, 0.0])
-    cx, m = setup(zero, mc=10_000)
-    assert weighted_volume(zero, m)[0] == 0.0
+    assert volume(two_balls(d=1.0)) == pytest.approx(expected, rel=1e-12)
+    assert volume(two_balls(d=1.0, w0=0.0, w1=0.0)) == 0.0
+
+
+def test_volume_closed_forms():
+    # One ball anywhere: 4 pi / 3 w r^3.
+    one = BallSet([[0.3, -1.0, 2.0]], [1.7], [2.5])
+    assert volume(one) == pytest.approx(2.5 * FOUR_PI / 3 * 1.7 ** 3, rel=1e-12)
+    # Unequal lens with weights: each ball loses the cap beyond the radical
+    # plane, at distance xi_i = (d^2 + r_i^2 - r_j^2) / 2d from its centre.
+    r0, r1, d, w0, w1 = 1.0, 0.7, 1.2, 2.0, -0.5
+    xi0 = (d * d + r0 * r0 - r1 * r1) / (2 * d)
+    clipped0 = FOUR_PI / 3 * r0 ** 3 - cap_volume(r0, r0 - xi0)
+    clipped1 = FOUR_PI / 3 * r1 ** 3 - cap_volume(r1, r1 - (d - xi0))
+    assert volume(two_balls(d=d, r0=r0, r1=r1, w0=w0, w1=w1)) == pytest.approx(
+        w0 * clipped0 + w1 * clipped1, rel=1e-12)
+    # The power plane of a small ball lying past the larger centre: xi_0 > r_1.
+    r0, r1, d = 1.3, 0.6, 1.1
+    xi0 = (d * d + r0 * r0 - r1 * r1) / (2 * d)
+    expected = (FOUR_PI / 3 * (r0 ** 3 + r1 ** 3) - cap_volume(r0, r0 - xi0)
+                - cap_volume(r1, r1 - (d - xi0)))
+    assert volume(two_balls(d=d, r0=r0, r1=r1)) == pytest.approx(expected, rel=1e-12)
+    # A nested ball owns no volume, whatever its weight.
+    nested = BallSet([[0, 0, 0], [0.2, 0, 0]], [1.0, 0.5], [1.5, 5.0])
+    assert volume(nested) == pytest.approx(1.5 * FOUR_PI / 3, rel=1e-12)
+    # Disjoint balls add.
+    far = two_balls(d=3.0, r0=1.0, r1=0.8, w0=2.0, w1=0.5)
+    assert volume(far) == pytest.approx(FOUR_PI / 3 * (2.0 + 0.5 * 0.8 ** 3), rel=1e-12)
+
+
+def test_volume_linear_in_weights_and_zero_weights(rng):
+    balls, cx = make_config(rng, 8)
+    m = compute_measures(balls, cx)
+    v = weighted_volume(balls, cx, m)
+    other = rng.uniform(-2.0, 2.0, size=balls.n)
+    v_other = weighted_volume(balls.with_weights(other), cx, m)
+    v_sum = weighted_volume(balls.with_weights(balls.weights + other), cx, m)
+    assert v_sum == pytest.approx(v + v_other, rel=1e-13, abs=1e-13 * abs(v))
+    assert weighted_volume(balls.with_weights(3.0 * balls.weights), cx, m) == \
+        pytest.approx(3.0 * v, rel=1e-13)
+    assert weighted_volume(balls.with_weights(np.zeros(balls.n)), cx, m) == 0.0
+
+
+def test_volume_rigid_motion_and_permutation(rng):
+    for _ in range(4):
+        balls, _ = make_config(rng, int(rng.integers(5, 12)))
+        v = volume(balls)
+        q = random_rotation(rng)
+        moved = BallSet(balls.centers @ q.T + rng.normal(size=3), balls.radii,
+                        balls.weights)
+        assert volume(moved) == pytest.approx(v, rel=1e-10)
+        perm = rng.permutation(balls.n)
+        shuffled = BallSet(balls.centers[perm], balls.radii[perm], balls.weights[perm])
+        assert volume(shuffled) == pytest.approx(v, rel=1e-10)
+
+
+def _volume_z(balls, samples, seed):
+    est, se = mc_weighted_volume(balls, samples, seed)
+    return (volume(balls) - est) / se
+
+
+def test_volume_against_monte_carlo(rng):
+    # Random weights: every ball's clipped volume enters with its own sign.
+    for trial in range(6):
+        balls, _ = make_config(rng, int(rng.integers(4, 13)))
+        assert abs(_volume_z(balls, 40_000, trial)) <= 3.0
+    # The compute-volume inputs of perfbench: n=40, unit weights, with 10-11
+    # balls whose centres lie outside their own power cells.
+    wl = perfbench.WORKLOADS["compute-volume"]
+    for seed in (1, 2, 3):
+        text, _, _ = gen.make_input(seed, wl.n, wl.weights, wl.bands)
+        balls = parse_diagram_text(text)
+        buried = gen.buried_centres(balls.centers, balls.radii)
+        assert 10 <= buried <= 11
+        assert abs(_volume_z(balls, 20_000, seed)) <= 3.0
 
 
 def test_gauss_bonnet_random_configs(rng):
@@ -139,8 +219,8 @@ def test_linearity_in_weights(rng):
 
 def test_intrinsic_volumes_bundle(rng):
     balls, cx = make_config(rng, 5)
-    m = compute_measures(balls, cx, mc_samples=20_000)
+    m = compute_measures(balls, cx)
     vols = intrinsic_volumes(balls, cx, m)
     assert vols.gauss == pytest.approx(
         vols.gauss_patch + vols.gauss_arc + vols.gauss_corner, rel=1e-12)
-    assert math.isfinite(vols.volume) and vols.volume_std_error >= 0.0
+    assert vols.volume == weighted_volume(balls, cx, m)

@@ -2,10 +2,11 @@
 
 The build enumerates candidate simplices as cliques of the circle graph,
 the arc cover of a circle S_ij visits only the balls that a distance bound
-cannot rule out, and ``nu_i_mc`` compares each sample against the balls
-that meet B_i.  The references here are the all-tuple and all-ball
-versions they replace: the ``combinations`` filters, the arc-cover loop
-over every ball and the sampler with a power column for every ball.
+cannot rule out, and ``nu_i_mc`` and ``mc_boundary_integrals`` compare
+each sample against the balls that meet B_i.  The references here are the
+all-tuple and all-ball versions they replace: the ``combinations``
+filters, the arc-cover loop over every ball and the samplers with a power
+column for every ball.
 Agreement must be exact: the same arrays in the same order, the same
 covered intervals and degeneracy records, the same sample counts.
 """
@@ -15,12 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
-from ballmorph import BallSet, build_alpha_complex, nu_i_mc
+from ballmorph import BallSet, build_alpha_complex, mc_boundary_integrals, nu_i_mc
 from ballmorph.complexes import TWO_PI, CornerRef, EdgeData, _circle_cliques, \
     _cover_intervals, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
-from ballmorph.measures import _MC_BLOCK, _ball_block
+from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
 
 
 def brute_cliques(circle):
@@ -93,6 +94,20 @@ def brute_nu_count(balls, i, samples, seed):
     return inside
 
 
+def brute_exposed_count(balls, i, samples, seed):
+    """Samples on sphere i outside every other ball, all columns."""
+    exposed = 0
+    for block, done in enumerate(range(0, samples, _MC_BLOCK)):
+        count = min(_MC_BLOCK, samples - done)
+        v = _unit_directions(seed, (i + 1) * (1 << 22) + block, count)
+        pts = balls.centers[i] + balls.radii[i] * v
+        d = pts[:, None, :] - balls.centers[None, :, :]
+        pows = np.einsum("pij,pij->pi", d, d) - balls.radii[None, :] ** 2
+        pows[:, i] = np.inf
+        exposed += int(np.sum(pows.min(axis=1) >= 0.0))
+    return exposed
+
+
 def cover_record(fn, cx, i, j, data):
     """fn's covered intervals, full flag and the degeneracy records it
     appended, with the records taken back off the complex."""
@@ -130,7 +145,9 @@ def check_draw(balls, strict, nu_balls, seen):
         seen["covered"] += bool(ref[0])
         seen["full"] += ref[1]
         seen["records"] += bool(ref[2])
+    _, sigmas, _ = mc_boundary_integrals(balls, 2000, seed=3)
     for i in nu_balls:
+        assert round(sigmas[i] * 2000) == brute_exposed_count(balls, i, 2000, seed=3), i
         est, _ = nu_i_mc(balls, i, 5000, seed=3)
         want_count = brute_nu_count(balls, i, 5000, seed=3)
         assert round(est * 5000) == want_count, i

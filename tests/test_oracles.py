@@ -93,7 +93,7 @@ def test_mc_error_scales_with_sample_count():
 
 def test_prefix_stability_of_sample_blocks():
     # The first samples of a block do not depend on how many are drawn.
-    from ballmorph.measures import _ball_block
+    from ballmorph.oracles import _ball_block
     balls = two_balls(d=1.0)
     a = _ball_block(balls, 0, seed=4, block_idx=0, count=100)
     b = _ball_block(balls, 0, seed=4, block_idx=0, count=1000)
