@@ -20,13 +20,15 @@ B_i, then pow_i <= 0 < pow_m on all of B_i, so m's halfspace is redundant
 in any test restricted to B_i.  Candidate edges, triangles and tetrahedra
 are therefore the cliques of the circle graph (pairs of spheres that meet
 in a circle), enumerated by extending each sorted clique with the common
-larger neighbours of its members, and the cover of a circle S_ij visits
-only the balls that come within tolerance of it.  Construction cost thus
-follows the cliques rather than all index tuples; the batched power
-kernel ``_powers`` still takes a column for every ball, because
-diagnostics.general_position_check reads their all-ball records.  The
-same clipping yields the boundary bookkeeping (exposed circle arcs with
-their terminating corners) as a byproduct.
+larger neighbours of its members.  Construction cost thus follows the
+cliques rather than all index tuples; the batched power kernel
+``_powers`` still takes a column for every ball, because
+diagnostics.general_position_check reads their all-ball records.
+
+The exposed arcs of a circle S_ij end at exposed corners, and every
+exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
+arcs come from the corners the triangle test has already classified,
+sorted by angle around the circle, with no further pass over the balls.
 """
 
 import math
@@ -78,8 +80,6 @@ class Arc:
     """Exposed arc of a circle S_ij, in ccw angular parametrization."""
 
     edge: tuple
-    alpha_start: float
-    alpha_end: float               # alpha_start + extent, may exceed 2*pi
     extent: float
     start: CornerRef = None        # None for a full circle
     end: CornerRef = None
@@ -104,8 +104,6 @@ class EdgeData:
     in_alpha: bool = False
     on_boundary: bool = False
     arcs: list = field(default_factory=list)
-    covered: list = field(default_factory=list)   # (start, extent, occluder, refs)
-    fully_covered: bool = False
 
 
 @dataclass
@@ -124,7 +122,6 @@ class TriangleData:
 
 @dataclass
 class TetData:
-    orthocenter: np.ndarray
     in_alpha: bool = False
 
 
@@ -478,8 +475,7 @@ def _build_tetrahedra(cx, idx):
                                 float(abs(gap[m]))))
     in_alpha = (own <= 0.0) & ((other_min >= own) | np.isinf(other_min))
     for m in np.nonzero(in_alpha)[0]:
-        cx.tetrahedra[tuple(int(v) for v in idx[m])] = TetData(
-            orthocenter=z[m], in_alpha=True)
+        cx.tetrahedra[tuple(int(v) for v in idx[m])] = TetData(in_alpha=True)
     excess[keep] = own - pows.min(axis=1)
     masked -= own[:, None]
     np.abs(masked, out=masked)
@@ -511,133 +507,86 @@ def _close_faces(cx):
 
 
 def _build_arcs(cx):
-    for (i, j), data in sorted(cx.edges.items()):
-        if not data.in_alpha:
+    """Exposed arcs of every alpha circle S_ij, from the exposed corners of
+    its alpha triangles ijm.
+
+    Walking ccw around u_ij from a corner p enters B_m exactly when
+    (x_m - p) . (u_ij x (p - q_ij)) > 0; such a corner ends an exposed arc
+    and every other corner starts one.  Sorted by angle, starts and ends
+    alternate unless a corner lies within tol of a fourth sphere, which
+    _points_exposed has recorded; such a circle is flagged and left without
+    arcs.  A circle with no exposed corner is wholly exposed or wholly
+    covered, so one point decides.
+    """
+    balls = cx.balls
+    edges = sorted(e for e, data in cx.edges.items() if data.in_alpha)
+    _record_circle_tangencies(cx, edges)
+    corners = {}
+    for key, tdata in cx.triangles.items():
+        if not tdata.on_boundary:
             continue
-        covered, full = _cover_intervals(cx, i, j, data)
-        if full:
-            data.arcs = []
-            data.covered = covered
-            data.fully_covered = True
-            data.on_boundary = False
-            continue
-        data.arcs = _assemble_arcs(cx, (i, j), covered)
-        data.covered = covered
+        tg = tdata.triple
+        for tag, exposed, p in ((1, tdata.exposed_plus, tg.p_plus),
+                                (-1, tdata.exposed_minus, tg.p_minus)):
+            if exposed:
+                for m in key:
+                    edge = tuple(v for v in key if v != m)
+                    corners.setdefault(edge, []).append((key, tag, m, p))
+    for edge in edges:
+        data = cx.edges[edge]
+        pg = data.pair
+        q = pg.center
+        found = corners.get(edge)
+        if not found:
+            pows = _powers(q + pg.r * data.e1, balls)
+            pows[list(edge)] = _INF
+            data.arcs = [Arc(edge=edge, extent=TWO_PI)] if pows.min() >= 0.0 else []
+        else:
+            refs = []
+            for key, tag, m, p in found:
+                rel = p - q
+                refs.append(CornerRef(key, tag, m, p,
+                                      math.atan2(rel @ data.e2, rel @ data.e1) % TWO_PI))
+            refs.sort(key=lambda r: (r.angle, r.key))
+            ends = [float((balls.centers[r.occluder] - r.point)
+                          @ cross3(pg.u_ij, r.point - q)) > 0.0 for r in refs]
+            if any(a == b for a, b in zip(ends, ends[1:] + ends[:1])):
+                cx.degeneracies.append(("II", edge, cx.tol))
+                data.arcs = []
+            else:
+                first = ends.index(False)
+                refs = refs[first:] + refs[:first]
+                data.arcs = [Arc(edge=edge, extent=(e.angle - s.angle) % TWO_PI,
+                                 start=s, end=e)
+                             for s, e in zip(refs[::2], refs[1::2])]
         data.on_boundary = bool(data.arcs)
 
 
-def _cover_intervals(cx, i, j, data):
-    """Angular intervals of the circle S_ij hidden inside other balls.
+def _record_circle_tangencies(cx, edges):
+    """Record each sphere m within tol of touching a circle S_ij.
 
-    Returns (intervals, fully_covered); each interval carries the two
-    corner references of its endpoints.
+    The points of S_ij nearest to and farthest from x_m lie at distances
+    dmin and dmax; sphere m touches the circle when either equals r_m.  The
+    corner discriminant h^2 of ijm also vanishes there, but its power band
+    is not a length band and can miss a tangency that this one catches.
     """
+    if not edges:
+        return
     balls = cx.balls
-    pg = data.pair
-    q, rho = pg.center, pg.r
-    u, e1, e2 = pg.u_ij, data.e1, data.e2
-    # |x_m - q| - rho - r_m is a lower bound on dmin - r_m below, and the
-    # loop body records or covers nothing while dmin - r_m >= tol, so the
-    # balls with a bound of 2 tol or more can be skipped.
-    d = balls.centers - q
-    bound = np.sqrt(np.einsum("ij,ij->i", d, d)) - rho - balls.radii
-    out = []
-    for m in np.nonzero(bound < 2.0 * cx.tol)[0].tolist():
-        if m in (i, j):
-            continue
-        g = balls.centers[m] - q
-        g_u = g @ u
-        g_perp = g - g_u * u
-        b = np.linalg.norm(g_perp)
-        rm = balls.radii[m]
-        dmin = math.hypot(g_u, b - rho)
-        dmax = math.hypot(g_u, b + rho)
-        if abs(dmin - rm) < cx.tol or abs(dmax - rm) < cx.tol:
-            cx.degeneracies.append(("II", tuple(sorted((i, j, m))),
-                                    min(abs(dmin - rm), abs(dmax - rm))))
-        if dmin >= rm:
-            continue
-        if dmax <= rm:
-            return [], True
-        tg = cx.triple(i, j, m)
-        if tg is None:
-            # Partial cover with no transversal triple intersection only
-            # happens inside the tolerance band; treat as degenerate.
-            cx.degeneracies.append(("II", tuple(sorted((i, j, m))), cx.tol))
-            continue
-        key = tuple(sorted((i, j, m)))
-        angles = {}
-        for tag, p in ((1, tg.p_plus), (-1, tg.p_minus)):
-            rel = p - q
-            ang = math.atan2(rel @ e2, rel @ e1) % TWO_PI
-            angles[tag] = (ang, p)
-        # Covered arc is centered at the in-plane azimuth of the occluder.
-        az = math.atan2(g_perp @ e2, g_perp @ e1) % TWO_PI
-        a_plus, a_minus = angles[1][0], angles[-1][0]
-        span_pm = (a_minus - a_plus) % TWO_PI
-        if (az - a_plus) % TWO_PI <= span_pm:
-            start_tag, end_tag = 1, -1
-        else:
-            start_tag, end_tag = -1, 1
-        start_ang, start_p = angles[start_tag]
-        extent = (angles[end_tag][0] - start_ang) % TWO_PI
-        end_p = angles[end_tag][1]
-        start_ref = CornerRef(key, start_tag, m, start_p, start_ang)
-        end_ref = CornerRef(key, end_tag, m, end_p, (start_ang + extent) % TWO_PI)
-        out.append((start_ang, extent, m, start_ref, end_ref))
-    return out, False
-
-
-def _assemble_arcs(cx, edge, covered):
-    """Union the covered intervals; the complement gives the exposed arcs.
-
-    Angles are swept relative to the start of the first covered interval,
-    which guarantees the sweep begins inside covered territory and no arc
-    wraps across the base point.
-    """
-    if not covered:
-        return [Arc(edge=edge, alpha_start=0.0, alpha_end=TWO_PI, extent=TWO_PI)]
-    base = covered[0][0]
-    base_start_ref = covered[0][3]
-    events = []   # (relative angle, +1 cover starts / -1 cover ends, corner ref)
-    depth0 = 0    # covers containing the base angle
-    for start, extent, m, start_ref, end_ref in covered:
-        s_rel = (start - base) % TWO_PI
-        if s_rel == 0.0 or s_rel + extent > TWO_PI:
-            depth0 += 1
-        if s_rel > 0.0:
-            events.append((s_rel, 1, start_ref))
-        e_rel = (s_rel + extent) % TWO_PI
-        if e_rel == 0.0:
-            e_rel = TWO_PI
-        events.append((e_rel, -1, end_ref))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    tol_ang = cx.tol / max(cx.edges[edge].pair.r, cx.tol)
-    for (a1, d1, r1), (a2, d2, r2) in zip(events, events[1:]):
-        if a2 - a1 < tol_ang and r1.occluder != r2.occluder:
-            cx.degeneracies.append(
-                ("II", tuple(sorted(set(edge) | {r1.occluder, r2.occluder})), a2 - a1))
-    depth = depth0
-    exposure_start = None     # (relative angle, corner ref)
-    arcs_rel = []
-    for ang, delta, ref in events:
-        depth += delta
-        if delta == -1 and depth == 0:
-            exposure_start = (ang, ref)
-        elif delta == 1 and depth == 1 and exposure_start is not None:
-            s_ang, s_ref = exposure_start
-            arcs_rel.append((s_ang, ang - s_ang, s_ref, ref))
-            exposure_start = None
-    if exposure_start is not None:
-        # Exposure runs to the base angle, where the first cover begins.
-        s_ang, s_ref = exposure_start
-        arcs_rel.append((s_ang, TWO_PI - s_ang, s_ref, base_start_ref))
-    arcs = []
-    for s_rel, extent, s_ref, e_ref in arcs_rel:
-        a0 = (s_rel + base) % TWO_PI
-        arcs.append(Arc(edge=edge, alpha_start=a0, alpha_end=a0 + extent,
-                        extent=extent, start=s_ref, end=e_ref))
-    return arcs
+    pgs = [cx.edges[e].pair for e in edges]
+    u = np.stack([pg.u_ij for pg in pgs])
+    rho = np.array([pg.r for pg in pgs])[:, None]
+    g = balls.centers[None, :, :] - np.stack([pg.center for pg in pgs])[:, None, :]
+    g_u = np.einsum("emk,ek->em", g, u)
+    b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
+    gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),
+                     np.abs(np.hypot(g_u, b + rho) - balls.radii))
+    rows = np.arange(len(edges))
+    for col in range(2):
+        gap[rows, [e[col] for e in edges]] = _INF
+    for e, m in zip(*np.nonzero(gap < cx.tol)):
+        cx.degeneracies.append(("II", tuple(sorted(edges[e] + (int(m),))),
+                                float(gap[e, m])))
 
 
 def _mark_boundary_vertices(cx):

@@ -33,39 +33,12 @@ class FractionalMeasures:
 
 
 def sigma_ij(balls, cx, edge):
-    """Fraction of circle S_ij outside all other balls."""
-    key = tuple(sorted(edge))
-    data = cx.edges.get(key)
+    """Fraction of circle S_ij outside all other balls: the extents of its
+    exposed arcs over 2 pi."""
+    data = cx.edges.get(tuple(sorted(edge)))
     if data is None or not data.in_alpha:
         return 0.0
-    if data.fully_covered:
-        return 0.0
-    if not data.covered:
-        return 1.0
-    return 1.0 - _union_measure(data.covered) / TWO_PI
-
-
-def _union_measure(covered):
-    """Total angular measure of a union of circle intervals."""
-    segs = []
-    for start, extent, *_ in covered:
-        s = start % TWO_PI
-        if s + extent <= TWO_PI:
-            segs.append((s, s + extent))
-        else:
-            segs.append((s, TWO_PI))
-            segs.append((0.0, s + extent - TWO_PI))
-    segs.sort()
-    total = 0.0
-    cur_lo, cur_hi = segs[0]
-    for lo, hi in segs[1:]:
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    total += cur_hi - cur_lo
-    return total
+    return sum(arc.extent for arc in data.arcs) / TWO_PI
 
 
 def sigma_ijk(balls, cx, tri):

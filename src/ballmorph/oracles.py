@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import DegenerateState, OracleDegenerate
 from .geometry import EPS_GEO, as_momentum
@@ -165,6 +164,7 @@ def _overlapping(balls, i):
 def _unit_directions(seed, jump, count):
     """``count`` uniform unit vectors from the Philox stream of ``seed``
     jumped ``jump`` times."""
+    from numpy.random import Generator, Philox   # loaded only when sampling
     v = Generator(Philox(key=np.uint64(seed)).jumped(jump)).normal(size=(count, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v
@@ -173,6 +173,7 @@ def _unit_directions(seed, jump, count):
 def _ball_block(balls, i, seed, block_idx, count):
     # Separate substreams for directions and radii keep every sample a pure
     # function of (seed, ball, block, index), whatever the block is cut to.
+    from numpy.random import Generator, Philox
     base = 2 * (i * (1 << 20) + block_idx)
     v = _unit_directions(seed, base, count)
     # x_i + r_i (u^(1/3) v), formed in place to spare block-sized temporaries.

@@ -1,5 +1,6 @@
 """Shared helpers: random generic configurations and small oracles."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet
-from ballmorph.complexes import build_alpha_complex
+from ballmorph.complexes import TWO_PI, CornerRef, build_alpha_complex
 from ballmorph.errors import DegenerateState
 
 # perfbench/ holds the benchmark's input generator (gen.py) and output
@@ -40,6 +41,95 @@ def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,
         if margin is not None and cx.condition2_margin <= margin:
             continue
         return balls, cx
+
+
+def brute_cover(cx, i, j, data):
+    """Angular intervals of the circle S_ij inside each ball m other than i
+    and j, by a loop over every ball.
+
+    Returns (intervals, fully_covered, records): each interval is (start,
+    extent, m, start corner, end corner) in the (e1, e2) angle of ``data``,
+    and records are the ("II", triple, residual) near-tangencies of a
+    sphere with the circle met on the way.
+    """
+    balls = cx.balls
+    pg = data.pair
+    q, rho = pg.center, pg.r
+    u, e1, e2 = pg.u_ij, data.e1, data.e2
+    out = []
+    records = []
+    for m in range(balls.n):
+        if m in (i, j):
+            continue
+        g = balls.centers[m] - q
+        g_u = g @ u
+        g_perp = g - g_u * u
+        b = np.linalg.norm(g_perp)
+        rm = balls.radii[m]
+        dmin = math.hypot(g_u, b - rho)
+        dmax = math.hypot(g_u, b + rho)
+        if abs(dmin - rm) < cx.tol or abs(dmax - rm) < cx.tol:
+            records.append(("II", tuple(sorted((i, j, m))),
+                            min(abs(dmin - rm), abs(dmax - rm))))
+        if dmin >= rm:
+            continue
+        if dmax <= rm:
+            return [], True, records
+        tg = cx.triple(i, j, m)
+        if tg is None:
+            records.append(("II", tuple(sorted((i, j, m))), cx.tol))
+            continue
+        key = tuple(sorted((i, j, m)))
+        angles = {}
+        for tag, p in ((1, tg.p_plus), (-1, tg.p_minus)):
+            rel = p - q
+            angles[tag] = (math.atan2(rel @ e2, rel @ e1) % TWO_PI, p)
+        # The covered interval is centred on the in-plane azimuth of x_m.
+        az = math.atan2(g_perp @ e2, g_perp @ e1) % TWO_PI
+        a_plus, a_minus = angles[1][0], angles[-1][0]
+        if (az - a_plus) % TWO_PI <= (a_minus - a_plus) % TWO_PI:
+            start_tag, end_tag = 1, -1
+        else:
+            start_tag, end_tag = -1, 1
+        start_ang, start_p = angles[start_tag]
+        extent = (angles[end_tag][0] - start_ang) % TWO_PI
+        end_p = angles[end_tag][1]
+        out.append((start_ang, extent, m,
+                    CornerRef(key, start_tag, m, start_p, start_ang),
+                    CornerRef(key, end_tag, m, end_p, (start_ang + extent) % TWO_PI)))
+    return out, False, records
+
+
+def union_measure(covered):
+    """Total angular measure of a union of circle intervals (start, extent, ...)."""
+    segs = []
+    for start, extent, *_ in covered:
+        s = start % TWO_PI
+        if s + extent <= TWO_PI:
+            segs.append((s, s + extent))
+        else:
+            segs.append((s, TWO_PI))
+            segs.append((0.0, s + extent - TWO_PI))
+    segs.sort()
+    total = 0.0
+    cur_lo, cur_hi = segs[0]
+    for lo, hi in segs[1:]:
+        if lo > cur_hi:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+        else:
+            cur_hi = max(cur_hi, hi)
+    total += cur_hi - cur_lo
+    return total
+
+
+def brute_sigma_ij(cx, edge):
+    """Exposed fraction of the alpha circle S_ij, 1 - union/2pi over the
+    intervals of brute_cover: independent of the build's arcs."""
+    covered, full, _ = brute_cover(cx, *edge, cx.edges[edge])
+    if full:
+        return 0.0
+    return 1.0 - union_measure(covered) / TWO_PI if covered else 1.0
 
 
 def octant_balls(weights=(1.0, 1.0, 1.0)):

@@ -3,7 +3,13 @@
 ``data/cli`` holds what commit 96a047f printed (and wrote with ``--json``)
 for one run of each subcommand below, except that ``g20_compute.*`` and
 ``g20_grad.json`` were regenerated when V became exact (schema version 2):
-only ``schema_version``, ``V`` and ``V_mc`` moved; ``data/p20.txt`` is an n=20 diagram
+only ``schema_version``, ``V`` and ``V_mc`` moved.  ``g20_grad.*``,
+``g20_compute.*`` and ``g08_fdcheck.out`` were regenerated again when the
+arcs came to be built from exposed corners and sigma_ij became the sum of
+arc extents: arc order and that sum moved last bits, by at most 3.1e-15
+relative in any gradient entry and 9.1e-16 in V, A, M and K, and the
+fdcheck gap, a difference of two rounding-level values, in its 7th digit
+(1.4e-6 relative).  ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.
 The golden tests in test_golden.py compare floats to rel 1e-12; these

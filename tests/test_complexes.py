@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, boundary_arcs, build_alpha_complex, euler, sigma_ij
+from ballmorph import BallSet, boundary_arcs, build_alpha_complex, euler
 from ballmorph.errors import DegenerateState
-from conftest import make_config, octant_balls, two_balls
+from conftest import brute_sigma_ij, make_config, octant_balls, two_balls
 
 
 def test_single_ball():
@@ -157,5 +157,5 @@ def test_arc_extents_sum_to_exposed_measure(rng):
         for e in cx.boundary_edges():
             data = cx.edges[e]
             total = sum(a.extent for a in data.arcs)
-            covered = 2 * np.pi * (1.0 - sigma_ij(balls, cx, e))
+            covered = 2 * np.pi * (1.0 - brute_sigma_ij(cx, e))
             assert total + covered == pytest.approx(2 * np.pi, abs=1e-9)

@@ -2,6 +2,8 @@
 dependency, and downstream modules read geometry from the alpha complex."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,13 @@ def test_downstream_modules_read_complex_records():
             elif isinstance(func, ast.Attribute) and func.attr in REBUILDERS:
                 calls.append((name, node.lineno, func.attr))
     assert calls == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # Only the Monte Carlo oracles draw samples; start-up should not pay
+    # for numpy.random.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballmorph.__file__).parents[1]))
+    code = "import sys, ballmorph.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

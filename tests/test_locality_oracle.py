@@ -1,27 +1,31 @@
 """Brute-force oracles for the neighbour-local parts of the construction.
 
 The build enumerates candidate simplices as cliques of the circle graph,
-the arc cover of a circle S_ij visits only the balls that a distance bound
-cannot rule out, and ``nu_i_mc`` and ``mc_boundary_integrals`` compare
+takes the exposed arcs of a circle S_ij from the exposed corners of its
+alpha triangles, and ``nu_i_mc`` and ``mc_boundary_integrals`` compare
 each sample against the balls that meet B_i.  The references here are the
-all-tuple and all-ball versions they replace: the ``combinations``
-filters, the arc-cover loop over every ball and the samplers with a power
-column for every ball.
-Agreement must be exact: the same arrays in the same order, the same
-covered intervals and degeneracy records, the same sample counts.
+all-tuple and all-ball versions: the ``combinations`` filters, the
+arc-cover loop over every ball (``conftest.brute_cover``) with the sweep
+that complements the union of its intervals, and the samplers with a
+power column for every ball.
+Cliques and sample counts must agree exactly.  Arcs must have the same
+corner keys in the same cyclic order, extents within 1e-12, the same
+empty and full circles, and every degeneracy the cover loop records must
+be among the build's records.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from ballmorph import BallSet, build_alpha_complex, mc_boundary_integrals, nu_i_mc
-from ballmorph.complexes import TWO_PI, CornerRef, EdgeData, _circle_cliques, \
-    _cover_intervals, plane_basis
+from ballmorph.complexes import TWO_PI, _circle_cliques, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
 from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
+from conftest import brute_cover, union_measure
 
 
 def brute_cliques(circle):
@@ -31,54 +35,6 @@ def brute_cliques(circle):
                       if all(circle[a, b] for a, b in combinations(t, 2))],
                      dtype=int).reshape(-1, size)
             for size in (2, 3, 4)]
-
-
-def brute_cover(cx, i, j, data):
-    """The arc-cover loop over every ball m other than i and j."""
-    balls = cx.balls
-    pg = data.pair
-    q, rho = pg.center, pg.r
-    u, e1, e2 = pg.u_ij, data.e1, data.e2
-    out = []
-    for m in range(balls.n):
-        if m in (i, j):
-            continue
-        g = balls.centers[m] - q
-        g_u = g @ u
-        g_perp = g - g_u * u
-        b = np.linalg.norm(g_perp)
-        rm = balls.radii[m]
-        dmin = math.hypot(g_u, b - rho)
-        dmax = math.hypot(g_u, b + rho)
-        if abs(dmin - rm) < cx.tol or abs(dmax - rm) < cx.tol:
-            cx.degeneracies.append(("II", tuple(sorted((i, j, m))),
-                                    min(abs(dmin - rm), abs(dmax - rm))))
-        if dmin >= rm:
-            continue
-        if dmax <= rm:
-            return [], True
-        tg = cx.triple(i, j, m)
-        if tg is None:
-            cx.degeneracies.append(("II", tuple(sorted((i, j, m))), cx.tol))
-            continue
-        key = tuple(sorted((i, j, m)))
-        angles = {}
-        for tag, p in ((1, tg.p_plus), (-1, tg.p_minus)):
-            rel = p - q
-            angles[tag] = (math.atan2(rel @ e2, rel @ e1) % TWO_PI, p)
-        az = math.atan2(g_perp @ e2, g_perp @ e1) % TWO_PI
-        a_plus, a_minus = angles[1][0], angles[-1][0]
-        if (az - a_plus) % TWO_PI <= (a_minus - a_plus) % TWO_PI:
-            start_tag, end_tag = 1, -1
-        else:
-            start_tag, end_tag = -1, 1
-        start_ang, start_p = angles[start_tag]
-        extent = (angles[end_tag][0] - start_ang) % TWO_PI
-        end_p = angles[end_tag][1]
-        out.append((start_ang, extent, m,
-                    CornerRef(key, start_tag, m, start_p, start_ang),
-                    CornerRef(key, end_tag, m, end_p, (start_ang + extent) % TWO_PI)))
-    return out, False
 
 
 def brute_nu_count(balls, i, samples, seed):
@@ -108,17 +64,75 @@ def brute_exposed_count(balls, i, samples, seed):
     return exposed
 
 
-def cover_record(fn, cx, i, j, data):
-    """fn's covered intervals, full flag and the degeneracy records it
-    appended, with the records taken back off the complex."""
-    before = len(cx.degeneracies)
-    covered, full = fn(cx, i, j, data)
-    records = cx.degeneracies[before:]
-    del cx.degeneracies[before:]
-    flat = [(s, e, m, a.key, a.occluder, a.point.tobytes(), a.angle,
-             b.key, b.occluder, b.point.tobytes(), b.angle)
-            for s, e, m, a, b in covered]
-    return flat, full, records
+def sweep_arcs(cx, edge, covered):
+    """Exposed arcs of S_ij as the complement of the union of the covered
+    intervals, each (start key, end key, extent), with the ("II", simplex,
+    gap) records of event angles closer than tol from different balls.
+
+    Angles are swept relative to the start of the first covered interval,
+    which begins the sweep inside covered territory, so no arc wraps
+    across the base point.
+    """
+    if not covered:
+        return [(None, None, TWO_PI)], []
+    base = covered[0][0]
+    base_start_ref = covered[0][3]
+    events = []   # (relative angle, +1 cover starts / -1 cover ends, corner ref)
+    depth = 0     # covers containing the base angle
+    for start, extent, m, start_ref, end_ref in covered:
+        s_rel = (start - base) % TWO_PI
+        if s_rel == 0.0 or s_rel + extent > TWO_PI:
+            depth += 1
+        if s_rel > 0.0:
+            events.append((s_rel, 1, start_ref))
+        e_rel = (s_rel + extent) % TWO_PI
+        events.append((e_rel if e_rel != 0.0 else TWO_PI, -1, end_ref))
+    events.sort(key=lambda ev: (ev[0], ev[1]))
+    tol_ang = cx.tol / max(cx.edges[edge].pair.r, cx.tol)
+    records = [("II", tuple(sorted(set(edge) | {r1.occluder, r2.occluder})), a2 - a1)
+               for (a1, _, r1), (a2, _, r2) in zip(events, events[1:])
+               if a2 - a1 < tol_ang and r1.occluder != r2.occluder]
+    exposure_start = None     # (relative angle, corner ref)
+    arcs = []
+    for ang, delta, ref in events:
+        depth += delta
+        if delta == -1 and depth == 0:
+            exposure_start = (ang, ref)
+        elif delta == 1 and depth == 1 and exposure_start is not None:
+            arcs.append((exposure_start[1].key, ref.key, ang - exposure_start[0]))
+            exposure_start = None
+    if exposure_start is not None:
+        # Exposure runs to the base angle, where the first cover begins.
+        arcs.append((exposure_start[1].key, base_start_ref.key,
+                     TWO_PI - exposure_start[0]))
+    return arcs, records
+
+
+def check_arcs(cx, seen):
+    """The corner-built arcs of every alpha circle against the cover loop."""
+    built = {(c, s) for c, s, _ in cx.degeneracies}
+    for edge, data in sorted(cx.edges.items()):
+        covered, full, records = brute_cover(cx, *edge, data)
+        want = []
+        if not full:
+            want, sweep_records = sweep_arcs(cx, edge, covered)
+            records += sweep_records
+        assert {(c, s) for c, s, _ in records} <= built, edge
+        got = [(a.start.key if a.start else None, a.end.key if a.end else None, a.extent)
+               for a in data.arcs]
+        assert len(got) == len(want), edge
+        if want:
+            keys = [w[:2] for w in want]
+            assert got[0][:2] in keys, edge
+            shift = keys.index(got[0][:2])
+            want = want[shift:] + want[:shift]
+        for g, w in zip(got, want):
+            assert g[:2] == w[:2] and abs(g[2] - w[2]) <= 1e-12, edge
+        assert data.on_boundary == bool(want), edge
+        # No alpha circle lies in a single ball (that ball would win the
+        # whole disk), so a covered circle is covered by several.
+        seen["covered" if not got else "exposed" if got[0][0] is None else "partial"] += 1
+        seen["records"] += bool(records)
 
 
 def check_draw(balls, strict, nu_balls, seen):
@@ -132,19 +146,7 @@ def check_draw(balls, strict, nu_balls, seen):
         assert np.array_equal(cx._quads[0], want[2])
     else:
         assert cx._quads is None
-    # Every circle pair, in or out of the complex, so that covers by balls
-    # that cross neither sphere are exercised too.
-    for i, j in want[0].tolist():
-        pg = cx.pair(i, j)
-        if not pg.has_circle:
-            continue
-        e1, e2 = plane_basis(pg.u_ij)
-        data = EdgeData(pair=pg, e1=e1, e2=e2)
-        ref = cover_record(brute_cover, cx, i, j, data)
-        assert cover_record(_cover_intervals, cx, i, j, data) == ref, (i, j)
-        seen["covered"] += bool(ref[0])
-        seen["full"] += ref[1]
-        seen["records"] += bool(ref[2])
+    check_arcs(cx, seen)
     _, sigmas, _ = mc_boundary_integrals(balls, 2000, seed=3)
     for i in nu_balls:
         assert round(sigmas[i] * 2000) == brute_exposed_count(balls, i, 2000, seed=3), i
@@ -155,12 +157,15 @@ def check_draw(balls, strict, nu_balls, seen):
 
 
 def shapes():
-    """Diagrams that put a ball exactly where a locality screen decides.
+    """Diagrams that put a ball exactly where a screen or a tolerance decides.
 
     * ball 2 contains the whole circle S_01 without crossing either sphere,
       and B_0 and B_1 lie inside it, so nu_0 is 0;
     * sphere 2 is within tol/2 of the circle S_01, outside it in its plane;
-    * ball 1 is disjoint from B_0 by tol/2.
+    * ball 1 is disjoint from B_0 by tol/2;
+    * ball 2 holds the circle S_01 and its sphere passes within tol/2 of
+      it, so sphere 0 (1) comes within tol of S_12 (S_02), while the
+      corner discriminant h^2 of 012 is 6.5 times its band.
     """
     rho = math.sqrt(0.75)
     yield BallSet([[0, 0, 0], [1, 0, 0], [0.5, 0.2, 0], [3.0, 1.0, 0.5]],
@@ -173,14 +178,16 @@ def shapes():
     radii = [1.0, 0.7, 0.8]
     tol = EPS_GEO * max(radii)
     yield BallSet([[0, 0, 0], [1.7 + tol / 2, 0, 0], [0.2, 1.2, 0.1]], radii, [1, 1, 1])
+    tol = EPS_GEO
+    yield BallSet([[0, 0, 0], [1, 0, 0], [0.5, rho - 1.0 + tol / 2, 0]], [1.0, 1.0, 1.0])
 
 
 def plant(rng, balls):
-    """Move one ball to within tol/2 of a circle S_ij of the diagram, from
-    outside in the radical plane; None when the diagram has no circle."""
-    circle = np.triu(build_alpha_complex(balls, strict=False)._circle, 1)
-    pairs = np.argwhere(circle)
-    if not len(pairs):
+    """Move one ball to within tol/2 of an alpha circle S_ij of the diagram,
+    from outside in the radical plane; None when the diagram has no alpha
+    circle."""
+    pairs = sorted(build_alpha_complex(balls, strict=False).edges)
+    if not pairs:
         return None
     i, j = pairs[rng.integers(len(pairs))]
     m = int(rng.choice([k for k in range(balls.n) if k not in (i, j)]))
@@ -199,7 +206,8 @@ def plant(rng, balls):
 
 def test_local_paths_match_brute_force():
     rng = np.random.default_rng(20261018)
-    seen = {"covered": 0, "full": 0, "records": 0, "nu_zero": 0, "nu_part": 0,
+    seen = {"partial": 0, "exposed": 0, "covered": 0, "records": 0,
+            "nu_zero": 0, "nu_part": 0,
             "nu_one": 0, "strict": 0, "loose": 0, "planted": 0}
     for balls in shapes():
         check_draw(balls, False, range(balls.n), seen)
@@ -220,3 +228,12 @@ def test_local_paths_match_brute_force():
         seen["strict" if strict else "loose"] += 1
     # Both build modes ran, and every outcome the screens decide occurred.
     assert min(seen.values()) > 0, seen
+
+
+def test_union_measure_wrapping():
+    # First interval wraps past 2*pi and overlaps the second.
+    segs = [(5.8, 1.0, None), (0.2, 0.5, None)]
+    overlap = (5.8 + 1.0 - 2 * np.pi) - 0.2
+    assert union_measure(segs) == pytest.approx(1.5 - overlap, abs=1e-14)
+    segs = [(1.0, 2.0, None), (2.0, 2.0, None)]
+    assert union_measure(segs) == pytest.approx(3.0)

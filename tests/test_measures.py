@@ -5,9 +5,9 @@ import pytest
 
 from ballmorph import BallSet, build_alpha_complex, compute_measures, nu_i_mc, \
     nu_ijk, sigma_i, sigma_ij, sigma_ijk
-from ballmorph.measures import _union_measure
 from ballmorph.oracles import mc_boundary_integrals
-from conftest import make_config, octant_balls, random_rotation, two_balls
+from conftest import brute_sigma_ij, make_config, octant_balls, random_rotation, \
+    two_balls
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
@@ -100,16 +100,9 @@ def test_sigma_ij_equals_arc_extent_sum(rng):
         for e in cx.boundary_edges():
             arcs = cx.edges[e].arcs
             total = sum(a.extent for a in arcs) / (2 * np.pi)
-            assert sigma_ij(balls, cx, e) == pytest.approx(total, abs=1e-10)
-
-
-def test_union_measure_wrapping():
-    # First interval wraps past 2*pi and overlaps the second.
-    segs = [(5.8, 1.0, None), (0.2, 0.5, None)]
-    overlap = (5.8 + 1.0 - 2 * np.pi) - 0.2
-    assert _union_measure(segs) == pytest.approx(1.5 - overlap, abs=1e-14)
-    segs = [(1.0, 2.0, None), (2.0, 2.0, None)]
-    assert _union_measure(segs) == pytest.approx(3.0)
+            assert sigma_ij(balls, cx, e) == total
+            # The independent side: the union of the cover intervals.
+            assert total == pytest.approx(brute_sigma_ij(cx, e), abs=1e-10)
 
 
 def test_sigma_ijk_octant_both_corners():
