@@ -94,6 +94,7 @@ class VertexData:
     index: int
     in_alpha: bool = False
     on_boundary: bool = False
+    boundary_edges: list = field(default_factory=list)   # incident, in key order
 
 
 @dataclass
@@ -591,11 +592,14 @@ def _record_circle_tangencies(cx, edges):
 
 def _mark_boundary_vertices(cx):
     balls = cx.balls
+    for key in sorted(cx.edges):
+        if cx.edges[key].on_boundary:
+            for v in key:
+                cx.vertices[v].boundary_edges.append(key)
     for i, vd in cx.vertices.items():
         if not vd.in_alpha:
             continue
-        incident = [e for e in cx.edges if i in e and cx.edges[e].on_boundary]
-        if incident:
+        if vd.boundary_edges:
             vd.on_boundary = True
             continue
         # No exposed arcs on the sphere: it is entirely exposed or entirely

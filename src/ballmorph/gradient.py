@@ -35,25 +35,17 @@ class ArcEndpoint:
     scalar products with the ball velocities: the normal speed of the corner
     against sphere k is <vec_i, t_i> + <vec_j, t_j> + <vec_k, t_k>, and the
     angular velocity follows after division by rho * <x_k - P, tangent>.
-    ``tangent`` is oriented into the occluding ball, so the denominator
-    ``g_t`` is positive and the endpoint's start/end role is absorbed.
+    ``tangent`` is u_ij x (P - q_ij) / rho oriented into the occluding ball,
+    so the denominator ``g_t`` is positive and the endpoint's start/end role
+    is absorbed.
     """
 
-    edge: tuple
     occluder: int
-    corner_key: tuple
-    point: np.ndarray
-    depth_ratio: float        # D = xi_j / d of the ordered edge (i, j)
-    tangent: np.ndarray       # u_ij at P, oriented into ball k
+    tangent: np.ndarray       # unit circle tangent at P, oriented into ball k
     g_t: float                # <x_k - P, tangent>, positive
-    dr_dd: float              # d r_ij / d |x_i - x_j|
-    dalpha_dr: float          # corner angle change per unit circle radius
     vec_i: np.ndarray
     vec_j: np.ndarray
     vec_k: np.ndarray
-
-    def rate(self, t_i, t_j, t_k):
-        return float(self.vec_i @ t_i + self.vec_j @ t_j + self.vec_k @ t_k)
 
 
 def arc_endpoint_data(balls, cx, edge):
@@ -80,8 +72,7 @@ def arc_endpoint_data(balls, cx, edge):
             e_tan = cross3(u, e_rho)
             g_u = float(g @ u)
             g_rho = float(g @ e_rho)
-            g_tan = float(g @ e_tan)
-            g_t = s_p * g_tan
+            g_t = s_p * float(g @ e_tan)
             if g_t <= cx.tol:
                 raise DegenerateState(
                     "arc endpoint moves tangentially to its sphere",
@@ -90,50 +81,36 @@ def arc_endpoint_data(balls, cx, edge):
                 - (g_u / d) * (p - q)
             vec_i = -depth * g - common
             vec_j = -(1.0 - depth) * g + common
-            out.append(ArcEndpoint(edge=key, occluder=k, corner_key=ref.key,
-                                   point=p, depth_ratio=depth,
-                                   tangent=s_p * e_tan, g_t=g_t, dr_dd=dr_dd,
-                                   dalpha_dr=-g_rho / (rho * g_t),
+            out.append(ArcEndpoint(occluder=k, tangent=s_p * e_tan, g_t=g_t,
                                    vec_i=vec_i, vec_j=vec_j, vec_k=g))
     return out
 
 
+def _add_sigma_ij_gradient(vec, edge, rho, arcdata, coeff):
+    """Add coeff times the gradient of sigma_ij to the per-ball rows of vec.
+
+    Each endpoint moves the arc extent by its angular velocity, +-1 for an
+    end or a start, which ``g_t`` already carries.
+    """
+    i, j = edge
+    for ep in arcdata:
+        kappa = coeff / (TWO_PI * rho * ep.g_t)
+        vec[i] += kappa * ep.vec_i
+        vec[j] += kappa * ep.vec_j
+        vec[ep.occluder] += kappa * ep.vec_k
+
+
 def sigma_ij_prime(balls, cx, arcdata, edge, t):
-    """Directional derivative of the arc fraction sigma_ij along momentum t."""
+    """Directional derivative of the arc fraction sigma_ij along momentum t:
+    the arc-fraction accumulation of term_e with coefficient one."""
     key = tuple(sorted(edge))
     data = cx.edges.get(key)
     if data is None or not data.on_boundary:
         return 0.0
     t = as_momentum(t, balls.n)
-    i, j = key
-    rho = data.pair.r
-    total = 0.0
-    for ep in arcdata:
-        total += ep.rate(t[i], t[j], t[ep.occluder]) / (TWO_PI * rho * ep.g_t)
-    return total
-
-
-def _cap_endpoint_terms(i, data):
-    """Tilt contributions of the arc endpoints on one bounding circle.
-
-    Yields (s_p * tangent) for every corner of the circle's exposed arcs,
-    where the tangent runs counterclockwise around the cap axis (from x_i
-    toward the partner ball) and s_p marks arc ends (+1) versus starts (-1)
-    in that orientation.  Tilting the cap axis by da shifts the exposed
-    angular extent by sum of s_p <da, tangent>, which is the corner part of
-    the area transport on sphere i.
-    """
-    pg = data.pair
-    own_is_i = (i == pg.i)
-    axis = -pg.u_ij if own_is_i else pg.u_ij
-    for arc in data.arcs:
-        if arc.full_circle:
-            continue
-        for ref, s_ccw_u in ((arc.start, -1.0), (arc.end, 1.0)):
-            s_p = -s_ccw_u if own_is_i else s_ccw_u
-            tangent = cross3(axis, ref.point - pg.center)
-            tangent /= np.linalg.norm(tangent)
-            yield s_p * tangent
+    vec = np.zeros((balls.n, 3))
+    _add_sigma_ij_gradient(vec, key, data.pair.r, arcdata, 1.0)
+    return float(np.sum(vec * t))
 
 
 def sigma_i_prime(balls, cx, measures, i, t):
@@ -148,9 +125,11 @@ def sigma_i_prime(balls, cx, measures, i, t):
 def term_d(balls, cx, measures):
     """Patch term: 4*pi sum of w_i sigma_i'.
 
-    Each bounding circle of sphere a contributes the normal advance of its
-    cap (depth change) plus the swing of its exposed arcs as the cap axis
-    tilts; the latter is accumulated per arc endpoint.
+    Each bounding circle S_ij contributes the normal advance of both caps
+    (depth change) plus the swing of its exposed arcs as the cap axes tilt.
+    Both spheres see the same arc endpoints, so the swing is
+    (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i>, with T the sum of the
+    endpoint tangents of arc_endpoint_data.
     """
     n = balls.n
     vec = np.zeros((n, 3))
@@ -166,28 +145,25 @@ def term_d(balls, cx, measures):
                 1.0 - (r_a ** 2 - balls.radii[b] ** 2) / pg.d ** 2)
             vec[a] += c1 * uab
             vec[b] -= c1 * uab
-            c2 = w[a] * pg.r / (r_a * pg.d)
-            for tang in _cap_endpoint_terms(a, data):
-                vec[a] -= c2 * tang
-                vec[b] += c2 * tang
+        arcdata = arc_endpoint_data(balls, cx, (i, j))
+        if arcdata:
+            swing = (w[i] / balls.radii[i] - w[j] / balls.radii[j]) * pg.r / pg.d \
+                * sum(ep.tangent for ep in arcdata)
+            vec[i] -= swing
+            vec[j] += swing
     return vec
 
 
 def term_e(balls, cx):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'."""
-    n = balls.n
-    vec = np.zeros((n, 3))
+    vec = np.zeros((balls.n, 3))
     w = balls.weights
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
             continue
-        lam = data.pair.lam
-        rho = data.pair.r
-        for ep in arc_endpoint_data(balls, cx, (i, j)):
-            kappa = -(w[i] + w[j]) * lam / (2.0 * rho * ep.g_t)
-            vec[i] += kappa * ep.vec_i
-            vec[j] += kappa * ep.vec_j
-            vec[ep.occluder] += kappa * ep.vec_k
+        pg = data.pair
+        _add_sigma_ij_gradient(vec, (i, j), pg.r, arc_endpoint_data(balls, cx, (i, j)),
+                               -math.pi * (w[i] + w[j]) * pg.lam)
     return vec
 
 

@@ -78,9 +78,8 @@ def _sphere_segments(balls, cx, s):
     segments = []
     lone = []
     # Key order fixes the summation order of the lone caps in sigma_i.
-    for key, data in sorted(cx.edges.items()):
-        if s not in key or not data.on_boundary:
-            continue
+    for key in cx.vertices[s].boundary_edges:
+        data = cx.edges[key]
         pg = data.pair
         t = key[0] if key[1] == s else key[1]
         if s == pg.i:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoIntersection, NonRealizableTriangle
-from .geometry import cross3
 
 
 def product_of_sines(a, b, c):
@@ -58,7 +57,9 @@ def darea_da(a, b, c):
     u = product_of_sines(a, b, c)
     if u <= 0.0:
         raise NonRealizableTriangle(f"product of sines is {u:.3e}")
-    return (-a + b + c - 1.0) / (a * math.sqrt(u))
+    # b + c first: for an isosceles darea_da(x, r, r) that is 2r exactly,
+    # which keeps the rounding small next to a corner-sign flip.
+    return (b + c - a - 1.0) / (a * math.sqrt(u))
 
 
 def cap_half_radius(a, b, c):
@@ -101,7 +102,11 @@ def corner_signs(a, b, c):
 
 
 def _iso_area(x, r):
-    """Area of the isosceles triangle with base parameter x and legs r."""
+    """Area of the isosceles triangle with base parameter x and legs r.
+
+    Zero where the triangle flattens (the circumcenter on side x, where its
+    corner sign flips); triangle_area raises there instead.
+    """
     u = _radicand(x, r, r)
     if u <= 0.0:
         return 0.0
@@ -125,27 +130,19 @@ def dangle_ddist(r_i, r_j, d):
 class CornerGeometry:
     """Normal spherical triangle of a corner and its quadrangle split.
 
-    Quadrangle areas satisfy quad_i + quad_j + quad_k = area, and the
-    fractions alpha sum to one.  ``z`` and the side midpoints are unit
-    vectors on the normal sphere; they are populated only when the corner
-    was built from explicit normals.
+    ``a``, ``b``, ``c`` are the squared half-side cosines of sides ij, jk
+    and ki.  Quadrangle areas satisfy quad_i + quad_j + quad_k = area, and
+    the fractions alpha sum to one.
     """
 
     a: float
     b: float
     c: float
-    phi_ij: float
-    phi_jk: float
-    phi_ki: float
     area: float
     cap_r: float                      # cos^2(R/2) of the circumcap
-    cap_radius: float                 # R itself, in (0, pi/2)
     signs: tuple                      # (sgm_i, sgm_j, sgm_k)
     quads: tuple                      # (quad_i, quad_j, quad_k)
     alphas: tuple                     # area fractions, sum to 1
-    z: np.ndarray = None              # circumcenter on the unit sphere
-    midpoints: tuple = None           # arc midpoints (m_i, m_j, m_k) of sides (jk, ki, ij)
-    normals: tuple = None             # (n_i, n_j, n_k)
 
 
 def quadrangle_areas(a, b, c):
@@ -153,8 +150,12 @@ def quadrangle_areas(a, b, c):
 
     Returns (quad_i, quad_j, quad_k); their sum equals triangle_area(a,b,c).
     """
-    r = cap_half_radius(a, b, c)
-    sgm_i, sgm_j, sgm_k = corner_signs(a, b, c)
+    return _split(a, b, c, cap_half_radius(a, b, c), corner_signs(a, b, c))
+
+
+def _split(a, b, c, r, signs):
+    """quadrangle_areas for a given circumcap parameter r and corner signs."""
+    sgm_i, sgm_j, sgm_k = signs
     iso_a = _iso_area(a, r)   # over side ij, apex at the circumcenter
     iso_b = _iso_area(b, r)   # over side jk
     iso_c = _iso_area(c, r)   # over side ki
@@ -164,82 +165,21 @@ def quadrangle_areas(a, b, c):
     return quad_i, quad_j, quad_k
 
 
-def corner_geometry(cos_ij, cos_jk, cos_ki, normals=None):
-    """Build the corner split from the three normal-angle cosines.
-
-    ``normals``, when given, should be the unit normals (n_i, n_j, n_k) at
-    one of the two intersection points; they supply the circumcenter and
-    midpoints for cross-checks but do not affect areas.
-    """
+def corner_geometry(cos_ij, cos_jk, cos_ki):
+    """Build the corner split from the three normal-angle cosines."""
     a = 0.5 * (1.0 + cos_ij)
     b = 0.5 * (1.0 + cos_jk)
     c = 0.5 * (1.0 + cos_ki)
     area = triangle_area(a, b, c)
     r = cap_half_radius(a, b, c)
     signs = corner_signs(a, b, c)
-    quads = quadrangle_areas(a, b, c)
+    quads = _split(a, b, c, r, signs)
     # Normalizing by the quadrangle sum (equal to the area up to rounding)
     # keeps the fractions summing to one exactly.
     total = quads[0] + quads[1] + quads[2]
     alphas = tuple(q / total for q in quads)
-    z = None
-    midpoints = None
-    if normals is not None:
-        n_i, n_j, n_k = (np.asarray(v, dtype=float) for v in normals)
-        z = _circumcenter(n_i, n_j, n_k)
-        midpoints = (_arc_midpoint(n_j, n_k), _arc_midpoint(n_k, n_i),
-                     _arc_midpoint(n_i, n_j))
-        normals = (n_i, n_j, n_k)
-    return CornerGeometry(a=a, b=b, c=c,
-                          phi_ij=math.acos(max(-1.0, min(1.0, cos_ij))),
-                          phi_jk=math.acos(max(-1.0, min(1.0, cos_jk))),
-                          phi_ki=math.acos(max(-1.0, min(1.0, cos_ki))),
-                          area=area, cap_r=r,
-                          cap_radius=2.0 * math.acos(min(1.0, math.sqrt(r))),
-                          signs=signs, quads=quads, alphas=alphas,
-                          z=z, midpoints=midpoints, normals=normals)
-
-
-def corner_from_normals(n_i, n_j, n_k):
-    """Corner split computed directly from three unit normals."""
-    n_i = np.asarray(n_i, dtype=float)
-    n_j = np.asarray(n_j, dtype=float)
-    n_k = np.asarray(n_k, dtype=float)
-    return corner_geometry(float(n_i @ n_j), float(n_j @ n_k), float(n_k @ n_i),
-                           normals=(n_i, n_j, n_k))
-
-
-def _circumcenter(n_i, n_j, n_k):
-    """Unit vector equidistant from the three normals, on the cap side R < pi/2."""
-    # Equal dot products with all three normals means z is orthogonal to
-    # both difference vectors.
-    nrm = cross3(n_j - n_i, n_k - n_i)
-    nn = np.linalg.norm(nrm)
-    if nn == 0.0:
-        raise NonRealizableTriangle("normals are coplanar with the origin")
-    z = nrm / nn
-    # Orient toward the triangle: equal dot products are positive for R < pi/2.
-    if z @ (n_i + n_j + n_k) < 0:
-        z = -z
-    return z
-
-
-def _arc_midpoint(p, q):
-    m = p + q
-    nn = np.linalg.norm(m)
-    if nn == 0.0:
-        raise NonRealizableTriangle("antipodal side endpoints")
-    return m / nn
-
-
-def _iso_derivatives(x, r):
-    """d(iso area)/dx and d(iso area)/dr for base parameter x and legs r."""
-    u = product_of_sines(x, r, r)
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"degenerate cone triangle (u={u:.3e})")
-    d_dx = (-x + 2.0 * r - 1.0) / (x * math.sqrt(u))
-    d_dr = 2.0 * (x - 1.0) / (r * math.sqrt(u))
-    return d_dx, d_dr
+    return CornerGeometry(a=a, b=b, c=c, area=area, cap_r=r, signs=signs,
+                          quads=quads, alphas=alphas)
 
 
 def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
@@ -271,9 +211,11 @@ def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
     db_dd = edge_factor(pair_jk) / pair_jk.r
     dc_dd = edge_factor(pair_ki) / pair_ki.r
 
-    dA_dx, dA_dr = _iso_derivatives(a, r)
-    dB_dx, dB_dr = _iso_derivatives(b, r)
-    dC_dx, dC_dr = _iso_derivatives(c, r)
+    # The isosceles area over side x with legs r is triangle_area(x, r, r),
+    # symmetric in its last two arguments.
+    dA_dx, dA_dr = darea_da(a, r, r), 2.0 * darea_da(r, a, r)
+    dB_dx, dB_dr = darea_da(b, r, r), 2.0 * darea_da(r, b, r)
+    dC_dx, dC_dr = darea_da(c, r, r), 2.0 * darea_da(r, c, r)
 
     # Derivatives of the three isosceles areas with respect to the three
     # center distances; the base side depends on its own distance both

@@ -20,7 +20,8 @@ from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
 from ballmorph.serial import serialize_diagram
 from ballmorph.sphtri import cap_half_radius, corner_geometry, dangle_ddist, \
-    darea_da, dcap_da, product_of_sines, quad_area_gradient, triangle_area
+    darea_da, dcap_da, product_of_sines, quad_area_gradient, quadrangle_areas, \
+    triangle_area
 from conftest import brute_sigma_ij, make_config, random_triangle_params, rigid_generators, \
     two_balls
 
@@ -204,7 +205,6 @@ def test_acceptance_5_sub_derivatives():
         radii = rng.uniform(0.8, 1.2, size=3)
         balls = BallSet(centers, radii)
         try:
-            pg01 = build_alpha_complex(balls).pair(0, 1)
             cx3 = build_alpha_complex(balls)
         except DegenerateState:
             continue
@@ -233,7 +233,6 @@ def test_acceptance_5_sub_derivatives():
                 dd = np.linalg.norm(cc[x] - cc[y])
                 vals.append((radii[x] ** 2 + radii[y] ** 2 - dd * dd)
                             / (2 * radii[x] * radii[y]))
-            from ballmorph.sphtri import quadrangle_areas
             aa, bb, ccc = (0.5 * (1 + v) for v in vals)
             return np.array(quadrangle_areas(aa, bb, ccc))
 

@@ -9,7 +9,12 @@ arcs came to be built from exposed corners and sigma_ij became the sum of
 arc extents: arc order and that sum moved last bits, by at most 3.1e-15
 relative in any gradient entry and 9.1e-16 in V, A, M and K, and the
 fdcheck gap, a difference of two rounding-level values, in its 7th digit
-(1.4e-6 relative).  ``data/p20.txt`` is an n=20 diagram
+(1.4e-6 relative).  ``g20_grad.*`` and ``g08_fdcheck.out`` were
+regenerated once more when the patch term came to sum the arc-endpoint
+tangents of gradient.arc_endpoint_data and the quadrangle derivatives
+came to use darea_da: only gradient entries moved, by at most 3.5e-15 of
+max|G|, and the fdcheck gap in its 6th digit (5.6e-6 relative).
+``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.
 The golden tests in test_golden.py compare floats to rel 1e-12; these

@@ -1,5 +1,6 @@
 """Static checks of the library source: numpy is the only declared
-dependency, and downstream modules read geometry from the alpha complex."""
+dependency, downstream modules read geometry from the alpha complex, and
+only gradient.arc_endpoint_data walks the exposed arcs."""
 
 import ast
 import os
@@ -47,6 +48,20 @@ def test_downstream_modules_read_complex_records():
             elif isinstance(func, ast.Attribute) and func.attr in REBUILDERS:
                 calls.append((name, node.lineno, func.attr))
     assert calls == []
+
+
+def test_gradient_walks_arcs_only_in_arc_endpoint_data():
+    # arc_endpoint_data is the one kernel that turns exposed arcs into
+    # endpoint records; every gradient term reads those records.
+    tree = ast.parse((Path(ballmorph.__file__).parent / "gradient.py")
+                     .read_text(encoding="utf-8"))
+    walkers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and isinstance(node.iter, ast.Attribute) and node.iter.attr == "arcs"):
+                walkers.append(getattr(top, "name", "<module>"))
+    assert walkers == ["arc_endpoint_data"]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

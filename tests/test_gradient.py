@@ -250,6 +250,28 @@ def test_term_h_octant_fd(rng):
     assert s == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+def test_gradient_parts_match_fd_of_breakdown(rng):
+    """Each part of G against central differences of its own part of K: d
+    of the patch sum, e + f of the arc sum and h of the corner sum, on
+    weighted configurations with partial arcs."""
+    def parts(bs):
+        c2 = build_alpha_complex(bs)
+        return np.array(weighted_gauss(bs, c2, compute_measures(bs, c2))[1])
+
+    checked = 0
+    while checked < 12:
+        balls, cx = make_config(rng, int(rng.integers(4, 10)), margin=1e-2)
+        if all(arc.full_circle for e in cx.boundary_edges() for arc in cx.edges[e].arcs):
+            continue
+        g = gauss_gradient(balls, cx, compute_measures(balls, cx))
+        t = rng.normal(size=(balls.n, 3))
+        t /= np.linalg.norm(t)
+        fd = fd_directional(parts, balls, t, FDConfig(step=1e-5))
+        for an, f in zip((along(g.d, t), along(g.e + g.f, t), along(g.h, t)), fd):
+            assert abs(an - f) <= 1e-5 * max(1.0, abs(f))
+        checked += 1
+
+
 def test_gauss_gradient_null_cases(rng):
     single = BallSet([[0, 0, 0]], [1.0], [3.7])
     cx = build_alpha_complex(single)

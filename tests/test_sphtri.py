@@ -5,7 +5,7 @@ import pytest
 
 from ballmorph import pair_geometry
 from ballmorph.geometry import Ball
-from ballmorph.sphtri import cap_half_radius, corner_from_normals, corner_geometry, \
+from ballmorph.sphtri import cap_half_radius, corner_geometry, \
     corner_signs, dangle_ddist, darea_da, dcap_da, product_of_sines, \
     quad_area_gradient, quadrangle_areas, triangle_area
 from ballmorph.errors import NonRealizableTriangle
@@ -23,6 +23,24 @@ def lhuilier_area(phi_ij, phi_jk, phi_ki):
     t = math.sqrt(max(0.0, math.tan(s / 2) * math.tan((s - phi_ij) / 2)
                       * math.tan((s - phi_jk) / 2) * math.tan((s - phi_ki) / 2)))
     return 4.0 * math.atan(t)
+
+
+def corner_from_normals(v):
+    """Corner split of the spherical triangle with unit vertices v[0..2]."""
+    return corner_geometry(float(v[0] @ v[1]), float(v[1] @ v[2]), float(v[2] @ v[0]))
+
+
+def circumcenter(v):
+    """Unit vector equidistant from the three vertices, on the cap side R < pi/2."""
+    # Equal dot products with all three vertices: z is orthogonal to both
+    # difference vectors, and the dot products are positive for R < pi/2.
+    z = np.cross(v[1] - v[0], v[2] - v[0])
+    z /= np.linalg.norm(z)
+    return -z if z @ (v[0] + v[1] + v[2]) < 0 else z
+
+
+def arc_midpoint(p, q):
+    return (p + q) / np.linalg.norm(p + q)
 
 
 def test_product_of_sines_octant():
@@ -99,12 +117,13 @@ def test_cap_half_radius_shrink_limit():
 def test_cap_half_radius_matches_circumcenter_construction(rng):
     for _ in range(100):
         a, b, c, v = random_triangle_params(rng)
-        geo = corner_from_normals(v[0], v[1], v[2])
-        cos_r = float(geo.z @ v[0])
+        geo = corner_from_normals(v)
+        z = circumcenter(v)
+        cos_r = float(z @ v[0])
         assert 2 * geo.cap_r - 1 == pytest.approx(cos_r, abs=1e-10)
         # Equal angular distance to all three vertices.
-        assert float(geo.z @ v[1]) == pytest.approx(cos_r, abs=1e-12)
-        assert float(geo.z @ v[2]) == pytest.approx(cos_r, abs=1e-12)
+        assert float(z @ v[1]) == pytest.approx(cos_r, abs=1e-12)
+        assert float(z @ v[2]) == pytest.approx(cos_r, abs=1e-12)
 
 
 def test_corner_signs_octant_all_positive():
@@ -122,8 +141,8 @@ def test_corner_signs_obtuse_matches_side_test(rng):
     saw_negative = 0
     for _ in range(300):
         a, b, c, v = random_triangle_params(rng)
-        geo = corner_from_normals(v[0], v[1], v[2])
-        signs = geo.signs
+        signs = corner_from_normals(v).signs
+        z = circumcenter(v)
         # Side of the great circle through the two opposite vertices: the
         # circumcenter and the vertex agree in the sign of the triple product.
         for m, (p, q, r) in enumerate(((v[0], v[1], v[2]),
@@ -131,7 +150,7 @@ def test_corner_signs_obtuse_matches_side_test(rng):
                                        (v[2], v[0], v[1]))):
             plane = np.cross(q, r)
             side_vertex = float(plane @ p)
-            side_center = float(plane @ geo.z)
+            side_center = float(plane @ z)
             expected = 1 if side_vertex * side_center >= 0 else -1
             assert signs[m] == expected
             if expected == -1:
@@ -164,14 +183,16 @@ def test_quadrangle_partition_and_polygon_oracle(rng):
     checked_polygon = 0
     for _ in range(200):
         a, b, c, v = random_triangle_params(rng)
-        geo = corner_from_normals(v[0], v[1], v[2])
+        geo = corner_from_normals(v)
         assert sum(geo.quads) == pytest.approx(geo.area, abs=1e-10)
         assert sum(geo.alphas) == pytest.approx(1.0, abs=1e-12)
         if geo.signs == (1, 1, 1):
-            # Quadrangle (n_i, m_k, z, m_j): triangulate and use Girard.
-            m_i, m_j, m_k = geo.midpoints
-            area = (spherical_triangle_excess(v[0], m_k, geo.z)
-                    + spherical_triangle_excess(v[0], geo.z, m_j))
+            # Quadrangle (n_i, m_k, z, m_j), with m_k and m_j the midpoints
+            # of sides ij and ki: triangulate and use Girard.
+            z = circumcenter(v)
+            m_k, m_j = arc_midpoint(v[0], v[1]), arc_midpoint(v[2], v[0])
+            area = (spherical_triangle_excess(v[0], m_k, z)
+                    + spherical_triangle_excess(v[0], z, m_j))
             assert geo.quads[0] == pytest.approx(area, abs=1e-10)
             checked_polygon += 1
     assert checked_polygon > 50
