@@ -3,8 +3,8 @@ the weighted Gaussian curvature, with finite-difference, Monte Carlo and
 Gauss-Bonnet verification oracles."""
 
 from .geometry import Ball, BallSet, PairGeometry, TripleGeometry, lambda_pair, \
-    pair_geometry, power_distance, triple_geometry
-from .complexes import AlphaComplex, boundary_arcs, build_alpha_complex, euler
+    pair_geometry
+from .complexes import AlphaComplex, build_alpha_complex, euler
 from .measures import FractionalMeasures, compute_measures, nu_ijk, sigma_i, \
     sigma_ij, sigma_ijk
 from .intrinsic import IntrinsicVolumes, intrinsic_volumes, weighted_area, \
@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "BallSet", "PairGeometry", "TripleGeometry", "pair_geometry",
-    "power_distance", "triple_geometry", "AlphaComplex", "boundary_arcs",
-    "build_alpha_complex", "euler", "FractionalMeasures", "compute_measures",
+    "AlphaComplex", "build_alpha_complex", "euler", "FractionalMeasures", "compute_measures",
     "nu_i_mc", "nu_ijk", "sigma_i", "sigma_ij", "sigma_ijk",
     "IntrinsicVolumes", "intrinsic_volumes", "weighted_area",
     "weighted_gauss", "weighted_mean", "weighted_volume", "GaussGradient",

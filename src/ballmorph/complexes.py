@@ -25,6 +25,11 @@ cliques rather than all index tuples; the batched power kernel
 ``_powers`` still takes a column for every ball, because
 diagnostics.general_position_check reads their all-ball records.
 
+The pair records come from one batched pass per build
+(geometry.pair_table over the candidate pairs), and ``cx.pair`` hands out
+a row of that table.  The triple records of the alpha triangles are made
+from the rows of the triangle test's own batched solve.
+
 The exposed arcs of a circle S_ij end at exposed corners, and every
 exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
 arcs come from the corners the triangle test has already classified,
@@ -38,20 +43,22 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CoincidentCenters, DegenerateState
-from .geometry import EPS_GEO, TripleGeometry, cross3, pair_geometry, triple_points
+from .geometry import EPS_GEO, TripleGeometry, cross_rows, pair_table, row_dots, \
+    row_norms, triple_points
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
 
 
 def plane_basis(u):
-    """Orthonormal (e1, e2) spanning the plane normal to u, with e1 x e2 = u."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = cross3(a, u)
-    e1 /= np.linalg.norm(e1)
-    e2 = cross3(u, e1)
-    return e1, e2
+    """Orthonormal (e1, e2) spanning the plane normal to the unit vector u,
+    with e1 x e2 = u; row by row when u is a (k, 3) array."""
+    rows = np.atleast_2d(u)
+    a = (np.arange(3) == np.argmin(np.abs(rows), axis=1)[:, None]).astype(float)
+    e1 = cross_rows(a, rows)
+    e1 /= row_norms(e1)[:, None]
+    e2 = cross_rows(rows, e1)
+    return (e1, e2) if u.ndim == 2 else (e1[0], e2[0])
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,9 @@ class AlphaComplex:
         self.degeneracies = []
         self.condition2_margin = _INF   # cheapest distance-to-tangency seen
         self._pairs = {}
+        self._pair_table = None   # PairTable of the candidate pairs
+        self._pair_rows = {}      # candidate pair -> its row in _pair_table
+        self._pair_basis = None   # plane_basis of each row of _pair_table
         self._triples = {}
         self._triple_raw = {}     # key -> (center, axis, h_sq), None if collinear
         self._quads = None        # candidate-quad reductions of _build_tetrahedra
@@ -160,8 +170,9 @@ class AlphaComplex:
         key = (i, j) if i < j else (j, i)
         pg = self._pairs.get(key)
         if pg is None:
-            pg = pair_geometry(self.balls.ball(key[0]), self.balls.ball(key[1]),
-                               key[0], key[1], self.eps)
+            # Every pair the complex is asked for is a face of a candidate
+            # simplex, so a circle-graph pair with a row in the table.
+            pg = self._pair_table.record(self._pair_rows[key], *key)
             self._pairs[key] = pg
         return pg
 
@@ -213,9 +224,9 @@ def build_alpha_complex(balls, eps=EPS_GEO, strict=True):
     strict=False to obtain the report instead.
     """
     cx = AlphaComplex(balls, eps)
-    _check_pair_degeneracies(cx)
+    dist_sq = _check_pair_degeneracies(cx)
     pairs, triples, quads = _circle_cliques(cx._circle)
-    _build_vertices(cx)
+    _build_vertices(cx, dist_sq)
     _build_edges(cx, pairs)
     _build_triangles(cx, triples)
     _build_tetrahedra(cx, quads)
@@ -236,15 +247,6 @@ def euler(cx):
     t = sum(1 for d in cx.tetrahedra.values() if d.in_alpha)
     chi = v - e + f - t
     return EulerData(chi_alpha=chi, chi_surface=2 * chi)
-
-
-def boundary_arcs(cx, edge):
-    """Exposed arcs of the circle S_ij, empty when fully occluded."""
-    key = tuple(sorted(edge))
-    data = cx.edges.get(key)
-    if data is None:
-        return []
-    return list(data.arcs)
 
 
 # -- construction helpers ------------------------------------------------
@@ -275,11 +277,13 @@ def _circle_cliques(circle):
 
 
 def _check_pair_degeneracies(cx):
-    """Pairwise distances, tangency residuals and the circle-pair mask."""
+    """Tangency residuals and the circle-pair mask; returns the squared
+    centre distances."""
     balls = cx.balls
     n = balls.n
     diff = balls.centers[:, None, :] - balls.centers[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+    dist = np.sqrt(dist_sq)
     r_sum = balls.radii[:, None] + balls.radii[None, :]
     r_dif = np.abs(balls.radii[:, None] - balls.radii[None, :])
     gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
@@ -295,32 +299,46 @@ def _check_pair_degeneracies(cx):
         cx.degeneracies.append(("II", (int(i), int(j)), float(gap[i, j])))
     cx._pair_gap = gap
     cx._circle = (r_dif < dist) & (dist < r_sum)
+    return dist_sq
 
 
-def _build_vertices(cx):
-    """Vertex i is in the complex when x_i lies in V_i; closure adds the rest."""
-    balls = cx.balls
-    for i in range(balls.n):
-        pows = _powers(balls.centers[i], balls)
-        cx.vertices[i] = VertexData(i, in_alpha=bool(pows[i] <= pows.min() + cx.tol ** 2))
+def _build_vertices(cx, dist_sq):
+    """Vertex i is in the complex when x_i lies in V_i; closure adds the rest.
+
+    Row i of ``dist_sq`` minus the squared radii is the power of x_i to
+    every ball."""
+    pows = dist_sq - cx.balls.radii ** 2
+    in_alpha = np.diagonal(pows) <= pows.min(axis=1) + cx.tol ** 2
+    for i, flag in enumerate(in_alpha.tolist()):
+        cx.vertices[i] = VertexData(i, in_alpha=flag)
 
 
 def _build_edges(cx, pairs):
-    """Edge ij is in the complex when the circle centre q_ij lies in V_ij;
-    closure adds the rest."""
-    balls = cx.balls
-    cand = pairs.tolist()
-    if not cand:
+    """The pair table of the candidate pairs; edge ij is in the complex when
+    the circle centre q_ij lies in V_ij, and closure adds the rest."""
+    if not len(pairs):
         return
-    pgs = [cx.pair(i, j) for i, j in cand]
-    pows = _powers(np.stack([pg.center for pg in pgs]), balls)
-    for (i, j), pg, row in zip(cand, pgs, pows):
-        if not pg.has_circle:
-            continue
-        others = np.delete(row, [i, j])
-        if others.size == 0 or row[i] <= others.min() + cx.tol ** 2:
-            e1, e2 = plane_basis(pg.u_ij)
-            cx.edges[(i, j)] = EdgeData(pair=pg, e1=e1, e2=e2, in_alpha=True)
+    balls = cx.balls
+    table = pair_table(balls.centers, balls.radii, pairs, cx.eps)
+    keys = [tuple(p) for p in pairs.tolist()]
+    cx._pair_table = table
+    cx._pair_rows = {key: k for k, key in enumerate(keys)}
+    pows = _powers(table.center, balls)
+    rows = np.arange(len(keys))
+    own = pows[rows, pairs[:, 0]]
+    pows[rows, pairs[:, 0]] = _INF
+    pows[rows, pairs[:, 1]] = _INF
+    accept = table.has_circle & (own <= pows.min(axis=1) + cx.tol ** 2)
+    cx._pair_basis = plane_basis(table.u_ij)
+    for k in np.nonzero(accept)[0].tolist():
+        cx.edges[keys[k]] = _alpha_edge(cx, keys[k])
+
+
+def _alpha_edge(cx, key):
+    """EdgeData of the alpha edge ``key``, from its row of the pair table."""
+    e1, e2 = cx._pair_basis
+    k = cx._pair_rows[key]
+    return EdgeData(pair=cx.pair(*key), e1=e1[k], e2=e2[k], in_alpha=True)
 
 
 def _build_triangles(cx, idx):
@@ -329,13 +347,13 @@ def _build_triangles(cx, idx):
         return
     collinear, center, axis, h_sq = triple_points(balls.centers, balls.radii, idx,
                                                   cx.tol ** 2)
-    for t in idx[collinear]:
-        _note_collinear_triple(cx, tuple(int(v) for v in t))
+    for t in idx[collinear].tolist():
+        _note_collinear_triple(cx, tuple(t))
     idx = idx[~collinear]
     if idx.size == 0:
         return
-    for row, c, ax, h2 in zip(idx, center, axis, h_sq):
-        cx._triple_raw[tuple(int(v) for v in row)] = (c, ax, float(h2))
+    for key, c, ax, h2 in zip(map(tuple, idx.tolist()), center, axis, h_sq.tolist()):
+        cx._triple_raw[key] = (c, ax, h2)
     # The discriminant h^2 is the smooth residual of the corner pair
     # degenerating; the tolerance band is eps * scale^2.
     band = cx.tol * balls.scale
@@ -359,16 +377,18 @@ def _build_triangles(cx, idx):
     p_minus = center - half[:, None] * axis
     exp_plus = _points_exposed(cx, idx, p_plus)
     exp_minus = _points_exposed(cx, idx, p_minus)
-    for m in range(idx.shape[0]):
-        if not in_alpha[m]:
-            continue
-        key = tuple(int(v) for v in idx[m])
-        tg = cx.triple(*key)
-        data = TriangleData(triple=tg, in_alpha=True, nu=float(nu[m]),
-                            exposed_plus=bool(exp_plus[m]),
-                            exposed_minus=bool(exp_minus[m]))
-        data.on_boundary = data.exposed_plus or data.exposed_minus
-        cx.triangles[key] = data
+    # The records cx.triple would build from _triple_raw, from the rows at
+    # hand: the same elementwise arithmetic, so the same bits.
+    keys, half, nu = idx.tolist(), half.tolist(), nu.tolist()
+    exp_plus, exp_minus = exp_plus.tolist(), exp_minus.tolist()
+    for m in np.nonzero(in_alpha)[0].tolist():
+        key = tuple(keys[m])
+        tg = TripleGeometry(*key, center=center[m], half_length=half[m], axis=axis[m],
+                            p_plus=p_plus[m], p_minus=p_minus[m])
+        cx._triples[key] = tg
+        cx.triangles[key] = TriangleData(
+            triple=tg, in_alpha=True, on_boundary=exp_plus[m] or exp_minus[m], nu=nu[m],
+            exposed_plus=exp_plus[m], exposed_minus=exp_minus[m])
 
 
 def _note_collinear_triple(cx, tri):
@@ -497,9 +517,7 @@ def _close_faces(cx):
     for tri in cx.triangles:
         for e in combinations(tri, 2):
             if e not in cx.edges:
-                pg = cx.pair(*e)
-                e1, e2 = plane_basis(pg.u_ij)
-                cx.edges[e] = EdgeData(pair=pg, e1=e1, e2=e2, in_alpha=True)
+                cx.edges[e] = _alpha_edge(cx, e)
             else:
                 cx.edges[e].in_alpha = True
     for e in cx.edges:
@@ -521,6 +539,8 @@ def _build_arcs(cx):
     """
     balls = cx.balls
     edges = sorted(e for e, data in cx.edges.items() if data.in_alpha)
+    if not edges:
+        return
     _record_circle_tangencies(cx, edges)
     corners = {}
     for key, tdata in cx.triangles.items():
@@ -530,32 +550,51 @@ def _build_arcs(cx):
         for tag, exposed, p in ((1, tdata.exposed_plus, tg.p_plus),
                                 (-1, tdata.exposed_minus, tg.p_minus)):
             if exposed:
-                for m in key:
-                    edge = tuple(v for v in key if v != m)
+                i, j, k = key
+                for m, edge in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
                     corners.setdefault(edge, []).append((key, tag, m, p))
+    # The angle of every corner and whether it ends an arc, in one batched
+    # pass; the test point of every circle without corners, in another.
+    table = cx._pair_table
+    e1, e2 = cx._pair_basis
+    flat = [(edge, c) for edge in edges for c in corners.get(edge, ())]
+    angles, ends = [], []
+    if flat:
+        at = [cx._pair_rows[edge] for edge, _ in flat]
+        pts = np.stack([c[3] for _, c in flat])
+        rel = pts - table.center[at]
+        x, y = row_dots(rel, e1[at]), row_dots(rel, e2[at])
+        angles = [math.atan2(b, a) % TWO_PI for a, b in zip(x.tolist(), y.tolist())]
+        turn = row_dots(balls.centers[[c[2] for _, c in flat]] - pts,
+                        cross_rows(table.u_ij[at], rel))
+        ends = (turn > 0.0).tolist()
+    bare = [edge for edge in edges if edge not in corners]
+    if bare:
+        at = [cx._pair_rows[edge] for edge in bare]
+        pows = _powers(table.center[at] + table.r[at][:, None] * e1[at], balls)
+        rows = np.arange(len(bare))
+        for col in range(2):
+            pows[rows, [edge[col] for edge in bare]] = _INF
+        whole = dict(zip(bare, (pows.min(axis=1) >= 0.0).tolist()))
+    start = 0
     for edge in edges:
         data = cx.edges[edge]
-        pg = data.pair
-        q = pg.center
         found = corners.get(edge)
         if not found:
-            pows = _powers(q + pg.r * data.e1, balls)
-            pows[list(edge)] = _INF
-            data.arcs = [Arc(edge=edge, extent=TWO_PI)] if pows.min() >= 0.0 else []
+            data.arcs = [Arc(edge=edge, extent=TWO_PI)] if whole[edge] else []
         else:
-            refs = []
-            for key, tag, m, p in found:
-                rel = p - q
-                refs.append(CornerRef(key, tag, m, p,
-                                      math.atan2(rel @ data.e2, rel @ data.e1) % TWO_PI))
-            refs.sort(key=lambda r: (r.angle, r.key))
-            ends = [float((balls.centers[r.occluder] - r.point)
-                          @ cross3(pg.u_ij, r.point - q)) > 0.0 for r in refs]
-            if any(a == b for a, b in zip(ends, ends[1:] + ends[:1])):
+            stop = start + len(found)
+            pairs = sorted(((CornerRef(*c, angle), end) for c, angle, end
+                            in zip(found, angles[start:stop], ends[start:stop])),
+                           key=lambda pr: (pr[0].angle, pr[0].key))
+            start = stop
+            refs = [r for r, _ in pairs]
+            flags = [end for _, end in pairs]
+            if any(f == g for f, g in zip(flags, flags[1:] + flags[:1])):
                 cx.degeneracies.append(("II", edge, cx.tol))
                 data.arcs = []
             else:
-                first = ends.index(False)
+                first = flags.index(False)
                 refs = refs[first:] + refs[:first]
                 data.arcs = [Arc(edge=edge, extent=(e.angle - s.angle) % TWO_PI,
                                  start=s, end=e)
@@ -571,13 +610,12 @@ def _record_circle_tangencies(cx, edges):
     corner discriminant h^2 of ijm also vanishes there, but its power band
     is not a length band and can miss a tangency that this one catches.
     """
-    if not edges:
-        return
     balls = cx.balls
-    pgs = [cx.edges[e].pair for e in edges]
-    u = np.stack([pg.u_ij for pg in pgs])
-    rho = np.array([pg.r for pg in pgs])[:, None]
-    g = balls.centers[None, :, :] - np.stack([pg.center for pg in pgs])[:, None, :]
+    table = cx._pair_table
+    at = [cx._pair_rows[e] for e in edges]
+    u = table.u_ij[at]
+    rho = table.r[at][:, None]
+    g = balls.centers[None, :, :] - table.center[at][:, None, :]
     g_u = np.einsum("emk,ek->em", g, u)
     b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
     gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),

@@ -1,19 +1,19 @@
 """Elementary geometry of weighted balls.
 
 Pairwise and triple sphere intersections and signed distances to radical
-planes.  ``pair_geometry`` is the one pair kernel (with the normal
-projection length lambda_ij and its distance derivative), and
-``triple_points`` the one triple kernel: the batched radical-centre solve
-that gives the two points where three spheres meet.  All functions are
-pure and operate on immutable inputs.
+planes.  ``pair_table`` is the one pair kernel: one batched pass over many
+pairs, with the normal projection length lambda_ij and its distance
+derivative; ``pair_geometry`` is its one-row view.  ``triple_points`` is
+the one triple kernel: the batched radical-centre solve that gives the two
+points where three spheres meet.  All functions are pure and operate on
+immutable inputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentCenters, DegenerateTriple, DimensionMismatch, \
-    NoIntersection
+from .errors import CoincidentCenters, DimensionMismatch, NoIntersection
 
 # Single relative geometric tolerance; scaled by the largest radius of the
 # ball set wherever a length is compared against it.
@@ -100,19 +100,23 @@ def cross3(a, b):
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def cross_rows(a, b):
+    """Cross products of the rows of two (k, 3) arrays, bit-identical to
+    np.cross, whose axis handling costs more than the products on the short
+    stacks the build passes."""
+    out = np.empty(a.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
 def as_momentum(t, n):
     """Validate a momentum and return it with shape (n, 3)."""
     t = np.asarray(t, dtype=float)
     if t.size != 3 * n:
         raise DimensionMismatch(f"momentum must have length {3 * n}, got {t.size}")
     return t.reshape(n, 3)
-
-
-def power_distance(a, ball):
-    """Power of point a with respect to a ball: |a - x_i|^2 - r_i^2."""
-    a = np.asarray(a, dtype=float)
-    d = a - ball.center
-    return float(d @ d) - ball.radius ** 2
 
 
 @dataclass(frozen=True)
@@ -142,37 +146,108 @@ class PairGeometry:
     dlam_dd: float = None            # derivative of lam in the center distance
 
 
+@dataclass(frozen=True)
+class PairTable:
+    """PairGeometry of many index pairs, one array row per pair in the
+    fields of the same name (``u_ij`` and ``center`` of shape (k, 3))."""
+
+    d: np.ndarray
+    u_ij: np.ndarray
+    xi_i: np.ndarray
+    xi_j: np.ndarray
+    has_circle: np.ndarray
+    center: np.ndarray
+    r_sq: np.ndarray
+    r: np.ndarray
+    cos_phi: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
+    dlam_dd: np.ndarray
+
+    def record(self, k, i, j):
+        """Row k as the PairGeometry of the balls labelled i and j."""
+        has_circle = bool(self.has_circle[k])
+        return PairGeometry(i=i, j=j, d=float(self.d[k]), u_ij=self.u_ij[k],
+                            xi_i=float(self.xi_i[k]), xi_j=float(self.xi_j[k]),
+                            has_circle=has_circle, center=self.center[k],
+                            r_sq=float(self.r_sq[k]), r=float(self.r[k]),
+                            cos_phi=float(self.cos_phi[k]),
+                            phi=float(self.phi[k]) if has_circle else None,
+                            lam=float(self.lam[k]), dlam_dd=float(self.dlam_dd[k]))
+
+
+def row_dots(a, b):
+    """Dot products of the 3-vectors along the last axes of a and b.
+
+    The stacked product is BLAS's dot per row, so each value is rounded
+    exactly as a @ b of two single vectors (and np.linalg.norm) rounds it;
+    einsum and sum reductions add the products in another order.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(v):
+    """Euclidean norms of the 3-vectors along the last axis of v, each
+    rounded as np.linalg.norm rounds a single vector."""
+    return np.sqrt(row_dots(v, v))
+
+
+def pair_table(centers, radii, idx, eps=EPS_GEO):
+    """Radical-plane and intersection-circle data of the index pairs ``idx``
+    (rows into ``centers``), as a PairTable in the order of ``idx``.
+
+    Raises CoincidentCenters when the centers of a pair are closer than eps
+    times its larger radius.  A missing intersection circle is reported
+    through ``has_circle``, not an error.
+    """
+    ri, rj = radii[idx[:, 0]], radii[idx[:, 1]]
+    scale = np.maximum(ri, rj)
+    delta = centers[idx[:, 0]] - centers[idx[:, 1]]
+    d = row_norms(delta)
+    close = d <= eps * scale
+    if close.any():
+        k = int(np.argmax(close))
+        raise CoincidentCenters(f"balls {idx[k, 0]} and {idx[k, 1]} have coincident "
+                                f"centers (d={d[k]:.3e})")
+    u = delta / d[:, None]
+    r2 = _pow_squares(radii)
+    ri2, rj2, d2 = r2[idx[:, 0]], r2[idx[:, 1]], _pow_squares(d)
+    xi_i = 0.5 * (d + (ri2 - rj2) / d)
+    xi_j = d - xi_i
+    r_sq = ri2 - _pow_squares(xi_i)
+    cos_phi = (ri2 + rj2 - d2) / (2.0 * ri * rj)
+    return PairTable(
+        d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
+        has_circle=r_sq > _pow_squares(eps * scale),
+        center=centers[idx[:, 0]] - xi_i[:, None] * u,
+        r_sq=r_sq, r=np.sqrt(np.where(r_sq > 0.0, r_sq, 0.0)), cos_phi=cos_phi,
+        phi=np.arccos(np.clip(cos_phi, -1.0, 1.0)),
+        lam=xi_i / ri + xi_j / rj,
+        dlam_dd=(0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri2 - rj2) / d2)
+
+
+def _pow_squares(a):
+    """a ** 2 elementwise, rounded as Python's float ``**`` rounds it.
+
+    Python squares a float with the C library's pow, which is not always
+    correctly rounded: glibc's differs from numpy's a * a in the last bit
+    on about one uniform double in 1,400.  The pair records keep pow's
+    rounding, which the CLI goldens were made with.
+    """
+    return np.array([v ** 2 for v in a.tolist()])
+
+
 def pair_geometry(b_i, b_j, i=0, j=1, eps=EPS_GEO):
-    """Radical-plane and intersection-circle data for two balls.
+    """Radical-plane and intersection-circle data for two balls: the one
+    row of ``pair_table`` for the pair.
 
     Raises CoincidentCenters when the centers are closer than eps times the
     larger radius.  A missing intersection circle is reported through the
     ``has_circle`` flag, not an error.
     """
-    scale = max(b_i.radius, b_j.radius)
-    delta = b_i.center - b_j.center
-    d = float(np.linalg.norm(delta))
-    if d <= eps * scale:
-        raise CoincidentCenters(f"balls {i} and {j} have coincident centers (d={d:.3e})")
-    u = delta / d
-    ri, rj = b_i.radius, b_j.radius
-    xi_i = 0.5 * (d + (ri ** 2 - rj ** 2) / d)
-    xi_j = d - xi_i
-    r_sq = ri ** 2 - xi_i ** 2
-    center = b_i.center - xi_i * u
-    has_circle = r_sq > (eps * scale) ** 2
-    if r_sq > 0:
-        r = float(np.sqrt(r_sq))
-    else:
-        r = 0.0
-    cos_phi = (ri ** 2 + rj ** 2 - d ** 2) / (2.0 * ri * rj)
-    phi = float(np.arccos(np.clip(cos_phi, -1.0, 1.0))) if has_circle else None
-    xi_i, xi_j = float(xi_i), float(xi_j)
-    lam = xi_i / ri + xi_j / rj
-    dlam = (0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri ** 2 - rj ** 2) / d ** 2
-    return PairGeometry(i=i, j=j, d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
-                        has_circle=bool(has_circle), center=center, r_sq=float(r_sq),
-                        r=r, cos_phi=float(cos_phi), phi=phi, lam=lam, dlam_dd=dlam)
+    table = pair_table(np.stack([b_i.center, b_j.center]),
+                       np.array([b_i.radius, b_j.radius]), np.array([[0, 1]]), eps)
+    return table.record(0, i, j)
 
 
 def lambda_pair(b_i, b_j):
@@ -225,7 +300,7 @@ def triple_points(centers, radii, idx, area_eps):
     xi = centers[idx[:, 0]]
     a1 = centers[idx[:, 1]] - xi
     a2 = centers[idx[:, 2]] - xi
-    nrm = np.cross(a1, a2)
+    nrm = cross_rows(a1, a2)
     area2 = np.linalg.norm(nrm, axis=1)
     collinear = area2 <= area_eps
     keep = ~collinear
@@ -250,26 +325,3 @@ def triple_points(centers, radii, idx, area_eps):
     center = xi + s[:, None] * a1 + t[:, None] * a2
     h_sq = radii[idx[:, 0]] ** 2 - np.einsum("ij,ij->i", center - xi, center - xi)
     return collinear, center, axis, h_sq
-
-
-def triple_geometry(b_i, b_j, b_k, i=0, j=1, k=2, eps=EPS_GEO):
-    """Intersection points of three spheres.
-
-    The points lie on the line through the radical center (the point of
-    equal power in the plane of the centers) along the plane normal
-    normalize((x_j - x_i) x (x_k - x_i)).  Raises DegenerateTriple when the
-    centers are collinear or the spheres meet in fewer than two points
-    (within tolerance).
-    """
-    scale = max(b_i.radius, b_j.radius, b_k.radius)
-    collinear, center, axis, h_sq = triple_points(
-        np.stack([b_i.center, b_j.center, b_k.center]),
-        np.array([b_i.radius, b_j.radius, b_k.radius]), np.array([[0, 1, 2]]),
-        (eps * scale) ** 2)
-    if collinear[0]:
-        raise DegenerateTriple("centers are collinear")
-    h_sq = float(h_sq[0])
-    if h_sq <= (eps * scale) ** 2:
-        raise DegenerateTriple(
-            f"spheres {(i, j, k)} do not meet in two points (h^2={h_sq:.3e})")
-    return TripleGeometry.from_center((i, j, k), center[0], axis[0], float(np.sqrt(h_sq)))

@@ -86,6 +86,13 @@ def arc_endpoint_data(balls, cx, edge):
     return out
 
 
+def _boundary_arc_data(balls, cx):
+    """arc_endpoint_data of every boundary edge, keyed by edge and built in
+    key order, so the first degenerate endpoint raises as the terms would."""
+    return {e: arc_endpoint_data(balls, cx, e)
+            for e, data in sorted(cx.edges.items()) if data.on_boundary}
+
+
 def _add_sigma_ij_gradient(vec, edge, rho, arcdata, coeff):
     """Add coeff times the gradient of sigma_ij to the per-ball rows of vec.
 
@@ -122,15 +129,18 @@ def sigma_i_prime(balls, cx, measures, i, t):
     return float(np.sum(term_d(balls.with_weights(e_i), cx, measures) * t)) / FOUR_PI
 
 
-def term_d(balls, cx, measures):
+def term_d(balls, cx, measures, arcs=None):
     """Patch term: 4*pi sum of w_i sigma_i'.
 
     Each bounding circle S_ij contributes the normal advance of both caps
     (depth change) plus the swing of its exposed arcs as the cap axes tilt.
     Both spheres see the same arc endpoints, so the swing is
     (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i>, with T the sum of the
-    endpoint tangents of arc_endpoint_data.
+    endpoint tangents of arc_endpoint_data.  ``arcs`` holds those records
+    per boundary edge when the caller has them already.
     """
+    if arcs is None:
+        arcs = _boundary_arc_data(balls, cx)
     n = balls.n
     vec = np.zeros((n, 3))
     w = balls.weights
@@ -145,7 +155,7 @@ def term_d(balls, cx, measures):
                 1.0 - (r_a ** 2 - balls.radii[b] ** 2) / pg.d ** 2)
             vec[a] += c1 * uab
             vec[b] -= c1 * uab
-        arcdata = arc_endpoint_data(balls, cx, (i, j))
+        arcdata = arcs[(i, j)]
         if arcdata:
             swing = (w[i] / balls.radii[i] - w[j] / balls.radii[j]) * pg.r / pg.d \
                 * sum(ep.tangent for ep in arcdata)
@@ -154,15 +164,18 @@ def term_d(balls, cx, measures):
     return vec
 
 
-def term_e(balls, cx):
-    """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'."""
+def term_e(balls, cx, arcs=None):
+    """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'.
+    ``arcs`` is as for term_d."""
+    if arcs is None:
+        arcs = _boundary_arc_data(balls, cx)
     vec = np.zeros((balls.n, 3))
     w = balls.weights
     for (i, j), data in sorted(cx.edges.items()):
         if not data.on_boundary:
             continue
         pg = data.pair
-        _add_sigma_ij_gradient(vec, (i, j), pg.r, arc_endpoint_data(balls, cx, (i, j)),
+        _add_sigma_ij_gradient(vec, (i, j), pg.r, arcs[(i, j)],
                                -math.pi * (w[i] + w[j]) * pg.lam)
     return vec
 
@@ -232,8 +245,10 @@ class GaussGradient:
 
 
 def gauss_gradient(balls, cx, measures):
-    """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i."""
-    return GaussGradient(d=term_d(balls, cx, measures), e=term_e(balls, cx),
+    """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i.  The
+    arc-endpoint records are built once and read by both terms d and e."""
+    arcs = _boundary_arc_data(balls, cx)
+    return GaussGradient(d=term_d(balls, cx, measures, arcs), e=term_e(balls, cx, arcs),
                          f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 
 

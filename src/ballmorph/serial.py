@@ -92,14 +92,6 @@ def parse_momentum(path, n):
     return np.array(vecs)
 
 
-def serialize_diagram(balls):
-    """Diagram text that parses back to the identical BallSet."""
-    lines = [f"n {balls.n}"]
-    for c, r, w in zip(balls.centers, balls.radii, balls.weights):
-        lines.append(" ".join(fmt(v) for v in (*c, r, w)))
-    return "\n".join(lines) + "\n"
-
-
 def fmt(x):
     """Float at 17 significant digits (lossless round trip)."""
     return format(float(x), ".17g")

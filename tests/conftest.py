@@ -10,10 +10,19 @@ import pytest
 from ballmorph import BallSet
 from ballmorph.complexes import TWO_PI, CornerRef, build_alpha_complex
 from ballmorph.errors import DegenerateState
+from ballmorph.serial import fmt
 
 # perfbench/ holds the benchmark's input generator (gen.py) and output
 # checks (run.py); tests import both as they are.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+
+def serialize_diagram(balls):
+    """Diagram text that parses back to the identical BallSet."""
+    lines = [f"n {balls.n}"]
+    for c, r, w in zip(balls.centers, balls.radii, balls.weights):
+        lines.append(" ".join(fmt(v) for v in (*c, r, w)))
+    return "\n".join(lines) + "\n"
 
 
 def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,

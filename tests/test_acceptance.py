@@ -12,18 +12,17 @@ import pytest
 
 from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
     directional_derivative, euler, fd_directional, gauss_gradient, lambda_pair, \
-    mc_boundary_integrals, sigma_i_prime, sigma_ij_prime, weighted_gauss
+    mc_boundary_integrals, pair_geometry, sigma_i_prime, sigma_ij_prime, weighted_gauss
 from ballmorph.cli import main
 from ballmorph.diagnostics import gradient_jump_probe
 from ballmorph.errors import DegenerateState, NonRealizableTriangle, OracleDegenerate
 from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
-from ballmorph.serial import serialize_diagram
 from ballmorph.sphtri import cap_half_radius, corner_geometry, dangle_ddist, \
     darea_da, dcap_da, product_of_sines, quad_area_gradient, quadrangle_areas, \
     triangle_area
 from conftest import brute_sigma_ij, make_config, random_triangle_params, rigid_generators, \
-    two_balls
+    serialize_diagram, two_balls
 
 TWO_PI = 2 * math.pi
 
@@ -205,12 +204,14 @@ def test_acceptance_5_sub_derivatives():
         radii = rng.uniform(0.8, 1.2, size=3)
         balls = BallSet(centers, radii)
         try:
-            cx3 = build_alpha_complex(balls)
+            build_alpha_complex(balls)
         except DegenerateState:
             continue
         pgs = {}
         try:
-            pgs = {(0, 1): cx3.pair(0, 1), (1, 2): cx3.pair(1, 2), (2, 0): cx3.pair(0, 2)}
+            pgs = {(a, b): pair_geometry(balls.ball(i), balls.ball(j), i, j)
+                   for (a, b), (i, j) in (((0, 1), (0, 1)), ((1, 2), (1, 2)),
+                                          ((2, 0), (0, 2)))}
             if not all(p.has_circle for p in pgs.values()):
                 continue
             geo = corner_geometry(pgs[(0, 1)].cos_phi, pgs[(1, 2)].cos_phi,

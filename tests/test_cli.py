@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ballmorph.cli import main
-from ballmorph.serial import parse_diagram, parse_diagram_text, parse_momentum, \
-    serialize_diagram, to_json
+from ballmorph.serial import parse_diagram, parse_diagram_text, parse_momentum, to_json
 from ballmorph.errors import ParseError, ValidationError
-from conftest import make_config
+from conftest import make_config, serialize_diagram
 
 TWO = "# two unit balls\nn 2\n0 0 0 1 1\n1 0 0 1 1\n"
 

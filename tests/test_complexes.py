@@ -1,11 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, boundary_arcs, build_alpha_complex, euler
-from ballmorph.errors import DegenerateState
+from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, euler, \
+    pair_geometry
+from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
+from ballmorph.geometry import pair_table
 from conftest import brute_sigma_ij, make_config, octant_balls, two_balls
+from test_near_tangency import planted_draw
+
+
+def boundary_arcs(cx, edge):
+    """Exposed arcs of the circle S_ij, empty when fully occluded."""
+    data = cx.edges.get(tuple(sorted(edge)))
+    return [] if data is None else list(data.arcs)
 
 
 def test_single_ball():
@@ -159,3 +169,60 @@ def test_arc_extents_sum_to_exposed_measure(rng):
             total = sum(a.extent for a in data.arcs)
             covered = 2 * np.pi * (1.0 - brute_sigma_ij(cx, e))
             assert total + covered == pytest.approx(2 * np.pi, abs=1e-9)
+
+
+def same_bits(a, b):
+    """Equal type and bits: arrays byte for byte, scalars by repr (which
+    round-trips floats and tells -0.0 from 0.0)."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def record_mismatches(a, b, cls):
+    return [f.name for f in dataclasses.fields(cls)
+            if not same_bits(getattr(a, f.name), getattr(b, f.name))]
+
+
+def table_draws(rng):
+    """Random draws at test density and planted near-tangency draws."""
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        yield BallSet(rng.uniform(0.0, 1.1 * n ** (1.0 / 3.0), size=(n, 3)),
+                      rng.uniform(0.7, 1.3, size=n), rng.uniform(-2.0, 2.0, size=n))
+    planted = np.random.default_rng(4)
+    for _ in range(120):
+        yield planted_draw(planted)[0]
+
+
+def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
+    # The build's one batched pass gives every candidate pair the bits of
+    # the one-row call, and the complex caches one record per pair.
+    pairs = 0
+    for balls in table_draws(rng):
+        try:
+            cx = build_alpha_complex(balls, strict=False)
+        except GeometryError:
+            continue
+        for i, j in cx._pair_rows:
+            pg = cx.pair(i, j)
+            ref = pair_geometry(balls.ball(i), balls.ball(j), i, j)
+            assert record_mismatches(pg, ref, PairGeometry) == [], (i, j)
+            assert cx.pair(j, i) is pg
+            pairs += 1
+        for key, data in cx.triangles.items():
+            raw = cx._triple_raw[key]
+            ref = TripleGeometry.from_center(key, raw[0], raw[1], math.sqrt(raw[2]))
+            assert record_mismatches(cx.triple(*key), ref, TripleGeometry) == [], key
+            assert cx.triple(*key) is data.triple
+    assert pairs > 1000
+
+
+def test_pair_table_raises_coincident_centers():
+    centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]])
+    radii = np.ones(3)
+    table = pair_table(centers, radii, np.array([[0, 1], [0, 2]]))
+    assert table.has_circle.tolist() == [True, True]
+    with pytest.raises(CoincidentCenters, match="balls 1 and 2"):
+        pair_table(centers, radii, np.array([[0, 1], [1, 2]]))

@@ -1,6 +1,7 @@
 """Static checks of the library source: numpy is the only declared
-dependency, downstream modules read geometry from the alpha complex, and
-only gradient.arc_endpoint_data walks the exposed arcs."""
+dependency, the alpha complex takes pair geometry from its batched table,
+downstream modules read geometry from the complex, and only
+gradient.arc_endpoint_data walks the exposed arcs."""
 
 import ast
 import os
@@ -35,10 +36,10 @@ def test_library_imports_only_stdlib_and_numpy():
 REBUILDERS = {"pair_geometry", "lambda_pair", "triple_geometry", "ball"}
 
 
-def test_downstream_modules_read_complex_records():
+def rebuilder_calls(*names):
     root = Path(ballmorph.__file__).parent
     calls = []
-    for name in ("gradient.py", "intrinsic.py", "measures.py"):
+    for name in names:
         for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
@@ -47,7 +48,17 @@ def test_downstream_modules_read_complex_records():
                 calls.append((name, node.lineno, func.id))
             elif isinstance(func, ast.Attribute) and func.attr in REBUILDERS:
                 calls.append((name, node.lineno, func.attr))
-    assert calls == []
+    return calls
+
+
+def test_downstream_modules_read_complex_records():
+    assert rebuilder_calls("gradient.py", "intrinsic.py", "measures.py") == []
+
+
+def test_complex_takes_pairs_from_its_batched_table():
+    # The build computes the pair records in one pass of geometry.pair_table;
+    # no per-pair scalar kernel call and no Ball is made on the way.
+    assert rebuilder_calls("complexes.py") == []
 
 
 def test_gradient_walks_arcs_only_in_arc_endpoint_data():

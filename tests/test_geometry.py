@@ -1,9 +1,33 @@
 import numpy as np
 import pytest
 
-from ballmorph import Ball, pair_geometry, power_distance, triple_geometry
+from ballmorph import Ball, TripleGeometry, pair_geometry
 from ballmorph.errors import CoincidentCenters, DegenerateTriple
+from ballmorph.geometry import EPS_GEO, triple_points
 from conftest import make_config
+
+
+def power_distance(a, ball):
+    """Power of point a with respect to a ball: |a - x_i|^2 - r_i^2."""
+    d = np.asarray(a, dtype=float) - ball.center
+    return float(d @ d) - ball.radius ** 2
+
+
+def triple_geometry(b_i, b_j, b_k, eps=EPS_GEO):
+    """The two points where three spheres meet, from the one-row call of
+    triple_points; raises DegenerateTriple when the centers are collinear or
+    the spheres meet in fewer than two points (within tolerance)."""
+    scale = max(b_i.radius, b_j.radius, b_k.radius)
+    collinear, center, axis, h_sq = triple_points(
+        np.stack([b_i.center, b_j.center, b_k.center]),
+        np.array([b_i.radius, b_j.radius, b_k.radius]), np.array([[0, 1, 2]]),
+        (eps * scale) ** 2)
+    if collinear[0]:
+        raise DegenerateTriple("centers are collinear")
+    h_sq = float(h_sq[0])
+    if h_sq <= (eps * scale) ** 2:
+        raise DegenerateTriple(f"spheres do not meet in two points (h^2={h_sq:.3e})")
+    return TripleGeometry.from_center((0, 1, 2), center[0], axis[0], float(np.sqrt(h_sq)))
 
 
 def unit(center):
