@@ -150,7 +150,7 @@ def cmd_fdcheck(args):
     cx = build_alpha_complex(balls)
     meas = compute_measures(balls, cx)
     grad = gauss_gradient(balls, cx, meas)
-    fd = fd_gradient(_evaluate_k, balls, FDConfig(step=args.step, rtol=args.tol))
+    fd = fd_gradient(_evaluate_k, balls, FDConfig(step=args.step))
     gap = np.abs(grad.flat - fd)
     rel = float(gap.max() / max(1.0, float(np.abs(fd).max())))
     print(f"max abs gap = {fmt(float(gap.max()))}, rel = {fmt(rel)}, tol = {fmt(args.tol)}")

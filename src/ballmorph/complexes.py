@@ -146,10 +146,9 @@ class AlphaComplex:
     near-violations of general position found during construction.
     """
 
-    def __init__(self, balls, eps=EPS_GEO):
+    def __init__(self, balls):
         self.balls = balls
-        self.eps = eps
-        self.tol = eps * balls.scale
+        self.tol = EPS_GEO * balls.scale
         self.vertices = {}
         self.edges = {}
         self.triangles = {}
@@ -216,14 +215,14 @@ class AlphaComplex:
                 f"(residual {residual:.3e})", simplex=simplex, residual=residual)
 
 
-def build_alpha_complex(balls, eps=EPS_GEO, strict=True):
+def build_alpha_complex(balls, strict=True):
     """Construct the alpha complex with boundary arcs and corner exposure.
 
     With ``strict`` the construction raises DegenerateState when the state
     is within tolerance of a general-position violation; diagnostics passes
     strict=False to obtain the report instead.
     """
-    cx = AlphaComplex(balls, eps)
+    cx = AlphaComplex(balls)
     dist_sq = _check_pair_degeneracies(cx)
     pairs, triples, quads = _circle_cliques(cx._circle)
     _build_vertices(cx, dist_sq)
@@ -290,7 +289,7 @@ def _check_pair_degeneracies(cx):
     iu, ju = np.triu_indices(n, k=1)
     if iu.size:
         cx.condition2_margin = min(cx.condition2_margin, float(gap[iu, ju].min()))
-    close = dist[iu, ju] <= cx.eps * np.maximum(balls.radii[iu], balls.radii[ju])
+    close = dist[iu, ju] <= EPS_GEO * np.maximum(balls.radii[iu], balls.radii[ju])
     if close.any():
         a = int(iu[close][0])
         b = int(ju[close][0])
@@ -319,7 +318,7 @@ def _build_edges(cx, pairs):
     if not len(pairs):
         return
     balls = cx.balls
-    table = pair_table(balls.centers, balls.radii, pairs, cx.eps)
+    table = pair_table(balls.centers, balls.radii, pairs)
     keys = [tuple(p) for p in pairs.tolist()]
     cx._pair_table = table
     cx._pair_rows = {key: k for k, key in enumerate(keys)}
@@ -355,7 +354,7 @@ def _build_triangles(cx, idx):
     for key, c, ax, h2 in zip(map(tuple, idx.tolist()), center, axis, h_sq.tolist()):
         cx._triple_raw[key] = (c, ax, h2)
     # The discriminant h^2 is the smooth residual of the corner pair
-    # degenerating; the tolerance band is eps * scale^2.
+    # degenerating; the tolerance band is EPS_GEO * scale^2.
     band = cx.tol * balls.scale
     cx.condition2_margin = min(cx.condition2_margin,
                                float(np.abs(h_sq).min() / balls.scale))

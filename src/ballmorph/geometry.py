@@ -192,19 +192,19 @@ def row_norms(v):
     return np.sqrt(row_dots(v, v))
 
 
-def pair_table(centers, radii, idx, eps=EPS_GEO):
+def pair_table(centers, radii, idx):
     """Radical-plane and intersection-circle data of the index pairs ``idx``
     (rows into ``centers``), as a PairTable in the order of ``idx``.
 
-    Raises CoincidentCenters when the centers of a pair are closer than eps
-    times its larger radius.  A missing intersection circle is reported
-    through ``has_circle``, not an error.
+    Raises CoincidentCenters when the centers of a pair are closer than
+    EPS_GEO times its larger radius.  A missing intersection circle is
+    reported through ``has_circle``, not an error.
     """
     ri, rj = radii[idx[:, 0]], radii[idx[:, 1]]
     scale = np.maximum(ri, rj)
     delta = centers[idx[:, 0]] - centers[idx[:, 1]]
     d = row_norms(delta)
-    close = d <= eps * scale
+    close = d <= EPS_GEO * scale
     if close.any():
         k = int(np.argmax(close))
         raise CoincidentCenters(f"balls {idx[k, 0]} and {idx[k, 1]} have coincident "
@@ -218,7 +218,7 @@ def pair_table(centers, radii, idx, eps=EPS_GEO):
     cos_phi = (ri2 + rj2 - d2) / (2.0 * ri * rj)
     return PairTable(
         d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
-        has_circle=r_sq > _pow_squares(eps * scale),
+        has_circle=r_sq > _pow_squares(EPS_GEO * scale),
         center=centers[idx[:, 0]] - xi_i[:, None] * u,
         r_sq=r_sq, r=np.sqrt(np.where(r_sq > 0.0, r_sq, 0.0)), cos_phi=cos_phi,
         phi=np.arccos(np.clip(cos_phi, -1.0, 1.0)),
@@ -237,16 +237,16 @@ def _pow_squares(a):
     return np.array([v ** 2 for v in a.tolist()])
 
 
-def pair_geometry(b_i, b_j, i=0, j=1, eps=EPS_GEO):
+def pair_geometry(b_i, b_j, i=0, j=1):
     """Radical-plane and intersection-circle data for two balls: the one
     row of ``pair_table`` for the pair.
 
-    Raises CoincidentCenters when the centers are closer than eps times the
-    larger radius.  A missing intersection circle is reported through the
-    ``has_circle`` flag, not an error.
+    Raises CoincidentCenters when the centers are closer than EPS_GEO times
+    the larger radius.  A missing intersection circle is reported through
+    the ``has_circle`` flag, not an error.
     """
     table = pair_table(np.stack([b_i.center, b_j.center]),
-                       np.array([b_i.radius, b_j.radius]), np.array([[0, 1]]), eps)
+                       np.array([b_i.radius, b_j.radius]), np.array([[0, 1]]))
     return table.record(0, i, j)
 
 

@@ -3,7 +3,11 @@
 sigma_i is the exposed area fraction of sphere i, sigma_ij the exposed
 length fraction of circle S_ij, sigma_ijk the exposed fraction of the two
 corner points, and nu_ijk the fraction of the corner segment inside the
-Voronoi edge.  With the pair and triple records of the complex, these
+Voronoi edge.  sigma_i is a flat Gauss-Bonnet sum over the boundary
+circuits of the sphere: the walk only links corner keys, the arcs add
+their extents times their cap depths, and each corner's turn is an angle
+of its normal spherical triangle (sphtri.vertex_angle), read from the pair
+records' cos phi.  With the pair and triple records of the complex, these
 give the weighted volume exactly (intrinsic.weighted_volume); the ball
 volume fraction nu_i is left to the Monte Carlo cross-check
 oracles.nu_i_mc.
@@ -12,10 +16,8 @@ oracles.nu_i_mc.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DegenerateState
-from .geometry import cross3
+from .sphtri import vertex_angle
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -57,117 +59,60 @@ def nu_ijk(balls, cx, tri):
     return data.nu
 
 
-@dataclass(frozen=True)
-class _Segment:
-    """Directed boundary piece on a sphere: one arc walked with the exposed
-    region on its left (the occluding cap on its right)."""
-
-    partner: int
-    enter_key: tuple
-    exit_key: tuple
-    enter_point: np.ndarray
-    exit_point: np.ndarray
-    extent: float
-    cos_cap: float                 # signed cap depth xi_s / r_s
-    axis: np.ndarray               # unit vector from this sphere toward partner
-    center: np.ndarray             # circle center
-
-
-def _sphere_segments(balls, cx, s):
-    """All boundary arcs on sphere s oriented for the region walk."""
-    segments = []
-    lone = []
-    # Key order fixes the summation order of the lone caps in sigma_i.
-    for key in cx.vertices[s].boundary_edges:
-        data = cx.edges[key]
-        pg = data.pair
-        t = key[0] if key[1] == s else key[1]
-        if s == pg.i:
-            axis = -pg.u_ij
-            xi_s = pg.xi_i
-        else:
-            axis = pg.u_ij
-            xi_s = pg.xi_j
-        cos_cap = xi_s / balls.radii[s]
-        for arc in data.arcs:
-            if arc.full_circle:
-                lone.append(cos_cap)
-                continue
-            if s == pg.i:
-                # Stored ccw direction is already clockwise around the axis.
-                enter, leave = arc.start, arc.end
-            else:
-                enter, leave = arc.end, arc.start
-            segments.append(_Segment(partner=t,
-                                     enter_key=enter.key, exit_key=leave.key,
-                                     enter_point=enter.point, exit_point=leave.point,
-                                     extent=arc.extent, cos_cap=cos_cap,
-                                     axis=axis, center=pg.center))
-    return segments, lone
-
-
 def sigma_i(balls, cx, i):
     """Exposed area fraction of sphere i by spherical Gauss-Bonnet.
 
-    Boundary circuits are walked with the exposed region on the left; each
-    circuit contributes the area on its left, and nesting is resolved by
-    reducing the total modulo the sphere area.
+    Boundary circuits are walked with the exposed region on the left.  A
+    circuit encloses 2 pi, plus extent * cos_cap for each arc on a cap of
+    signed depth cos_cap = xi_i / r_i, minus the turn at each corner.  The
+    turn from circle S_ij to S_ik at a corner of spheres i, j, k is the
+    angle at i of their normal triangle.  Nesting is resolved by reducing
+    the total modulo the sphere area.
     """
     vd = cx.vertices.get(i)
     if vd is None or not vd.in_alpha or not vd.on_boundary:
         return 0.0
-    segments, lone = _sphere_segments(balls, cx, i)
-    if not segments and not lone:
+    if not vd.boundary_edges:
         return 1.0   # whole sphere exposed (boundary flag rules out covered)
     total = 0.0
-    for cos_cap in lone:
-        total += TWO_PI * (1.0 + cos_cap)
-    by_entry = {}
-    for seg in segments:
-        if seg.enter_key in by_entry:
-            raise DegenerateState("more than two arcs meet at a corner",
-                                  simplex=seg.enter_key[0])
-        by_entry[seg.enter_key] = seg
+    by_entry = {}    # corner key -> (key of the next corner, extent * cos_cap)
+    # Key order fixes the summation order of the full circles.
+    for edge in vd.boundary_edges:
+        data = cx.edges[edge]
+        pg = data.pair
+        cos_cap = (pg.xi_i if i == pg.i else pg.xi_j) / balls.radii[i]
+        for arc in data.arcs:
+            if arc.full_circle:
+                total += TWO_PI * (1.0 + cos_cap)
+                continue
+            # Arcs are stored ccw around u_ij, which is clockwise around the
+            # cap axis -u_ij of the pair's first sphere and keeps its exposed
+            # region on the left; the second sphere walks them backwards.
+            enter, leave = (arc.start, arc.end) if i == pg.i else (arc.end, arc.start)
+            if enter.key in by_entry:
+                raise DegenerateState("more than two arcs meet at a corner",
+                                      simplex=enter.triangle)
+            by_entry[enter.key] = (leave.key, arc.extent * cos_cap)
     unused = set(by_entry)
-    r_i = balls.radii[i]
-    x_i = balls.centers[i]
     while unused:
-        start_key = min(unused)
-        circuit = []
-        key = start_key
+        start = key = min(unused)
+        area = TWO_PI
         while True:
             if key not in unused:
                 raise DegenerateState("boundary circuit on sphere does not close",
                                       simplex=(i,))
-            circuit.append(by_entry[key])
-            unused.discard(key)
-            key = circuit[-1].exit_key
-            if key == start_key:
+            unused.remove(key)
+            key, arc_term = by_entry[key]
+            j, k = (m for m in key[0] if m != i)
+            area += arc_term - vertex_angle(cx.pair(i, j).cos_phi,
+                                            cx.pair(j, k).cos_phi,
+                                            cx.pair(k, i).cos_phi)
+            if key == start:
                 break
-            if key not in by_entry:
-                raise DegenerateState("boundary circuit on sphere does not close",
-                                      simplex=(i,))
-        area = TWO_PI
-        for seg in circuit:
-            area += seg.extent * seg.cos_cap
-        for seg, nxt in zip(circuit, circuit[1:] + circuit[:1]):
-            p = seg.exit_point
-            t_in = _cw_tangent(p, seg.center, seg.axis)
-            t_out = _cw_tangent(p, nxt.center, nxt.axis)
-            normal = (p - x_i) / r_i
-            turn = math.atan2(float(normal @ cross3(t_in, t_out)),
-                              float(t_in @ t_out))
-            area -= turn
         total += area
     # Each circuit contributes the solid angle on its left; nested circuits
     # overshoot by full spheres, which the modulus removes.
     return (total % FOUR_PI) / FOUR_PI
-
-
-def _cw_tangent(p, center, axis):
-    """Unit tangent of the cap circle at p, clockwise around the cap axis."""
-    t = cross3(p - center, axis)
-    return t / np.linalg.norm(t)
 
 
 def compute_measures(balls, cx):

@@ -32,7 +32,6 @@ FOUR_PI = 4.0 * math.pi
 @dataclass(frozen=True)
 class FDConfig:
     step: float = 1e-5
-    rtol: float = 1e-5
 
     def __post_init__(self):
         if not self.step > 0:

@@ -2,10 +2,13 @@
 
 A corner of the diagram is split among the three spheres meeting there by
 decomposing the spherical triangle of their unit normals into three
-quadrangles (circumcenter connected to the side midpoints).  Everything is
-parametrized by the squared cosines of the half side-lengths,
-a = cos^2(phi_ij / 2) etc., which keeps all formulas rational up to square
-roots and makes the derivatives short.
+quadrangles (circumcenter connected to the side midpoints).  The angles of
+the same triangle are the turns of the spheres' boundary circuits at the
+corner, which measures.sigma_i sums.  Everything is parametrized by the
+squared cosines of the half side-lengths, a = cos^2(phi_ij / 2) etc., which
+keeps all formulas rational up to square roots and makes the derivatives
+short.  Every formula reads the product of sines of these parameters from
+``_radicand``, in one precision.
 """
 
 import math
@@ -27,14 +30,14 @@ def product_of_sines(a, b, c):
 
 
 def _radicand(a, b, c):
-    """product_of_sines evaluated in extended precision.
+    """product_of_sines evaluated on np.longdouble inputs.
 
-    The expression cancels catastrophically for thin triangles; one extra
-    wordsize keeps the area identities tight through the areas' square
-    roots.
+    The expression cancels catastrophically for thin triangles and next to
+    a corner-sign flip; the extended precision keeps the areas, the angles
+    and the derivatives, which all divide by or take the root of it, tight.
     """
-    al, bl, cl = np.longdouble(a), np.longdouble(b), np.longdouble(c)
-    return float(4.0 * al * bl * cl - (al + bl + cl - 1.0) ** 2)
+    return float(product_of_sines(np.longdouble(a), np.longdouble(b),
+                                  np.longdouble(c)))
 
 
 def triangle_area(a, b, c):
@@ -54,12 +57,27 @@ def triangle_area(a, b, c):
 
 def darea_da(a, b, c):
     """Partial derivative of triangle_area in its first argument."""
-    u = product_of_sines(a, b, c)
+    u = _radicand(a, b, c)
     if u <= 0.0:
         raise NonRealizableTriangle(f"product of sines is {u:.3e}")
     # b + c first: for an isosceles darea_da(x, r, r) that is 2r exactly,
     # which keeps the rounding small next to a corner-sign flip.
     return (b + c - a - 1.0) / (a * math.sqrt(u))
+
+
+def vertex_angle(cos_ij, cos_jk, cos_ki):
+    """Angle at vertex i of the spherical triangle with the three side
+    cosines, in (0, pi).
+
+    By the spherical law of cosines, with sin(ij) sin(ki) sin(angle) =
+    2 sqrt(u) for the product of sines u of the squared half-side cosines.
+    At a corner of spheres i, j and k it is the turn of sphere i's exposed
+    boundary where it passes from one of the circles S_ij, S_ki to the other.
+    """
+    u = _radicand(0.5 * (1.0 + cos_ij), 0.5 * (1.0 + cos_jk), 0.5 * (1.0 + cos_ki))
+    if u <= 0.0:
+        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
+    return math.atan2(2.0 * math.sqrt(u), cos_jk - cos_ij * cos_ki)
 
 
 def cap_half_radius(a, b, c):
@@ -78,7 +96,7 @@ def cap_half_radius(a, b, c):
 
 def dcap_da(a, b, c):
     """Partial derivative of cap_half_radius in its first argument."""
-    u = product_of_sines(a, b, c)
+    u = _radicand(a, b, c)
     if u <= 0.0:
         raise NonRealizableTriangle(f"product of sines is {u:.3e}")
     v = u + 4.0 * (1.0 - a) * (1.0 - b) * (1.0 - c)

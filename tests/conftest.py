@@ -141,6 +141,54 @@ def brute_sigma_ij(cx, edge):
     return 1.0 - union_measure(covered) / TWO_PI if covered else 1.0
 
 
+def vector_sigma_i(balls, cx, i):
+    """Exposed area fraction of sphere i by Gauss-Bonnet with vector turns:
+    each corner's turn is the signed angle between the unit tangents of the
+    two cap circles at the corner point, independent of the normal
+    triangle that measures.sigma_i reads."""
+    vd = cx.vertices.get(i)
+    if vd is None or not vd.in_alpha or not vd.on_boundary:
+        return 0.0
+    if not vd.boundary_edges:
+        return 1.0
+    x_i, r_i = balls.centers[i], balls.radii[i]
+
+    def cw_tangent(p, center, axis):
+        t = np.cross(p - center, axis)
+        return t / np.linalg.norm(t)
+
+    total = 0.0
+    by_entry = {}   # corner key -> (next corner key, its point, arc data)
+    for key in vd.boundary_edges:
+        pg = cx.edges[key].pair
+        axis, xi = (-pg.u_ij, pg.xi_i) if i == pg.i else (pg.u_ij, pg.xi_j)
+        for arc in cx.edges[key].arcs:
+            if arc.full_circle:
+                total += TWO_PI * (1.0 + xi / r_i)
+                continue
+            enter, leave = (arc.start, arc.end) if i == pg.i else (arc.end, arc.start)
+            by_entry[enter.key] = (leave.key, leave.point, arc.extent, xi / r_i,
+                                   pg.center, axis)
+    unused = set(by_entry)
+    while unused:
+        start = key = min(unused)
+        area = TWO_PI
+        while True:
+            unused.remove(key)
+            exit_key, p, extent, cos_cap, center, axis = by_entry[key]
+            nxt = by_entry[exit_key]
+            t_in = cw_tangent(p, center, axis)
+            t_out = cw_tangent(p, nxt[4], nxt[5])
+            normal = (p - x_i) / r_i
+            area += extent * cos_cap - math.atan2(normal @ np.cross(t_in, t_out),
+                                                  t_in @ t_out)
+            key = exit_key
+            if key == start:
+                break
+        total += area
+    return (total % (2.0 * TWO_PI)) / (2.0 * TWO_PI)
+
+
 def octant_balls(weights=(1.0, 1.0, 1.0)):
     """Three unit balls whose corners sit at the origin and (2,2,2)/3."""
     return BallSet([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], [1.0, 1.0, 1.0],

@@ -5,13 +5,18 @@ writes the input diagram, ``ballmorph.cli.main`` runs the workload's
 command on it, and the exit code, standard output and JSON bytes go to the
 check function of ``perfbench/run.py``, imported unchanged.  compute runs
 twice, so the check also sees the byte identity it demands within a run.
+The layer names that ``perfbench/trace_driver.py`` wraps must each be bound
+to a function in a ``ballmorph`` module that the CLI loads, or the traced
+runs lose that layer's spans.
 """
 
-from types import SimpleNamespace
+import sys
+from types import FunctionType, SimpleNamespace
 
 import pytest
 
 import run as perfbench
+import trace_driver
 from ballmorph.cli import main
 
 CASES = [(name, seed) for name in ("grad-large", "fdcheck-small", "compute-volume")
@@ -33,3 +38,11 @@ def test_workload_passes_benchmark_check(name, seed, tmp_path, capsys):
         stdout = capsys.readouterr().out
         json_bytes = out_json.read_bytes() if out_json.exists() else None
         assert wl.check(inp, rc, stdout, json_bytes, state) is None
+
+
+def test_trace_driver_layer_functions_are_bound():
+    bound = {name for mod_name, mod in list(sys.modules.items())
+             if mod is not None and (mod_name == "ballmorph"
+                                     or mod_name.startswith("ballmorph."))
+             for name, obj in vars(mod).items() if isinstance(obj, FunctionType)}
+    assert sorted(set(trace_driver.LAYER_FUNCTIONS) - bound) == []

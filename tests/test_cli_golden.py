@@ -14,6 +14,12 @@ regenerated once more when the patch term came to sum the arc-endpoint
 tangents of gradient.arc_endpoint_data and the quadrangle derivatives
 came to use darea_da: only gradient entries moved, by at most 3.5e-15 of
 max|G|, and the fdcheck gap in its 6th digit (5.6e-6 relative).
+``g20_grad.*``, ``g20_compute.*`` and ``g08_fdcheck.out`` were regenerated
+again when sigma_i came to take each corner's turn from the normal
+triangle (sphtri.vertex_angle) and the derivative kernels darea_da and
+dcap_da came to read the extended-precision product of sines: V, A, M and
+K moved by at most 5.4e-15 relative, the gradient by at most 5.4e-13 of
+max|G| (term h only), and the fdcheck gap from 1.267e-9 to 1.190e-9.
 ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.

@@ -9,8 +9,15 @@ drawn at the benchmark's density instead (radii 0.7 to 1.3 in a cube of
 side 1.1 n^(1/3), margin-filtered like perfbench/gen.py): a ball meets
 about 16 others, so the neighbour-local candidate, arc-cover and volume
 paths skip most balls.  Its outputs were computed by commit 1a50906,
-which scanned every index tuple and every ball.  A change that keeps the
-outputs must match them exactly (simplices) or to rel 1e-12.
+which scanned every index tuple and every ball.  The ``G`` rows of g16,
+g20 and g60 were rewritten when sphtri.darea_da and dcap_da came to read
+the product of sines from the extended-precision ``_radicand`` instead of
+plain double: G moved by at most 4.8e-13 (g16), 5.4e-13 (g20) and 1.5e-11
+(g60) of max|G|, all in the corner term h, and now lies within 7.6e-15 of
+max|G| of the gradient with those two kernels evaluated at 60 digits (the
+old rows were up to 1.5e-11 off).  Their simplices, A, M and K are as
+recorded.  A change that keeps the outputs must match them exactly
+(simplices) or to rel 1e-12.
 """
 
 import json

@@ -188,6 +188,19 @@ def test_gauss_bonnet_random_configs(rng):
         assert abs(k - 2 * math.pi * chi_s) <= 1e-8 * max(1.0, abs(k))
 
 
+def test_gauss_bonnet_to_rounding_on_unit_weights():
+    # K adds patch, arc and corner parts of size up to ~100 here; with unit
+    # weights it must still land on 2 pi chi to 1e-12.
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(400):
+        balls, cx = make_config(rng, int(rng.integers(2, 16)), weights="ones",
+                                require_triangle=False)
+        k, _ = weighted_gauss(balls, cx, compute_measures(balls, cx))
+        worst = max(worst, abs(k - 2 * math.pi * euler(cx).chi_surface))
+    assert worst <= 1e-12
+
+
 def test_rigid_motion_invariance(rng):
     balls, cx = make_config(rng, 7)
     m = compute_measures(balls, cx)

@@ -7,7 +7,7 @@ from ballmorph import BallSet, build_alpha_complex, compute_measures, nu_i_mc, \
     nu_ijk, sigma_i, sigma_ij, sigma_ijk
 from ballmorph.oracles import mc_boundary_integrals
 from conftest import brute_sigma_ij, make_config, octant_balls, random_rotation, \
-    two_balls
+    two_balls, vector_sigma_i
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
@@ -70,6 +70,20 @@ def test_sigma_i_matches_monte_carlo(rng):
         for i in cx.boundary_vertices():
             se = max(err[i], 1e-6)
             assert abs(sigma_i(balls, cx, i) - sig_mc[i]) <= 4.0 * se
+
+
+def test_sigma_i_matches_vector_turns():
+    # Turns from the normal triangles against turns between tangent vectors.
+    rng = np.random.default_rng(211)
+    worst = 0.0
+    corners = 0
+    for _ in range(200):
+        balls, cx = make_config(rng, int(rng.integers(3, 20)), require_triangle=False)
+        for i in cx.boundary_vertices():
+            worst = max(worst, abs(sigma_i(balls, cx, i) - vector_sigma_i(balls, cx, i)))
+        corners += sum(d.exposed_count for d in cx.triangles.values() if d.on_boundary)
+    assert corners > 1000
+    assert worst <= 1e-12
 
 
 def test_sigma_ij_two_balls_full_circle():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ballmorph import pair_geometry
 from ballmorph.geometry import Ball
 from ballmorph.sphtri import cap_half_radius, corner_geometry, \
     corner_signs, dangle_ddist, darea_da, dcap_da, product_of_sines, \
-    quad_area_gradient, quadrangle_areas, triangle_area
+    quad_area_gradient, quadrangle_areas, triangle_area, vertex_angle
 from ballmorph.errors import NonRealizableTriangle
 from conftest import random_triangle_params, spherical_triangle_excess
 
@@ -243,6 +244,52 @@ def test_dcap_octant_and_fd(rng):
             continue
         fd = (cap_half_radius(a + h, b, c) - cap_half_radius(a - h, b, c)) / (2 * h)
         assert dcap_da(a, b, c) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def exact_radicand(a, b, c):
+    """product_of_sines of the float inputs in exact rational arithmetic."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return 4 * a * b * c - (a + b + c - 1) ** 2
+
+
+def test_derivatives_next_to_corner_sign_flip_match_exact_radicand():
+    # The isosceles triangle (x, r, r) flattens at x = (2r - 1)^2, where the
+    # circumcenter crosses side x and its corner sign flips; its product of
+    # sines cancels to ~1e-8 there.  Reference: exact rationals up to the
+    # final float division and square roots.
+    worst = 0.0
+    for r in (0.55, 0.6, 0.7, 0.8, 0.9):
+        for delta in (1e-8, 3e-8, 1e-7, 1e-6):
+            x = (2 * r - 1) ** 2 + delta
+            for a, b, c in ((x, r, r), (r, x, r)):
+                fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+                want = float((fb + fc - fa - 1) / fa) / math.sqrt(
+                    float(exact_radicand(a, b, c)))
+                worst = max(worst, abs(darea_da(a, b, c) / want - 1.0))
+            u = exact_radicand(x, r, r)
+            v = u + 4 * (1 - Fraction(x)) * (1 - Fraction(r)) ** 2
+            want = float((1 - Fraction(r)) ** 2 * (Fraction(x) - 1) ** 2 / v) / (
+                math.sqrt(float(u)) * math.sqrt(float(v)))
+            worst = max(worst, abs(dcap_da(x, r, r) / want - 1.0))
+    assert worst <= 1e-10
+
+
+def test_vertex_angle_octant():
+    assert vertex_angle(0.0, 0.0, 0.0) == math.pi / 2
+
+
+def test_vertex_angle_rejects_nonrealizable():
+    with pytest.raises(NonRealizableTriangle):
+        vertex_angle(-1.0, -1.0, -1.0)
+
+
+def test_vertex_angles_sum_to_pi_plus_area(rng):
+    a, b, c, _ = random_triangle_params(rng, size=2000)
+    worst = 0.0
+    for x, y, z in zip((2 * a - 1).tolist(), (2 * b - 1).tolist(), (2 * c - 1).tolist()):
+        total = vertex_angle(x, y, z) + vertex_angle(y, z, x) + vertex_angle(z, x, y)
+        worst = max(worst, abs(total - math.pi - corner_geometry(x, y, z).area))
+    assert worst <= 1e-12
 
 
 def test_dcap_symmetric_in_trailing_arguments(rng):
