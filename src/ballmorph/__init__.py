@@ -13,6 +13,7 @@ from .gradient import GaussGradient, arc_endpoint_data, directional_derivative, 
     gauss_gradient, lambda_derivative, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h
 from .oracles import FDConfig, fd_directional, fd_gradient, mc_boundary_integrals, \
     nu_i_mc
+from .pipeline import Evaluation, evaluate
 from . import errors
 
 __version__ = "0.1.0"
@@ -26,6 +27,6 @@ __all__ = [
     "arc_endpoint_data", "directional_derivative",
     "gauss_gradient", "lambda_derivative", "lambda_pair", "sigma_i_prime",
     "sigma_ij_prime", "term_d", "term_e", "term_f", "term_h", "FDConfig",
-    "fd_directional", "fd_gradient", "mc_boundary_integrals", "errors",
-    "__version__",
+    "fd_directional", "fd_gradient", "mc_boundary_integrals", "Evaluation",
+    "evaluate", "errors", "__version__",
 ]

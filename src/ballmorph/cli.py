@@ -14,10 +14,8 @@ from .complexes import build_alpha_complex
 from .diagnostics import classify_event, general_position_check, gradient_jump_probe
 from .errors import DegenerateState, GeometryError, ParseError, Unclassifiable, \
     ValidationError
-from .gradient import gauss_gradient
-from .intrinsic import intrinsic_volumes
-from .measures import compute_measures
 from .oracles import FDConfig, fd_gradient, mc_weighted_volume
+from .pipeline import evaluate
 from .serial import fmt, input_digest, parse_diagram, parse_momentum, \
     result_document, to_json
 
@@ -91,16 +89,9 @@ def _check_options(args):
                                   f"got {value}")
 
 
-def _evaluate_k(balls):
-    from .intrinsic import weighted_gauss
-    cx = build_alpha_complex(balls)
-    return weighted_gauss(balls, cx, compute_measures(balls, cx))[0]
-
-
-def _write_json(args, balls, cx, volumes, volume_mc, mc_samples, grad=None):
-    doc = result_document(balls, volumes=volumes, volume_mc=volume_mc, grad=grad,
-                          report=general_position_check(balls, cx),
-                          input_sha256=input_digest(args.input),
+def _write_json(args, ev, volume_mc, mc_samples, grad=None):
+    doc = result_document(ev.balls, ev.volumes, general_position_check(ev.balls, ev.cx),
+                          input_digest(args.input), volume_mc=volume_mc, grad=grad,
                           seed=args.seed, mc_samples=mc_samples)
     with open(args.json, "w", encoding="utf-8") as fh:
         fh.write(to_json(doc) + "\n")
@@ -112,11 +103,10 @@ def cmd_compute(args):
             or any(s not in ("v", "a", "m", "k") for s in wanted)):
         raise ValidationError("--measures must be a non-empty comma list of "
                               f"distinct names out of v,a,m,k, got {args.measures!r}")
-    balls = parse_diagram(args.input)
-    cx = build_alpha_complex(balls)
-    vols = intrinsic_volumes(balls, cx, compute_measures(balls, cx))
+    ev = evaluate(parse_diagram(args.input))
+    vols = ev.volumes
     mc = args.mc_samples if "v" in wanted else 0
-    vol_mc = mc_weighted_volume(balls, mc, args.seed) if mc else None
+    vol_mc = mc_weighted_volume(ev.balls, mc, args.seed) if mc else None
     values = {"v": ("V", vols.volume), "a": ("A", vols.area),
               "m": ("M", vols.mean), "k": ("K", vols.gauss)}
     for key in wanted:
@@ -125,32 +115,26 @@ def cmd_compute(args):
         if key == "v" and vol_mc is not None:
             print(f"V_mc = {fmt(vol_mc[0])} +/- {fmt(vol_mc[1])}")
     if args.json:
-        _write_json(args, balls, cx, vols, vol_mc, mc)
+        _write_json(args, ev, vol_mc, mc)
     return EXIT_OK
 
 
 def cmd_grad(args):
-    balls = parse_diagram(args.input)
-    cx = build_alpha_complex(balls)
-    meas = compute_measures(balls, cx)
-    grad = gauss_gradient(balls, cx, meas)
-    for i, g in enumerate(grad.per_ball):
+    ev = evaluate(parse_diagram(args.input))
+    for i, g in enumerate(ev.gradient.per_ball):
         print(f"G[{i}] = {fmt(g[0])} {fmt(g[1])} {fmt(g[2])}")
     if args.json:
         # Only the document carries the volumes, so only --json pays for them.
         mc = args.mc_samples
-        vol_mc = mc_weighted_volume(balls, mc, args.seed) if mc else None
-        _write_json(args, balls, cx, intrinsic_volumes(balls, cx, meas), vol_mc, mc,
-                    grad=grad)
+        vol_mc = mc_weighted_volume(ev.balls, mc, args.seed) if mc else None
+        _write_json(args, ev, vol_mc, mc, grad=ev.gradient)
     return EXIT_OK
 
 
 def cmd_fdcheck(args):
     balls = parse_diagram(args.input)
-    cx = build_alpha_complex(balls)
-    meas = compute_measures(balls, cx)
-    grad = gauss_gradient(balls, cx, meas)
-    fd = fd_gradient(_evaluate_k, balls, FDConfig(step=args.step))
+    grad = evaluate(balls).gradient
+    fd = fd_gradient(lambda bs: evaluate(bs).gauss, balls, FDConfig(step=args.step))
     gap = np.abs(grad.flat - fd)
     rel = float(gap.max() / max(1.0, float(np.abs(fd).max())))
     print(f"max abs gap = {fmt(float(gap.max()))}, rel = {fmt(rel)}, tol = {fmt(args.tol)}")

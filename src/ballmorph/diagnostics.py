@@ -16,9 +16,7 @@ import numpy as np
 from .complexes import build_alpha_complex
 from .errors import DegenerateState, Unclassifiable
 from .geometry import as_momentum
-from .gradient import gauss_gradient
-from .intrinsic import weighted_gauss
-from .measures import compute_measures
+from .pipeline import evaluate
 
 EVENT_CLASSES = (
     "merge_split_components",
@@ -276,14 +274,6 @@ class ProbeResult:
     limits: list = field(default_factory=list)
 
 
-def _evaluate(balls):
-    cx = build_alpha_complex(balls)
-    m = compute_measures(balls, cx)
-    k, _ = weighted_gauss(balls, cx, m)
-    g = gauss_gradient(balls, cx, m)
-    return k, g
-
-
 def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
     """Sample curvature and gradient along the path x + tau * t.
 
@@ -304,17 +294,17 @@ def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
     for tau in taus:
         state = balls.with_state(x0 + tau * t.ravel())
         try:
-            k, g = _evaluate(state)
-            rows.append(ProbeRow(tau=float(tau), gauss=k,
-                                 grad_norm=float(np.linalg.norm(g.flat)),
+            ev = evaluate(state)
+            rows.append(ProbeRow(tau=float(tau), gauss=ev.gauss,
+                                 grad_norm=float(np.linalg.norm(ev.gradient.flat)),
                                  defined=True))
         except DegenerateState as exc:
             rows.append(ProbeRow(tau=float(tau), defined=False, note=str(exc)))
             flagged.append(float(tau))
     for tau in flagged:
         try:
-            _, g_minus = _evaluate(balls.with_state(x0 + (tau - delta) * t.ravel()))
-            _, g_plus = _evaluate(balls.with_state(x0 + (tau + delta) * t.ravel()))
+            g_minus = evaluate(balls.with_state(x0 + (tau - delta) * t.ravel())).gradient
+            g_plus = evaluate(balls.with_state(x0 + (tau + delta) * t.ravel())).gradient
         except DegenerateState:
             continue
         limits.append(SideLimits(tau=tau, grad_minus=g_minus.per_ball,

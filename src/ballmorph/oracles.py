@@ -53,20 +53,13 @@ def fd_directional(fn, balls, t, cfg=FDConfig()):
 
 
 def fd_gradient(fn, balls, cfg=FDConfig()):
-    """Componentwise central differences of fn in all 3n coordinates."""
-    x = balls.state
-    h = cfg.step
-    grad = np.zeros_like(x)
-    for m in range(x.size):
-        xp = x.copy()
-        xp[m] += h
-        xm = x.copy()
-        xm[m] -= h
-        try:
-            grad[m] = (fn(balls.with_state(xp)) - fn(balls.with_state(xm))) / (2.0 * h)
-        except DegenerateState as exc:
-            raise OracleDegenerate(
-                f"finite-difference probe crossed a degenerate state: {exc}") from exc
+    """Central differences of fn along each of the 3n unit momenta."""
+    grad = np.zeros(3 * balls.n)
+    e_m = np.zeros_like(grad)
+    for m in range(grad.size):
+        e_m[m] = 1.0
+        grad[m] = fd_directional(fn, balls, e_m, cfg)
+        e_m[m] = 0.0
     return grad
 
 

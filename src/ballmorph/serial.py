@@ -138,8 +138,8 @@ def input_digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def result_document(balls, volumes=None, grad=None, report=None,
-                    input_sha256=None, seed=0, mc_samples=0, volume_mc=None):
+def result_document(balls, volumes, report, input_sha256, grad=None, seed=0,
+                    mc_samples=0, volume_mc=None):
     """Assemble the machine-readable result document.
 
     ``volume_mc`` is an optional (estimate, std_error) Monte Carlo
@@ -159,21 +159,20 @@ def result_document(balls, volumes=None, grad=None, report=None,
         },
         "n_balls": balls.n,
     }
-    if volumes is not None:
-        vols = {"V": volumes.volume}
-        if volume_mc is not None:
-            vols["V_mc"] = {"estimate": volume_mc[0], "std_error": volume_mc[1]}
-        doc["intrinsic_volumes"] = {
-            **vols,
-            "A": volumes.area,
-            "M": volumes.mean,
-            "K": volumes.gauss,
-            "K_breakdown": {
-                "patch": volumes.gauss_patch,
-                "arc": volumes.gauss_arc,
-                "corner": volumes.gauss_corner,
-            },
-        }
+    vols = {"V": volumes.volume}
+    if volume_mc is not None:
+        vols["V_mc"] = {"estimate": volume_mc[0], "std_error": volume_mc[1]}
+    doc["intrinsic_volumes"] = {
+        **vols,
+        "A": volumes.area,
+        "M": volumes.mean,
+        "K": volumes.gauss,
+        "K_breakdown": {
+            "patch": volumes.gauss_patch,
+            "arc": volumes.gauss_arc,
+            "corner": volumes.gauss_corner,
+        },
+    }
     if grad is not None:
         doc["gradient"] = {
             "per_ball": grad.per_ball,
@@ -184,17 +183,16 @@ def result_document(balls, volumes=None, grad=None, report=None,
                 "h": grad.h,
             },
         }
-    if report is not None:
-        doc["degeneracy"] = {
-            "min_residual": report.min_residual,
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "simplex": list(v.simplex),
-                    "residual": v.residual,
-                    "event_class": v.event_class,
-                }
-                for v in report.violations
-            ],
-        }
+    doc["degeneracy"] = {
+        "min_residual": report.min_residual,
+        "violations": [
+            {
+                "condition": v.condition,
+                "simplex": list(v.simplex),
+                "residual": v.residual,
+                "event_class": v.event_class,
+            }
+            for v in report.violations
+        ],
+    }
     return doc

@@ -133,17 +133,6 @@ def _iso_area(x, r):
     return 2.0 * math.asin(t)
 
 
-def dangle_ddist(r_i, r_j, d):
-    """Derivative of the normal angle phi_ij with respect to |x_i - x_j|.
-
-    Simplifies to 1 / r_ij; diverges at tangency.
-    """
-    w = 2.0 * (r_i ** 2 + r_j ** 2) * d ** 2 - (r_i ** 2 - r_j ** 2) ** 2 - d ** 4
-    if w <= 0.0:
-        raise NoIntersection(f"spheres at distance {d} do not properly intersect")
-    return 2.0 * d / math.sqrt(w)
-
-
 @dataclass(frozen=True)
 class CornerGeometry:
     """Normal spherical triangle of a corner and its quadrangle split.
@@ -219,13 +208,14 @@ def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
     dr_db = dcap_da(b, a, c)
     dr_dc = dcap_da(c, a, b)
 
-    # d(squared cosine)/d(angle) = -sin(phi)/2, then d(angle)/d(distance).
+    # d(squared cosine)/d(angle) = -sin(phi)/2, then d(angle)/d(distance),
+    # which is 1 / r_ij.
     def edge_factor(pair):
         return -0.5 * math.sqrt(max(0.0, 1.0 - pair.cos_phi ** 2))
 
     if not (pair_ij.has_circle and pair_jk.has_circle and pair_ki.has_circle):
         raise NoIntersection("corner edges must properly intersect")
-    da_dd = edge_factor(pair_ij) / pair_ij.r   # dangle_ddist = 1 / r_ij
+    da_dd = edge_factor(pair_ij) / pair_ij.r
     db_dd = edge_factor(pair_jk) / pair_jk.r
     dc_dd = edge_factor(pair_ki) / pair_ki.r
 

@@ -11,25 +11,20 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
-    directional_derivative, euler, fd_directional, gauss_gradient, lambda_pair, \
-    mc_boundary_integrals, pair_geometry, sigma_i_prime, sigma_ij_prime, weighted_gauss
+    directional_derivative, euler, evaluate, fd_directional, gauss_gradient, \
+    lambda_pair, mc_boundary_integrals, pair_geometry, sigma_i_prime, sigma_ij_prime, \
+    weighted_gauss
 from ballmorph.cli import main
 from ballmorph.diagnostics import gradient_jump_probe
 from ballmorph.errors import DegenerateState, NonRealizableTriangle, OracleDegenerate
 from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
-from ballmorph.sphtri import cap_half_radius, corner_geometry, dangle_ddist, \
-    darea_da, dcap_da, product_of_sines, quad_area_gradient, quadrangle_areas, \
-    triangle_area
+from ballmorph.sphtri import cap_half_radius, corner_geometry, darea_da, dcap_da, \
+    product_of_sines, quad_area_gradient, quadrangle_areas, triangle_area
 from conftest import brute_sigma_ij, make_config, random_triangle_params, rigid_generators, \
     serialize_diagram, two_balls
 
 TWO_PI = 2 * math.pi
-
-
-def k_of(bs):
-    cx = build_alpha_complex(bs)
-    return weighted_gauss(bs, cx, compute_measures(bs, cx))[0]
 
 
 def test_acceptance_1_gauss_bonnet():
@@ -90,7 +85,7 @@ def test_acceptance_3_gradient_matches_fd():
             t = rng.normal(size=(balls.n, 3))
             t /= np.linalg.norm(t)
             try:
-                fd = fd_directional(k_of, balls, t, cfg)
+                fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t, cfg)
             except OracleDegenerate:
                 continue
             an = directional_derivative(grad, t)
@@ -159,9 +154,11 @@ def test_acceptance_5_sub_derivatives():
             bb = two_balls(d=x, r0=r_i, r1=r_j)
             return lambda_pair(bb.ball(0), bb.ball(1)).lam
 
-        check(dangle_ddist(r_i, r_j, d), _fd_scalar(phi, d), "dangle")
+        # quad_area_gradient takes d phi_ij / d|x_i - x_j| as 1 / r_ij.
         bb = two_balls(d=d, r0=r_i, r1=r_j)
-        check(lambda_pair(bb.ball(0), bb.ball(1)).dlam_dd, _fd_scalar(lam, d), "dlam")
+        pair = lambda_pair(bb.ball(0), bb.ball(1))
+        check(1.0 / pair.r, _fd_scalar(phi, d), "dangle")
+        check(pair.dlam_dd, _fd_scalar(lam, d), "dlam")
         done += 1
 
     # Patch- and arc-fraction derivatives on small configurations.

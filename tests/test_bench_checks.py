@@ -7,16 +7,22 @@ check function of ``perfbench/run.py``, imported unchanged.  compute runs
 twice, so the check also sees the byte identity it demands within a run.
 The layer names that ``perfbench/trace_driver.py`` wraps must each be bound
 to a function in a ``ballmorph`` module that the CLI loads, or the traced
-runs lose that layer's spans.
+runs lose that layer's spans; two runs under the trace driver, in a
+subprocess of their own, check that the spans and the FD count appear.
 """
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
 import pytest
 
 import run as perfbench
 import trace_driver
+import ballmorph
 from ballmorph.cli import main
 
 CASES = [(name, seed) for name in ("grad-large", "fdcheck-small", "compute-volume")
@@ -46,3 +52,28 @@ def test_trace_driver_layer_functions_are_bound():
                                      or mod_name.startswith("ballmorph."))
              for name, obj in vars(mod).items() if isinstance(obj, FunctionType)}
     assert sorted(set(trace_driver.LAYER_FUNCTIONS) - bound) == []
+
+
+def traced_run(tmp_path, *cli_args):
+    """Spans document of one CLI run under perfbench/trace_driver.py."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ballmorph.__file__).parents[1]))
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, trace_driver.__file__, str(spans), "0", "--", *cli_args],
+                   env=env, cwd=tmp_path, capture_output=True, check=True)
+    return json.loads(spans.read_text(encoding="utf-8"))
+
+
+def test_trace_driver_finds_every_layer(tmp_path):
+    # The trace wraps the layer functions by module-level name, so the
+    # pipeline must keep calling them through those names.
+    data = Path(__file__).parent / "data"
+    fd = traced_run(tmp_path, "fdcheck", "--input", str(data / "g08.txt"))
+    assert fd["missing"] == []
+    assert [s["attrs"]["evals"] for s in fd["spans"] if s["name"] == "fd_gradient"] == [48]
+
+    grad = traced_run(tmp_path, "grad", "--input", str(data / "g20.txt"),
+                      "--json", str(tmp_path / "out.json"))
+    assert grad["missing"] == []
+    names = {s["name"] for s in grad["spans"]}
+    assert {"compute_measures", "weighted_gauss", "intrinsic_volumes", "term_d", "term_e",
+            "term_f", "term_h", "general_position_check"} <= names

@@ -23,6 +23,10 @@ max|G| (term h only), and the fdcheck gap from 1.267e-9 to 1.190e-9.
 ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.
+``t03_probe.out`` is what commit bbfe832 printed for a probe along
+``data/t03_momentum.txt``, whose path crosses a circle tangency of
+``data/t03.txt`` at tau = 0.5: one row is DEGENERATE and one line gives
+the one-sided gradient limits there.
 The golden tests in test_golden.py compare floats to rel 1e-12; these
 require every byte to stay.  A change that means to move outputs
 regenerates these files and says so.
@@ -43,6 +47,8 @@ CASES = {
                      "--seed", "3"], True),
     "g08_fdcheck": (["fdcheck", "--input", "g08.txt"], False),
     "p20_degeneracy": (["degeneracy", "--input", "p20.txt"], False),
+    "t03_probe": (["probe", "--input", "t03.txt", "--momentum", "t03_momentum.txt"],
+                  False),
 }
 
 

@@ -1,7 +1,8 @@
 """Static checks of the library source: numpy is the only declared
 dependency, the alpha complex takes pair geometry from its batched table,
-downstream modules read geometry from the complex, and only
-gradient.arc_endpoint_data walks the exposed arcs."""
+downstream modules read geometry from the complex, only
+gradient.arc_endpoint_data walks the exposed arcs, and the CLI and the
+diagnostics reach the pipeline stages only through evaluate."""
 
 import ast
 import os
@@ -83,3 +84,23 @@ def test_cli_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Stages downstream of the build that only the pipeline's Evaluation calls.
+PIPELINE_STAGES = {"compute_measures", "intrinsic_volumes", "weighted_gauss",
+                   "gauss_gradient"}
+
+
+def test_cli_and_diagnostics_reach_stages_through_evaluate():
+    root = Path(ballmorph.__file__).parent
+    calls = []
+    for name in ("cli.py", "diagnostics.py"):
+        for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in PIPELINE_STAGES:
+                calls.append((name, node.lineno, called))
+    assert calls == []
+

@@ -25,8 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from ballmorph import build_alpha_complex, compute_measures, gauss_gradient, \
-    intrinsic_volumes
+from ballmorph import evaluate
 from ballmorph.serial import parse_diagram
 
 DATA = Path(__file__).parent / "data"
@@ -35,13 +34,11 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name", ["g08", "g12", "g16", "g20", "g60"])
 def test_golden_outputs(name):
     want = json.loads((DATA / f"{name}.json").read_text())
-    balls = parse_diagram(str(DATA / f"{name}.txt"))
-    cx = build_alpha_complex(balls)
-    assert sorted(list(s) for s in cx.alpha_simplices()) == want["simplices"]
-    meas = compute_measures(balls, cx)
-    vols = intrinsic_volumes(balls, cx, meas)
+    ev = evaluate(parse_diagram(str(DATA / f"{name}.txt")))
+    assert sorted(list(s) for s in ev.cx.alpha_simplices()) == want["simplices"]
+    vols = ev.volumes
     assert [vols.area, vols.mean, vols.gauss] == pytest.approx(
         [want["A"], want["M"], want["K"]], rel=1e-12)
-    g = gauss_gradient(balls, cx, meas).per_ball
+    g = ev.gradient.per_ball
     for row, want_row in zip(g.tolist(), want["G"], strict=True):
         assert row == pytest.approx(want_row, rel=1e-12)

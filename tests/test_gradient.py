@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
-    directional_derivative, fd_directional, gauss_gradient, lambda_derivative, \
+    directional_derivative, evaluate, fd_directional, gauss_gradient, lambda_derivative, \
     lambda_pair, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h, \
     weighted_gauss
 from ballmorph.errors import DimensionMismatch, NoIntersection
@@ -16,11 +16,6 @@ from conftest import make_config, octant_balls, rigid_generators, two_balls
 def along(vec, t):
     """Directional derivative <vec, t> of a per-ball gradient term."""
     return float(np.sum(vec * t))
-
-
-def k_of(bs):
-    cx = build_alpha_complex(bs)
-    return weighted_gauss(bs, cx, compute_measures(bs, cx))[0]
 
 
 def test_lambda_pair_values():
@@ -299,7 +294,8 @@ def test_gauss_gradient_matches_fd(rng):
         g = gauss_gradient(balls, cx, m)
         for _ in range(4):
             t = rng.normal(size=(balls.n, 3))
-            fd = fd_directional(k_of, balls, t, FDConfig(step=1e-5))
+            fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t,
+                                FDConfig(step=1e-5))
             an = directional_derivative(g, t)
             assert abs(an - fd) <= 1e-5 * max(1.0, abs(fd))
 

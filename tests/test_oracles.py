@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
-    fd_directional, fd_gradient, lambda_pair, mc_boundary_integrals, weighted_gauss
+from ballmorph import BallSet, FDConfig, evaluate, fd_directional, fd_gradient, \
+    lambda_pair, mc_boundary_integrals
 from ballmorph.errors import OracleDegenerate
 from conftest import make_config, two_balls
-
-
-def k_of(bs):
-    cx = build_alpha_complex(bs)
-    return weighted_gauss(bs, cx, compute_measures(bs, cx))[0]
 
 
 def test_fd_directional_constant_function(rng):
@@ -33,7 +28,8 @@ def test_fd_directional_lambda_oracle():
 def test_fd_directional_equal_weights_curvature(rng):
     balls, _ = make_config(rng, 5, weights="ones")
     t = rng.normal(size=(5, 3))
-    assert fd_directional(k_of, balls, t) == pytest.approx(0.0, abs=1e-7)
+    fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t)
+    assert fd == pytest.approx(0.0, abs=1e-7)
 
 
 def test_fd_directional_degenerate_crossing():
@@ -41,18 +37,18 @@ def test_fd_directional_degenerate_crossing():
     balls = two_balls(d=2.0)
     t = np.array([[0.0, 0, 0], [0.0, 1e-3, 0]])
     with pytest.raises(OracleDegenerate):
-        fd_directional(k_of, balls, t, FDConfig(step=1e-5))
+        fd_directional(lambda bs: evaluate(bs).gauss, balls, t, FDConfig(step=1e-5))
 
 
 def test_fd_gradient_single_ball():
     balls = BallSet([[0, 0, 0]], [1.0], [2.0])
-    grad = fd_gradient(k_of, balls)
+    grad = fd_gradient(lambda bs: evaluate(bs).gauss, balls)
     assert np.allclose(grad, 0.0, atol=1e-9)
 
 
 def test_fd_gradient_translation_components_cancel(rng):
     balls, _ = make_config(rng, 4)
-    grad = fd_gradient(k_of, balls).reshape(4, 3)
+    grad = fd_gradient(lambda bs: evaluate(bs).gauss, balls).reshape(4, 3)
     # Rigid translation invariance: per-axis components sum to zero.
     assert np.allclose(grad.sum(axis=0), 0.0, atol=1e-6)
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ballmorph import pair_geometry
+from ballmorph import lambda_pair, pair_geometry
 from ballmorph.geometry import Ball
 from ballmorph.sphtri import cap_half_radius, corner_geometry, \
-    corner_signs, dangle_ddist, darea_da, dcap_da, product_of_sines, \
+    corner_signs, darea_da, dcap_da, product_of_sines, \
     quad_area_gradient, quadrangle_areas, triangle_area, vertex_angle
 from ballmorph.errors import NonRealizableTriangle
 from conftest import random_triangle_params, spherical_triangle_excess
@@ -302,6 +302,10 @@ def test_dcap_symmetric_in_trailing_arguments(rng):
 
 
 def test_dangle_ddist_values():
+    # quad_area_gradient takes d phi_ij / d|x_i - x_j| as 1 / r_ij.
+    def dangle_ddist(r_i, r_j, d):
+        return 1.0 / lambda_pair(Ball([0.0, 0.0, 0.0], r_i), Ball([d, 0.0, 0.0], r_j)).r
+
     # Normal angle of two unit spheres: phi(d) = arccos(1 - d^2/2).
     h = 1e-7
     def phi(d):
