@@ -109,7 +109,6 @@ class EdgeData:
     pair: object
     e1: np.ndarray = None
     e2: np.ndarray = None
-    in_alpha: bool = False
     on_boundary: bool = False
     arcs: list = field(default_factory=list)
 
@@ -117,7 +116,6 @@ class EdgeData:
 @dataclass
 class TriangleData:
     triple: object                 # TripleGeometry in sorted orientation
-    in_alpha: bool = False
     on_boundary: bool = False
     nu: float = 0.0                # exposed fraction of the corner segment
     exposed_plus: bool = False
@@ -126,11 +124,6 @@ class TriangleData:
     @property
     def exposed_count(self):
         return int(self.exposed_plus) + int(self.exposed_minus)
-
-
-@dataclass
-class TetData:
-    in_alpha: bool = False
 
 
 @dataclass(frozen=True)
@@ -142,6 +135,9 @@ class EulerData:
 class AlphaComplex:
     """Simplices of the alpha complex with boundary structure.
 
+    ``vertices`` holds every ball, with ``in_alpha`` set on those in the
+    complex; ``edges`` and ``triangles`` map the alpha simplices to their
+    data, and ``tetrahedra`` lists the alpha quads in acceptance order.
     ``degeneracies`` lists (condition, simplex, residual) records for
     near-violations of general position found during construction.
     """
@@ -152,7 +148,7 @@ class AlphaComplex:
         self.vertices = {}
         self.edges = {}
         self.triangles = {}
-        self.tetrahedra = {}
+        self.tetrahedra = []
         self.degeneracies = []
         self.condition2_margin = _INF   # cheapest distance-to-tangency seen
         self._pairs = {}
@@ -191,21 +187,15 @@ class AlphaComplex:
     # -- queries ---------------------------------------------------------
 
     def alpha_simplices(self):
-        """All in-alpha simplices as sorted index tuples."""
-        out = [(v,) for v, d in self.vertices.items() if d.in_alpha]
-        out += [e for e, d in self.edges.items() if d.in_alpha]
-        out += [t for t, d in self.triangles.items() if d.in_alpha]
-        out += [t for t, d in self.tetrahedra.items() if d.in_alpha]
-        return out
+        """All alpha simplices as sorted index tuples."""
+        return ([(v,) for v, d in self.vertices.items() if d.in_alpha]
+                + list(self.edges) + list(self.triangles) + self.tetrahedra)
 
     def boundary_vertices(self):
         return sorted(v for v, d in self.vertices.items() if d.on_boundary)
 
     def boundary_edges(self):
         return sorted(e for e, d in self.edges.items() if d.on_boundary)
-
-    def boundary_triangles(self):
-        return sorted(t for t, d in self.triangles.items() if d.on_boundary)
 
     def require_generic(self):
         if self.degeneracies:
@@ -241,10 +231,7 @@ def build_alpha_complex(balls, strict=True):
 def euler(cx):
     """Euler characteristics of the alpha complex and of the surface."""
     v = sum(1 for d in cx.vertices.values() if d.in_alpha)
-    e = sum(1 for d in cx.edges.values() if d.in_alpha)
-    f = sum(1 for d in cx.triangles.values() if d.in_alpha)
-    t = sum(1 for d in cx.tetrahedra.values() if d.in_alpha)
-    chi = v - e + f - t
+    chi = v - len(cx.edges) + len(cx.triangles) - len(cx.tetrahedra)
     return EulerData(chi_alpha=chi, chi_surface=2 * chi)
 
 
@@ -337,7 +324,7 @@ def _alpha_edge(cx, key):
     """EdgeData of the alpha edge ``key``, from its row of the pair table."""
     e1, e2 = cx._pair_basis
     k = cx._pair_rows[key]
-    return EdgeData(pair=cx.pair(*key), e1=e1[k], e2=e2[k], in_alpha=True)
+    return EdgeData(pair=cx.pair(*key), e1=e1[k], e2=e2[k])
 
 
 def _build_triangles(cx, idx):
@@ -371,7 +358,7 @@ def _build_triangles(cx, idx):
     a_clip = np.maximum(lo, -half)
     b_clip = np.minimum(hi, half)
     nu = np.where(feasible & (b_clip > a_clip), (b_clip - a_clip) / (2.0 * half), 0.0)
-    in_alpha = nu > 0.0
+    accept = nu > 0.0
     p_plus = center + half[:, None] * axis
     p_minus = center - half[:, None] * axis
     exp_plus = _points_exposed(cx, idx, p_plus)
@@ -380,13 +367,13 @@ def _build_triangles(cx, idx):
     # hand: the same elementwise arithmetic, so the same bits.
     keys, half, nu = idx.tolist(), half.tolist(), nu.tolist()
     exp_plus, exp_minus = exp_plus.tolist(), exp_minus.tolist()
-    for m in np.nonzero(in_alpha)[0].tolist():
+    for m in np.nonzero(accept)[0].tolist():
         key = tuple(keys[m])
         tg = TripleGeometry(*key, center=center[m], half_length=half[m], axis=axis[m],
                             p_plus=p_plus[m], p_minus=p_minus[m])
         cx._triples[key] = tg
         cx.triangles[key] = TriangleData(
-            triple=tg, in_alpha=True, on_boundary=exp_plus[m] or exp_minus[m], nu=nu[m],
+            triple=tg, on_boundary=exp_plus[m] or exp_minus[m], nu=nu[m],
             exposed_plus=exp_plus[m], exposed_minus=exp_minus[m])
 
 
@@ -493,9 +480,8 @@ def _build_tetrahedra(cx, idx):
         fifth = int(np.argmin(masked[m]))
         cx.degeneracies.append(("I", tuple(int(v) for v in idx[m]) + (fifth,),
                                 float(abs(gap[m]))))
-    in_alpha = (own <= 0.0) & ((other_min >= own) | np.isinf(other_min))
-    for m in np.nonzero(in_alpha)[0]:
-        cx.tetrahedra[tuple(int(v) for v in idx[m])] = TetData(in_alpha=True)
+    accept = (own <= 0.0) & ((other_min >= own) | np.isinf(other_min))
+    cx.tetrahedra = [tuple(q) for q in idx[accept].tolist()]
     excess[keep] = own - pows.min(axis=1)
     masked -= own[:, None]
     np.abs(masked, out=masked)
@@ -510,15 +496,11 @@ def _close_faces(cx):
             if tri not in cx.triangles:
                 tg = cx.triple(*tri)
                 if tg is not None:
-                    cx.triangles[tri] = TriangleData(triple=tg, in_alpha=True)
-            else:
-                cx.triangles[tri].in_alpha = True
+                    cx.triangles[tri] = TriangleData(triple=tg)
     for tri in cx.triangles:
         for e in combinations(tri, 2):
             if e not in cx.edges:
                 cx.edges[e] = _alpha_edge(cx, e)
-            else:
-                cx.edges[e].in_alpha = True
     for e in cx.edges:
         for v in e:
             cx.vertices[v].in_alpha = True
@@ -537,7 +519,7 @@ def _build_arcs(cx):
     covered, so one point decides.
     """
     balls = cx.balls
-    edges = sorted(e for e, data in cx.edges.items() if data.in_alpha)
+    edges = sorted(cx.edges)
     if not edges:
         return
     _record_circle_tangencies(cx, edges)

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .complexes import build_alpha_complex
-from .errors import DegenerateState, Unclassifiable
+from .errors import CoincidentCenters, DegenerateState, Unclassifiable
 from .geometry import as_momentum
 from .pipeline import evaluate
 
@@ -124,9 +124,7 @@ def _gf2_rank(rows):
 def betti_numbers(cx):
     """(b0, b1, b2) of the alpha complex, hence of the ball union."""
     verts = sorted(v for v, d in cx.vertices.items() if d.in_alpha)
-    edges = sorted(e for e, d in cx.edges.items() if d.in_alpha)
-    tris = sorted(t for t, d in cx.triangles.items() if d.in_alpha)
-    tets = sorted(t for t, d in cx.tetrahedra.items() if d.in_alpha)
+    edges, tris, tets = sorted(cx.edges), sorted(cx.triangles), sorted(cx.tetrahedra)
     v_idx = {v: m for m, v in enumerate(verts)}
     e_idx = {e: m for m, e in enumerate(edges)}
     t_idx = {t: m for m, t in enumerate(tris)}
@@ -279,7 +277,9 @@ def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
 
     States where the evaluation raises DegenerateState are flagged, and the
     gradient is re-evaluated a small offset to either side of each flagged
-    tau to expose one-sided limits.
+    tau to expose one-sided limits.  A state where two centres coincide is
+    reported as an undefined row without limits: the gradient diverges as
+    the centres meet.
     """
     t = as_momentum(t, balls.n)
     tau_min, tau_max = map(float, tau_range)
@@ -298,14 +298,15 @@ def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
             rows.append(ProbeRow(tau=float(tau), gauss=ev.gauss,
                                  grad_norm=float(np.linalg.norm(ev.gradient.flat)),
                                  defined=True))
-        except DegenerateState as exc:
+        except (DegenerateState, CoincidentCenters) as exc:
             rows.append(ProbeRow(tau=float(tau), defined=False, note=str(exc)))
-            flagged.append(float(tau))
+            if isinstance(exc, DegenerateState):
+                flagged.append(float(tau))
     for tau in flagged:
         try:
             g_minus = evaluate(balls.with_state(x0 + (tau - delta) * t.ravel())).gradient
             g_plus = evaluate(balls.with_state(x0 + (tau + delta) * t.ravel())).gradient
-        except DegenerateState:
+        except (DegenerateState, CoincidentCenters):
             continue
         limits.append(SideLimits(tau=tau, grad_minus=g_minus.per_ball,
                                  grad_plus=g_plus.per_ball))

@@ -13,10 +13,6 @@ class NoIntersection(GeometryError):
     """A pair of spheres does not intersect in a circle."""
 
 
-class DegenerateTriple(GeometryError):
-    """Three spheres do not meet in two distinct points."""
-
-
 class NonRealizableTriangle(GeometryError):
     """Squared-cosine parameters do not describe a spherical triangle."""
 

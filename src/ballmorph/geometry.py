@@ -210,15 +210,15 @@ def pair_table(centers, radii, idx):
         raise CoincidentCenters(f"balls {idx[k, 0]} and {idx[k, 1]} have coincident "
                                 f"centers (d={d[k]:.3e})")
     u = delta / d[:, None]
-    r2 = _pow_squares(radii)
-    ri2, rj2, d2 = r2[idx[:, 0]], r2[idx[:, 1]], _pow_squares(d)
+    r2 = pow_squares(radii)
+    ri2, rj2, d2 = r2[idx[:, 0]], r2[idx[:, 1]], pow_squares(d)
     xi_i = 0.5 * (d + (ri2 - rj2) / d)
     xi_j = d - xi_i
-    r_sq = ri2 - _pow_squares(xi_i)
+    r_sq = ri2 - pow_squares(xi_i)
     cos_phi = (ri2 + rj2 - d2) / (2.0 * ri * rj)
     return PairTable(
         d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
-        has_circle=r_sq > _pow_squares(EPS_GEO * scale),
+        has_circle=r_sq > pow_squares(EPS_GEO * scale),
         center=centers[idx[:, 0]] - xi_i[:, None] * u,
         r_sq=r_sq, r=np.sqrt(np.where(r_sq > 0.0, r_sq, 0.0)), cos_phi=cos_phi,
         phi=np.arccos(np.clip(cos_phi, -1.0, 1.0)),
@@ -226,13 +226,14 @@ def pair_table(centers, radii, idx):
         dlam_dd=(0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri2 - rj2) / d2)
 
 
-def _pow_squares(a):
+def pow_squares(a):
     """a ** 2 elementwise, rounded as Python's float ``**`` rounds it.
 
     Python squares a float with the C library's pow, which is not always
     correctly rounded: glibc's differs from numpy's a * a in the last bit
-    on about one uniform double in 1,400.  The pair records keep pow's
-    rounding, which the CLI goldens were made with.
+    on about one uniform double in 1,400.  The pair records and the
+    gradient's cap rows keep pow's rounding, which the CLI goldens were
+    made with.
     """
     return np.array([v ** 2 for v in a.tolist()])
 
@@ -276,9 +277,6 @@ class TripleGeometry:
     axis: np.ndarray                 # unit normal of the center plane (orientation rule)
     p_plus: np.ndarray
     p_minus: np.ndarray
-
-    def points(self):
-        return self.p_plus, self.p_minus
 
     @classmethod
     def from_center(cls, key, center, axis, h):

@@ -2,9 +2,11 @@
 
 The derivative splits into four terms: patch-fraction change (d), arc
 fraction change (e), arc angle change (f), and corner quadrangle change
-(h).  Each term is assembled per boundary simplex into per-ball gradient
-vectors; a directional derivative is the inner product with a momentum
-(``directional_derivative``).
+(h).  Each term is rows of coefficients fed to one of two scatters into
+per-ball vectors.  What depends on the state only through a centre
+distance d_ab has equal and opposite rows, since dd_ab/dx_a = u_ab =
+-dd_ab/dx_b (``_pair_forces``: d, f, h and lambda'); the arc fractions
+move with the arc endpoints (``_sigma_ij_forces``: e and sigma_ij').
 """
 
 import math
@@ -13,111 +15,111 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, NonRealizableTriangle
-from .geometry import as_momentum, cross3
+from .geometry import as_momentum, cross_rows, pow_squares, row_dots
 from .sphtri import corner_geometry, quad_area_gradient
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
+def _pair_forces(n, a, b, force):
+    """Per-ball rows of equal and opposite pair forces: force[m] is added to
+    ball a[m] and subtracted from ball b[m], row by row in order."""
+    force = np.asarray(force, dtype=float).reshape(-1, 3)
+    vec = np.zeros((n, 3))
+    np.add.at(vec, np.array([np.ravel(a), np.ravel(b)], dtype=int).T.ravel(),
+              np.stack([force, -force], axis=1).reshape(-1, 3))
+    return vec
+
+
+def _pair_fields(cx, edges, names):
+    """The fields ``names`` (space separated) of the edges' pair records."""
+    pgs = [cx.edges[e].pair for e in edges]
+    return [np.array([getattr(pg, name) for pg in pgs], dtype=float)
+            .reshape((len(pgs), 3) if name in ("u_ij", "center") else len(pgs))
+            for name in names.split()]
+
+
 def lambda_derivative(pair, t_i, t_j):
     """Directional derivative of lambda under velocities of the two centers
     of the PairGeometry ``pair``."""
-    rel = np.asarray(t_i, dtype=float) - np.asarray(t_j, dtype=float)
-    return pair.dlam_dd * float(pair.u_ij @ rel)
+    rows = _pair_forces(2, [0], [1], pair.dlam_dd * pair.u_ij)
+    # Summing over the two balls first keeps equal velocities at exactly 0.
+    return float(np.sum(rows * np.stack([t_i, t_j]), axis=0).sum())
 
 
 @dataclass(frozen=True)
-class ArcEndpoint:
-    """Motion data of one corner terminating an exposed arc of circle S_ij.
+class ArcEndpoints:
+    """Motion data of the corners that end exposed arcs, one row per corner.
 
-    ``vec_i``, ``vec_j``, ``vec_k`` turn the corner's angular velocity into
-    scalar products with the ball velocities: the normal speed of the corner
-    against sphere k is <vec_i, t_i> + <vec_j, t_j> + <vec_k, t_k>, and the
-    angular velocity follows after division by rho * <x_k - P, tangent>.
-    ``tangent`` is u_ij x (P - q_ij) / rho oriented into the occluding ball,
-    so the denominator ``g_t`` is positive and the endpoint's start/end role
-    is absorbed.
+    Corner P of circle S_ij (row ``edge`` of the edge list) lies on the
+    sphere of the occluding ball k, and ``ijk`` holds i, j, k.  The inner
+    products of ``vec[:, 0]``, ``vec[:, 1]``, ``vec[:, 2]`` with the
+    velocities of balls i, j, k sum to P's normal speed against that
+    sphere; over rho * g_t it is P's angular velocity.  ``tangent`` is u_ij
+    x (P - q_ij) / rho oriented into ball k, so g_t = <x_k - P, tangent> is
+    positive and absorbs P's start/end role.
     """
 
-    occluder: int
-    tangent: np.ndarray       # unit circle tangent at P, oriented into ball k
-    g_t: float                # <x_k - P, tangent>, positive
-    vec_i: np.ndarray
-    vec_j: np.ndarray
-    vec_k: np.ndarray
+    edge: np.ndarray
+    ijk: np.ndarray
+    rho: np.ndarray
+    tangent: np.ndarray
+    g_t: np.ndarray
+    vec: np.ndarray
 
 
-def arc_endpoint_data(balls, cx, edge):
-    """ArcEndpoint records for all exposed-arc corners of circle S_ij."""
-    key = tuple(sorted(edge))
-    data = cx.edges.get(key)
-    if data is None or not data.on_boundary:
-        return []
-    i, j = key
-    pg = data.pair
-    u = pg.u_ij
-    d, rho, q = pg.d, pg.r, pg.center
-    depth = pg.xi_j / d
-    dr_dd = -pg.xi_i * pg.xi_j / (d * rho)
-    out = []
-    for arc in data.arcs:
-        if arc.full_circle:
-            continue
-        for ref, s_p in ((arc.start, -1.0), (arc.end, 1.0)):
-            k = ref.occluder
-            p = ref.point
-            g = balls.centers[k] - p
-            e_rho = (p - q) / rho
-            e_tan = cross3(u, e_rho)
-            g_u = float(g @ u)
-            g_rho = float(g @ e_rho)
-            g_t = s_p * float(g @ e_tan)
-            if g_t <= cx.tol:
-                raise DegenerateState(
-                    "arc endpoint moves tangentially to its sphere",
-                    simplex=tuple(sorted((i, j, k))), residual=abs(g_t))
-            common = ((1.0 - 2.0 * depth) * g_u + dr_dd * g_rho) * u \
-                - (g_u / d) * (p - q)
-            vec_i = -depth * g - common
-            vec_j = -(1.0 - depth) * g + common
-            out.append(ArcEndpoint(occluder=k, tangent=s_p * e_tan, g_t=g_t,
-                                   vec_i=vec_i, vec_j=vec_j, vec_k=g))
-    return out
+def arc_endpoint_data(balls, cx, edges):
+    """ArcEndpoints of the exposed-arc corners of the circles ``edges``,
+    walked edge by edge, arc by arc, start then end.  Raises DegenerateState
+    at the first corner that moves tangentially to its sphere."""
+    walk = [(m, ref, sign) for m, e in enumerate(edges) for arc in cx.edges[e].arcs
+            if not arc.full_circle for ref, sign in ((arc.start, -1.0), (arc.end, 1.0))]
+    edge = np.array([m for m, _, _ in walk], dtype=int)
+    k = np.array([ref.occluder for _, ref, _ in walk], dtype=int)
+    p = np.array([ref.point for _, ref, _ in walk]).reshape(-1, 3)
+    sign = np.array([s for _, _, s in walk])
+    ijk = np.column_stack([np.array(edges, dtype=int).reshape(-1, 2)[edge], k])
+    u, q, d, rho, xi_i, xi_j = (f[edge] for f in
+                                _pair_fields(cx, edges, "u_ij center d r xi_i xi_j"))
+    depth = xi_j / d
+    g = balls.centers[k] - p
+    e_rho = (p - q) / rho[:, None]
+    e_tan = cross_rows(u, e_rho)
+    g_u = row_dots(g, u)
+    g_t = sign * row_dots(g, e_tan)
+    if (g_t <= cx.tol).any():
+        m = int(np.argmax(g_t <= cx.tol))
+        raise DegenerateState("arc endpoint moves tangentially to its sphere",
+                              simplex=tuple(sorted(ijk[m].tolist())),
+                              residual=abs(float(g_t[m])))
+    dr_dd = -xi_i * xi_j / (d * rho)
+    common = ((1.0 - 2.0 * depth) * g_u + dr_dd * row_dots(g, e_rho))[:, None] * u \
+        - (g_u / d)[:, None] * (p - q)
+    return ArcEndpoints(edge=edge, ijk=ijk, rho=rho, tangent=sign[:, None] * e_tan, g_t=g_t,
+                        vec=np.stack([-depth[:, None] * g - common,
+                                      -(1.0 - depth)[:, None] * g + common, g], axis=1))
 
 
-def _boundary_arc_data(balls, cx):
-    """arc_endpoint_data of every boundary edge, keyed by edge and built in
-    key order, so the first degenerate endpoint raises as the terms would."""
-    return {e: arc_endpoint_data(balls, cx, e)
-            for e, data in sorted(cx.edges.items()) if data.on_boundary}
+def _sigma_ij_forces(n, ends, coeff):
+    """Per-ball rows of coeff times the gradients of the sigma_ij of
+    ``ends`` (one coeff, or one per endpoint).  Each endpoint moves its arc
+    extent by its angular velocity, whose sign ``g_t`` already carries."""
+    kappa = coeff / (TWO_PI * ends.rho * ends.g_t)
+    vec = np.zeros((n, 3))
+    np.add.at(vec, ends.ijk.ravel(), (kappa[:, None, None] * ends.vec).reshape(-1, 3))
+    return vec
 
 
-def _add_sigma_ij_gradient(vec, edge, rho, arcdata, coeff):
-    """Add coeff times the gradient of sigma_ij to the per-ball rows of vec.
-
-    Each endpoint moves the arc extent by its angular velocity, +-1 for an
-    end or a start, which ``g_t`` already carries.
-    """
-    i, j = edge
-    for ep in arcdata:
-        kappa = coeff / (TWO_PI * rho * ep.g_t)
-        vec[i] += kappa * ep.vec_i
-        vec[j] += kappa * ep.vec_j
-        vec[ep.occluder] += kappa * ep.vec_k
-
-
-def sigma_ij_prime(balls, cx, arcdata, edge, t):
+def sigma_ij_prime(balls, cx, edge, t):
     """Directional derivative of the arc fraction sigma_ij along momentum t:
-    the arc-fraction accumulation of term_e with coefficient one."""
+    the arc-fraction rows of term_e with coefficient one."""
     key = tuple(sorted(edge))
     data = cx.edges.get(key)
     if data is None or not data.on_boundary:
         return 0.0
-    t = as_momentum(t, balls.n)
-    vec = np.zeros((balls.n, 3))
-    _add_sigma_ij_gradient(vec, key, data.pair.r, arcdata, 1.0)
-    return float(np.sum(vec * t))
+    vec = _sigma_ij_forces(balls.n, arc_endpoint_data(balls, cx, [key]), 1.0)
+    return float(np.sum(vec * as_momentum(t, balls.n)))
 
 
 def sigma_i_prime(balls, cx, measures, i, t):
@@ -129,78 +131,58 @@ def sigma_i_prime(balls, cx, measures, i, t):
     return float(np.sum(term_d(balls.with_weights(e_i), cx, measures) * t)) / FOUR_PI
 
 
-def term_d(balls, cx, measures, arcs=None):
+def term_d(balls, cx, measures, ends=None):
     """Patch term: 4*pi sum of w_i sigma_i'.
 
-    Each bounding circle S_ij contributes the normal advance of both caps
-    (depth change) plus the swing of its exposed arcs as the cap axes tilt.
-    Both spheres see the same arc endpoints, so the swing is
-    (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i>, with T the sum of the
-    endpoint tangents of arc_endpoint_data.  ``arcs`` holds those records
-    per boundary edge when the caller has them already.
+    Each bounding circle S_ij has three pair rows: the normal advance of
+    the cap of either sphere, and the swing of its exposed arcs as the cap
+    axes tilt, (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i> with T the sum of
+    the endpoint tangents.  ``ends`` holds arc_endpoint_data of
+    cx.boundary_edges() when the caller has it already.
     """
-    if arcs is None:
-        arcs = _boundary_arc_data(balls, cx)
-    n = balls.n
-    vec = np.zeros((n, 3))
-    w = balls.weights
-    for (i, j), data in sorted(cx.edges.items()):
-        if not data.on_boundary:
-            continue
-        pg = data.pair
-        sig = measures.sigma_edge((i, j))
-        for a, b, uab in ((i, j, pg.u_ij), (j, i, -pg.u_ij)):
-            r_a = balls.radii[a]
-            c1 = math.pi * w[a] * sig / r_a * (
-                1.0 - (r_a ** 2 - balls.radii[b] ** 2) / pg.d ** 2)
-            vec[a] += c1 * uab
-            vec[b] -= c1 * uab
-        arcdata = arcs[(i, j)]
-        if arcdata:
-            swing = (w[i] / balls.radii[i] - w[j] / balls.radii[j]) * pg.r / pg.d \
-                * sum(ep.tangent for ep in arcdata)
-            vec[i] -= swing
-            vec[j] += swing
-    return vec
+    edges = cx.boundary_edges()
+    if ends is None:
+        ends = arc_endpoint_data(balls, cx, edges)
+    # Column 0 of a and b is the cap of sphere i, column 1 that of sphere j.
+    a = np.array(edges, dtype=int).reshape(-1, 2)
+    b = a[:, ::-1]
+    w, r, r2 = balls.weights, balls.radii, pow_squares(balls.radii)
+    u, d, rho = _pair_fields(cx, edges, "u_ij d r")
+    sig = np.array([measures.sigma_edge(e) for e in edges])[:, None]
+    cap = np.pi * w[a] * sig / r[a] * (1.0 - (r2[a] - r2[b]) / pow_squares(d)[:, None])
+    tangents = np.split(ends.tangent, np.searchsorted(ends.edge, np.arange(1, len(edges))))
+    swing = ((w[a[:, 0]] / r[a[:, 0]] - w[b[:, 0]] / r[b[:, 0]]) * rho / d)[:, None] \
+        * np.array([sum(t, np.zeros(3)) for t in tangents]).reshape(-1, 3)
+    return _pair_forces(balls.n, np.column_stack([a, b[:, 0]]), np.column_stack([b, a[:, 0]]),
+                        np.stack([cap[:, :1] * u, cap[:, 1:] * -u, swing], axis=1))
 
 
-def term_e(balls, cx, arcs=None):
+def term_e(balls, cx, ends=None):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'.
-    ``arcs`` is as for term_d."""
-    if arcs is None:
-        arcs = _boundary_arc_data(balls, cx)
-    vec = np.zeros((balls.n, 3))
-    w = balls.weights
-    for (i, j), data in sorted(cx.edges.items()):
-        if not data.on_boundary:
-            continue
-        pg = data.pair
-        _add_sigma_ij_gradient(vec, (i, j), pg.r, arcs[(i, j)],
-                               -math.pi * (w[i] + w[j]) * pg.lam)
-    return vec
+    ``ends`` is as for term_d."""
+    edges = cx.boundary_edges()
+    if ends is None:
+        ends = arc_endpoint_data(balls, cx, edges)
+    lam = _pair_fields(cx, edges, "lam")[0]
+    w_i, w_j = balls.weights[ends.ijk[:, 0]], balls.weights[ends.ijk[:, 1]]
+    return _sigma_ij_forces(balls.n, ends, -math.pi * (w_i + w_j) * lam[ends.edge])
 
 
 def term_f(balls, cx, measures):
     """Arc-angle term: -pi sum of (w_i + w_j) sigma_ij lambda_ij'."""
-    n = balls.n
-    vec = np.zeros((n, 3))
-    w = balls.weights
-    for (i, j), data in sorted(cx.edges.items()):
-        if not data.on_boundary:
-            continue
-        pg = data.pair
-        sig = measures.sigma_edge((i, j))
-        cf = -math.pi * (w[i] + w[j]) * sig * pg.dlam_dd
-        vec[i] += cf * pg.u_ij
-        vec[j] -= cf * pg.u_ij
-    return vec
+    edges = cx.boundary_edges()
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    sig = np.array([measures.sigma_edge(e) for e in edges])
+    u, dlam_dd = _pair_fields(cx, edges, "u_ij dlam_dd")
+    cf = -math.pi * (balls.weights[i] + balls.weights[j]) * sig * dlam_dd
+    return _pair_forces(balls.n, i, j, cf[:, None] * u)
 
 
 def term_h(balls, cx, measures):
-    """Corner term: quadrangle-area derivatives weighted by the ball weights."""
-    n = balls.n
-    vec = np.zeros((n, 3))
+    """Corner term: quadrangle-area derivatives weighted by the ball weights,
+    one pair row per side of each exposed corner's triangle."""
     w = balls.weights
+    a, b, force = [], [], []
     for (i, j, k), tdata in sorted(cx.triangles.items()):
         sig = measures.sigma_t.get((i, j, k), 0.0)
         if sig == 0.0:
@@ -211,15 +193,13 @@ def term_h(balls, cx, measures):
             p, q, s = quad_area_gradient(geo, pg_ij, pg_jk, pg_ki)
         except NonRealizableTriangle as exc:
             raise DegenerateState(str(exc), simplex=(i, j, k)) from exc
-        h_coeffs = [2.0 * sig * (w[i] * p[m] + w[j] * q[m] + w[k] * s[m])
-                    for m in range(3)]
         # The records are keyed (i, j), (j, k) and (i, k) with i < j < k, so
         # the side from x_i to x_k has -u of the last.
-        sides = ((i, j, pg_ij.u_ij), (j, k, pg_jk.u_ij), (k, i, -pg_ki.u_ij))
-        for (a, b, uab), h_ab in zip(sides, h_coeffs):
-            vec[a] += h_ab * uab
-            vec[b] -= h_ab * uab
-    return vec
+        a += (i, j, k)
+        b += (j, k, i)
+        force += [2.0 * sig * (w[i] * p[m] + w[j] * q[m] + w[k] * s[m]) * u_ab
+                  for m, u_ab in enumerate((pg_ij.u_ij, pg_jk.u_ij, -pg_ki.u_ij))]
+    return _pair_forces(balls.n, a, b, force)
 
 
 @dataclass(frozen=True)
@@ -246,9 +226,9 @@ class GaussGradient:
 
 def gauss_gradient(balls, cx, measures):
     """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i.  The
-    arc-endpoint records are built once and read by both terms d and e."""
-    arcs = _boundary_arc_data(balls, cx)
-    return GaussGradient(d=term_d(balls, cx, measures, arcs), e=term_e(balls, cx, arcs),
+    arc-endpoint rows are built once and read by both terms d and e."""
+    ends = arc_endpoint_data(balls, cx, cx.boundary_edges())
+    return GaussGradient(d=term_d(balls, cx, measures, ends), e=term_e(balls, cx, ends),
                          f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 
 

@@ -38,7 +38,7 @@ def sigma_ij(balls, cx, edge):
     """Fraction of circle S_ij outside all other balls: the extents of its
     exposed arcs over 2 pi."""
     data = cx.edges.get(tuple(sorted(edge)))
-    if data is None or not data.in_alpha:
+    if data is None:
         return 0.0
     return sum(arc.extent for arc in data.arcs) / TWO_PI
 
@@ -46,17 +46,13 @@ def sigma_ij(balls, cx, edge):
 def sigma_ijk(balls, cx, tri):
     """Exposed corner count over two: 0, 1/2 or 1."""
     data = cx.triangles.get(tuple(sorted(tri)))
-    if data is None or not data.in_alpha:
-        return 0.0
-    return 0.5 * data.exposed_count
+    return 0.0 if data is None else 0.5 * data.exposed_count
 
 
 def nu_ijk(balls, cx, tri):
     """Fraction of the corner segment inside the Voronoi edge V_ijk."""
     data = cx.triangles.get(tuple(sorted(tri)))
-    if data is None or not data.in_alpha:
-        return 0.0
-    return data.nu
+    return 0.0 if data is None else data.nu
 
 
 def sigma_i(balls, cx, i):
@@ -120,11 +116,9 @@ def compute_measures(balls, cx):
     out = FractionalMeasures()
     for i in cx.boundary_vertices():
         out.sigma_v[i] = sigma_i(balls, cx, i)
-    for e, data in sorted(cx.edges.items()):
-        if data.in_alpha:
-            out.sigma_e[e] = sigma_ij(balls, cx, e)
+    for e in sorted(cx.edges):
+        out.sigma_e[e] = sigma_ij(balls, cx, e)
     for t, data in sorted(cx.triangles.items()):
-        if data.in_alpha:
-            out.sigma_t[t] = 0.5 * data.exposed_count
-            out.nu_t[t] = data.nu
+        out.sigma_t[t] = 0.5 * data.exposed_count
+        out.nu_t[t] = data.nu
     return out

@@ -45,7 +45,7 @@ def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,
             cx = build_alpha_complex(balls)
         except DegenerateState:
             continue
-        if require_triangle and not cx.boundary_triangles():
+        if require_triangle and not any(t.on_boundary for t in cx.triangles.values()):
             continue
         if margin is not None and cx.condition2_margin <= margin:
             continue

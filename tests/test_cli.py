@@ -158,6 +158,21 @@ def test_probe_command(tmp_path, capsys):
     assert "one-sided limits" in out
 
 
+def test_probe_flags_coincident_centers(tmp_path, capsys):
+    # Ball 1 passes through the centre of ball 0 at tau = 0.5: that row is
+    # undefined and has no one-sided limits, and the other rows still print.
+    diagram = write(tmp_path, "three.txt", "0 0 0 1 1\n1.5 0 0 1 2\n0 1.5 0 1 0.5\n")
+    momentum = write(tmp_path, "mom.txt", "0 0 0\n-3 0 0\n0 0 0\n")
+    code = main(["probe", "--input", diagram, "--momentum", momentum, "--steps", "5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "tau gauss grad_norm defined"
+    assert [line.split()[0] for line in lines[1:6]] == ["0", "0.25", "0.5", "0.75", "1"]
+    assert lines[3] == "0.5 - - DEGENERATE (balls 0 and 1 have coincident centers)"
+    assert not any(line.startswith("one-sided limits at tau=0.5:") for line in lines)
+
+
 def test_parse_momentum(tmp_path):
     path = write(tmp_path, "mom.txt", "# momentum\n0 0 1\n0 1 0\n")
     t = parse_momentum(path, 2)

@@ -88,8 +88,7 @@ def cyclic_gap_count(cx, edge):
     """Arc gaps around a boundary edge, counted from its cyclic triangle fan."""
     i, j = edge
     data = cx.edges[edge]
-    tris = sorted(t for t in cx.triangles
-                  if cx.triangles[t].in_alpha and i in t and j in t)
+    tris = sorted(t for t in cx.triangles if i in t and j in t)
     if not tris:
         return 1
     angles = []
@@ -104,8 +103,7 @@ def cyclic_gap_count(cx, edge):
         # A tetrahedron fills only the wedge between its two apexes that
         # subtends less than pi around the edge.
         wedge = (a2 - a1) % (2 * math.pi)
-        joined = (len(quad) == 4 and quad in cx.tetrahedra
-                  and cx.tetrahedra[quad].in_alpha and wedge < math.pi)
+        joined = len(quad) == 4 and quad in cx.tetrahedra and wedge < math.pi
         if not joined:
             gaps += 1
     return gaps
@@ -122,17 +120,15 @@ def test_gap_count_equals_arc_count(rng):
 def test_face_closure(rng):
     for _ in range(6):
         balls, cx = make_config(rng, int(rng.integers(4, 11)))
-        for tri, tdata in cx.triangles.items():
-            if not tdata.in_alpha:
-                continue
+        for tri in cx.triangles:
             for a in tri:
                 assert cx.vertices[a].in_alpha
             for pair in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-                assert pair in cx.edges and cx.edges[pair].in_alpha
+                assert pair in cx.edges
         for quad in cx.tetrahedra:
             for m in range(4):
                 tri = tuple(sorted(set(quad) - {quad[m]}))
-                assert tri in cx.triangles and cx.triangles[tri].in_alpha
+                assert tri in cx.triangles
 
 
 def test_boundary_triangle_exposure_counts(rng):

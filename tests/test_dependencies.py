@@ -1,8 +1,9 @@
 """Static checks of the library source: numpy is the only declared
 dependency, the alpha complex takes pair geometry from its batched table,
 downstream modules read geometry from the complex, only
-gradient.arc_endpoint_data walks the exposed arcs, and the CLI and the
-diagnostics reach the pipeline stages only through evaluate."""
+gradient.arc_endpoint_data walks the exposed arcs, only the gradient's two
+scatter kernels add into per-ball rows, and the CLI and the diagnostics
+reach the pipeline stages only through evaluate."""
 
 import ast
 import os
@@ -74,6 +75,24 @@ def test_gradient_walks_arcs_only_in_arc_endpoint_data():
                     and isinstance(node.iter, ast.Attribute) and node.iter.attr == "arcs"):
                 walkers.append(getattr(top, "name", "<module>"))
     assert walkers == ["arc_endpoint_data"]
+
+
+def test_gradient_scatters_rows_only_in_its_two_kernels():
+    # Every gradient term is coefficient rows fed to _pair_forces or
+    # _sigma_ij_forces; no other function adds into per-ball rows, by a
+    # subscript update (vec[i] += ...) or by np.add.at.
+    tree = ast.parse((Path(ballmorph.__file__).parent / "gradient.py")
+                     .read_text(encoding="utf-8"))
+    writers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            update = isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+            add_at = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+                      and node.func.value.attr == "add")
+            if update or add_at:
+                writers.add(getattr(top, "name", "<module>"))
+    assert writers == {"_pair_forces", "_sigma_ij_forces"}
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ballmorph import Ball, TripleGeometry, pair_geometry
-from ballmorph.errors import CoincidentCenters, DegenerateTriple
+from ballmorph.errors import CoincidentCenters, GeometryError
 from ballmorph.geometry import EPS_GEO, triple_points
 from conftest import make_config
 
@@ -11,6 +11,10 @@ def power_distance(a, ball):
     """Power of point a with respect to a ball: |a - x_i|^2 - r_i^2."""
     d = np.asarray(a, dtype=float) - ball.center
     return float(d @ d) - ball.radius ** 2
+
+
+class DegenerateTriple(GeometryError):
+    """Three spheres do not meet in two distinct points."""
 
 
 def triple_geometry(b_i, b_j, b_k, eps=EPS_GEO):
@@ -119,7 +123,7 @@ def test_triple_points_lie_on_all_spheres(rng):
         except DegenerateTriple:
             continue
         hits += 1
-        for p in tg.points():
+        for p in (tg.p_plus, tg.p_minus):
             for m in range(3):
                 err = abs(np.linalg.norm(p - c[m]) - r[m])
                 assert err <= 1e-12 * r[m]
@@ -137,7 +141,7 @@ def test_normal_angle_matches_pair_angle(rng):
             continue
         hits += 1
         pg = pair_geometry(balls[0], balls[1])
-        for p in tg.points():
+        for p in (tg.p_plus, tg.p_minus):
             normals = [(p - b.center) / b.radius for b in balls]
             ang = np.arccos(np.clip(normals[0] @ normals[1], -1, 1))
             assert abs(ang - pg.phi) < 1e-10

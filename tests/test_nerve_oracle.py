@@ -104,7 +104,7 @@ def test_vertex_and_edge_decisions_match_brute_force_nerve():
                 seen["vertex_outside_in" if want else "vertex_outside_out"] += 1
         for i, j in combinations(range(balls.n), 2):
             want, dist = oracle_edge(balls, i, j)
-            got = (i, j) in cx.edges and cx.edges[(i, j)].in_alpha
+            got = (i, j) in cx.edges
             assert got == want, (draw_idx, (i, j), dist)
             if dist:
                 seen["edge_outside_in" if want else "edge_outside_out"] += 1
