@@ -27,8 +27,10 @@ diagnostics.general_position_check reads their all-ball records.
 
 The pair records come from one batched pass per build
 (geometry.pair_table over the candidate pairs), and ``cx.pair`` hands out
-a row of that table.  The triple records of the alpha triangles are made
-from the rows of the triangle test's own batched solve.
+a row of that table, ``cx.edge_pairs`` the rows of the alpha edges and
+``cx.corner_table`` the exposed corners' geometry.  The triple records of
+the alpha triangles are made from the rows of the triangle test's own
+batched solve.
 
 The exposed arcs of a circle S_ij end at exposed corners, and every
 exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
@@ -38,13 +40,15 @@ sorted by angle around the circle, with no further pass over the balls.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .errors import CoincidentCenters, DegenerateState
+from .errors import CoincidentCenters, DegenerateState, NonRealizableTriangle
 from .geometry import EPS_GEO, TripleGeometry, cross_rows, pair_table, row_dots, \
     row_norms, triple_points
+from .sphtri import CornerGeometry, corner_geometry, vertex_angle
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
@@ -127,6 +131,25 @@ class TriangleData:
 
 
 @dataclass(frozen=True)
+class CornerTable:
+    """One row per alpha triangle with an exposed corner, in key order:
+    ``ijk`` and its ``row``, sigma_ijk, the pair-table rows of the sides
+    ij, jk and ki, and ``u`` with per side ab the u_ab along which d_ab
+    grows with x_a (side ki is keyed (i, k), so its row is -u_ik).  ``geo``
+    is the normal triangles' CornerGeometry and ``angles`` their angles at
+    i, j and k, the turns of the spheres' boundary circuits at the corner.
+    """
+
+    ijk: np.ndarray
+    row: dict
+    sigma: np.ndarray
+    sides: tuple
+    u: np.ndarray
+    geo: CornerGeometry
+    angles: np.ndarray
+
+
+@dataclass(frozen=True)
 class EulerData:
     chi_alpha: int
     chi_surface: int
@@ -183,6 +206,41 @@ class AlphaComplex:
             tg = TripleGeometry.from_center(key, raw[0], raw[1], math.sqrt(raw[2]))
         self._triples[key] = tg
         return tg
+
+    def pair_columns(self, keys):
+        """The pair-table rows of the sorted index pairs ``keys``."""
+        return self._pair_table.take(np.array([self._pair_rows[key] for key in keys], dtype=int))
+
+    # -- tables of the finished complex, each built on first use ----------
+
+    @cached_property
+    def edge_keys(self):
+        """The alpha edges in key order, as an (edges, 2) index array."""
+        return np.array(sorted(self.edges), dtype=int).reshape(-1, 2)
+
+    @cached_property
+    def edge_pairs(self):
+        """The pair-table rows of the alpha edges, in key order."""
+        return self.pair_columns(sorted(self.edges))
+
+    @cached_property
+    def corner_table(self):
+        """The CornerTable: each corner formula runs once over all rows, and
+        a normal triangle that is not realizable raises DegenerateState."""
+        keys = [key for key, data in sorted(self.triangles.items()) if data.exposed_count]
+        sides = tuple(self.pair_columns([(t[a], t[b]) for t in keys])
+                      for a, b in ((0, 1), (1, 2), (0, 2)))
+        cos = tuple(side.cos_phi for side in sides)
+        try:
+            geo = corner_geometry(*cos)
+            angles = np.column_stack([vertex_angle(*cos[m:], *cos[:m]) for m in range(3)])
+        except NonRealizableTriangle as exc:
+            raise DegenerateState(str(exc), simplex=keys[exc.index]) from exc
+        return CornerTable(
+            ijk=np.array(keys, dtype=int).reshape(-1, 3), row={t: m for m, t in enumerate(keys)},
+            sigma=np.array([0.5 * self.triangles[t].exposed_count for t in keys]),
+            sides=sides, u=np.stack([sides[0].u_ij, sides[1].u_ij, -sides[2].u_ij], axis=1),
+            geo=geo, angles=angles)
 
     # -- queries ---------------------------------------------------------
 
@@ -302,8 +360,6 @@ def _build_vertices(cx, dist_sq):
 def _build_edges(cx, pairs):
     """The pair table of the candidate pairs; edge ij is in the complex when
     the circle centre q_ij lies in V_ij, and closure adds the rest."""
-    if not len(pairs):
-        return
     balls = cx.balls
     table = pair_table(balls.centers, balls.radii, pairs)
     keys = [tuple(p) for p in pairs.tolist()]
@@ -592,11 +648,9 @@ def _record_circle_tangencies(cx, edges):
     is not a length band and can miss a tangency that this one catches.
     """
     balls = cx.balls
-    table = cx._pair_table
-    at = [cx._pair_rows[e] for e in edges]
-    u = table.u_ij[at]
-    rho = table.r[at][:, None]
-    g = balls.centers[None, :, :] - table.center[at][:, None, :]
+    pairs = cx.edge_pairs
+    u, rho = pairs.u_ij, pairs.r[:, None]
+    g = balls.centers[None, :, :] - pairs.center[:, None, :]
     g_u = np.einsum("emk,ek->em", g, u)
     b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
     gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),

@@ -14,7 +14,12 @@ class NoIntersection(GeometryError):
 
 
 class NonRealizableTriangle(GeometryError):
-    """Squared-cosine parameters do not describe a spherical triangle."""
+    """Squared-cosine parameters do not describe a spherical triangle; the
+    first such triangle of a call on arrays is at ``index``."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateState(GeometryError):

@@ -9,7 +9,7 @@ points where three spheres meet.  All functions are pure and operate on
 immutable inputs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,17 +89,6 @@ class BallSet:
         return BallSet(self.centers, self.radii, weights)
 
 
-def cross3(a, b):
-    """Cross product of two 3-vectors, bit-identical to np.cross.
-
-    Three scalar products in Python cost a fraction of np.cross, whose
-    general broadcasting setup dominates on single vectors.
-    """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def cross_rows(a, b):
     """Cross products of the rows of two (k, 3) arrays, bit-identical to
     np.cross, whose axis handling costs more than the products on the short
@@ -164,16 +153,17 @@ class PairTable:
     lam: np.ndarray
     dlam_dd: np.ndarray
 
+    def take(self, rows):
+        """The PairTable of the given rows, in their order."""
+        return PairTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     def record(self, k, i, j):
         """Row k as the PairGeometry of the balls labelled i and j."""
-        has_circle = bool(self.has_circle[k])
-        return PairGeometry(i=i, j=j, d=float(self.d[k]), u_ij=self.u_ij[k],
-                            xi_i=float(self.xi_i[k]), xi_j=float(self.xi_j[k]),
-                            has_circle=has_circle, center=self.center[k],
-                            r_sq=float(self.r_sq[k]), r=float(self.r[k]),
-                            cos_phi=float(self.cos_phi[k]),
-                            phi=float(self.phi[k]) if has_circle else None,
-                            lam=float(self.lam[k]), dlam_dd=float(self.dlam_dd[k]))
+        row = {f.name: getattr(self, f.name)[k] for f in fields(self)}
+        row = {name: v if v.ndim else v.item() for name, v in row.items()}
+        if not row["has_circle"]:
+            row["phi"] = None
+        return PairGeometry(i=i, j=j, **row)
 
 
 def row_dots(a, b):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateState, NonRealizableTriangle
 from .geometry import as_momentum, cross_rows, pow_squares, row_dots
-from .sphtri import corner_geometry, quad_area_gradient
+from .sphtri import quad_area_gradient
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -30,14 +30,6 @@ def _pair_forces(n, a, b, force):
     np.add.at(vec, np.array([np.ravel(a), np.ravel(b)], dtype=int).T.ravel(),
               np.stack([force, -force], axis=1).reshape(-1, 3))
     return vec
-
-
-def _pair_fields(cx, edges, names):
-    """The fields ``names`` (space separated) of the edges' pair records."""
-    pgs = [cx.edges[e].pair for e in edges]
-    return [np.array([getattr(pg, name) for pg in pgs], dtype=float)
-            .reshape((len(pgs), 3) if name in ("u_ij", "center") else len(pgs))
-            for name in names.split()]
 
 
 def lambda_derivative(pair, t_i, t_j):
@@ -80,9 +72,9 @@ def arc_endpoint_data(balls, cx, edges):
     p = np.array([ref.point for _, ref, _ in walk]).reshape(-1, 3)
     sign = np.array([s for _, _, s in walk])
     ijk = np.column_stack([np.array(edges, dtype=int).reshape(-1, 2)[edge], k])
-    u, q, d, rho, xi_i, xi_j = (f[edge] for f in
-                                _pair_fields(cx, edges, "u_ij center d r xi_i xi_j"))
-    depth = xi_j / d
+    pairs = cx.pair_columns(edges).take(edge)
+    u, q, d, rho = pairs.u_ij, pairs.center, pairs.d, pairs.r
+    depth = pairs.xi_j / d
     g = balls.centers[k] - p
     e_rho = (p - q) / rho[:, None]
     e_tan = cross_rows(u, e_rho)
@@ -93,7 +85,7 @@ def arc_endpoint_data(balls, cx, edges):
         raise DegenerateState("arc endpoint moves tangentially to its sphere",
                               simplex=tuple(sorted(ijk[m].tolist())),
                               residual=abs(float(g_t[m])))
-    dr_dd = -xi_i * xi_j / (d * rho)
+    dr_dd = -pairs.xi_i * pairs.xi_j / (d * rho)
     common = ((1.0 - 2.0 * depth) * g_u + dr_dd * row_dots(g, e_rho))[:, None] * u \
         - (g_u / d)[:, None] * (p - q)
     return ArcEndpoints(edge=edge, ijk=ijk, rho=rho, tangent=sign[:, None] * e_tan, g_t=g_t,
@@ -115,8 +107,7 @@ def sigma_ij_prime(balls, cx, edge, t):
     """Directional derivative of the arc fraction sigma_ij along momentum t:
     the arc-fraction rows of term_e with coefficient one."""
     key = tuple(sorted(edge))
-    data = cx.edges.get(key)
-    if data is None or not data.on_boundary:
+    if key not in cx.edges:
         return 0.0
     vec = _sigma_ij_forces(balls.n, arc_endpoint_data(balls, cx, [key]), 1.0)
     return float(np.sum(vec * as_momentum(t, balls.n)))
@@ -134,72 +125,61 @@ def sigma_i_prime(balls, cx, measures, i, t):
 def term_d(balls, cx, measures, ends=None):
     """Patch term: 4*pi sum of w_i sigma_i'.
 
-    Each bounding circle S_ij has three pair rows: the normal advance of
-    the cap of either sphere, and the swing of its exposed arcs as the cap
-    axes tilt, (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i> with T the sum of
-    the endpoint tangents.  ``ends`` holds arc_endpoint_data of
-    cx.boundary_edges() when the caller has it already.
+    Each alpha circle S_ij has two cap rows, the normal advance of the cap
+    of either sphere (zero when sigma_ij = 0), and each endpoint of its
+    exposed arcs one swing row, (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i>
+    with T the endpoint's tangent, as the cap axes tilt.  ``ends`` holds
+    arc_endpoint_data of the alpha edges in key order when the caller has
+    it already.
     """
-    edges = cx.boundary_edges()
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, edges)
-    # Column 0 of a and b is the cap of sphere i, column 1 that of sphere j.
-    a = np.array(edges, dtype=int).reshape(-1, 2)
-    b = a[:, ::-1]
+        ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
+    i, j = cx.edge_keys.T
+    pairs = cx.edge_pairs
     w, r, r2 = balls.weights, balls.radii, pow_squares(balls.radii)
-    u, d, rho = _pair_fields(cx, edges, "u_ij d r")
-    sig = np.array([measures.sigma_edge(e) for e in edges])[:, None]
-    cap = np.pi * w[a] * sig / r[a] * (1.0 - (r2[a] - r2[b]) / pow_squares(d)[:, None])
-    tangents = np.split(ends.tangent, np.searchsorted(ends.edge, np.arange(1, len(edges))))
-    swing = ((w[a[:, 0]] / r[a[:, 0]] - w[b[:, 0]] / r[b[:, 0]]) * rho / d)[:, None] \
-        * np.array([sum(t, np.zeros(3)) for t in tangents]).reshape(-1, 3)
-    return _pair_forces(balls.n, np.column_stack([a, b[:, 0]]), np.column_stack([b, a[:, 0]]),
-                        np.stack([cap[:, :1] * u, cap[:, 1:] * -u, swing], axis=1))
+    d2 = pow_squares(pairs.d)
+    sig = measures.sigma_e
+    cap_i = np.pi * w[i] * sig / r[i] * (1.0 - (r2[i] - r2[j]) / d2)
+    cap_j = np.pi * w[j] * sig / r[j] * (1.0 - (r2[j] - r2[i]) / d2)
+    tilt = ((w[i] / r[i] - w[j] / r[j]) * pairs.r / pairs.d)[ends.edge]
+    return _pair_forces(balls.n, np.concatenate([i, j, ends.ijk[:, 1]]),
+                        np.concatenate([j, i, ends.ijk[:, 0]]),
+                        np.concatenate([cap_i[:, None] * pairs.u_ij, cap_j[:, None] * -pairs.u_ij,
+                                        tilt[:, None] * ends.tangent]))
 
 
 def term_e(balls, cx, ends=None):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'.
     ``ends`` is as for term_d."""
-    edges = cx.boundary_edges()
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, edges)
-    lam = _pair_fields(cx, edges, "lam")[0]
+        ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
     w_i, w_j = balls.weights[ends.ijk[:, 0]], balls.weights[ends.ijk[:, 1]]
-    return _sigma_ij_forces(balls.n, ends, -math.pi * (w_i + w_j) * lam[ends.edge])
+    return _sigma_ij_forces(balls.n, ends,
+                            -math.pi * (w_i + w_j) * cx.edge_pairs.lam[ends.edge])
 
 
 def term_f(balls, cx, measures):
     """Arc-angle term: -pi sum of (w_i + w_j) sigma_ij lambda_ij'."""
-    edges = cx.boundary_edges()
-    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
-    sig = np.array([measures.sigma_edge(e) for e in edges])
-    u, dlam_dd = _pair_fields(cx, edges, "u_ij dlam_dd")
-    cf = -math.pi * (balls.weights[i] + balls.weights[j]) * sig * dlam_dd
-    return _pair_forces(balls.n, i, j, cf[:, None] * u)
+    i, j = cx.edge_keys.T
+    pairs = cx.edge_pairs
+    cf = -math.pi * (balls.weights[i] + balls.weights[j]) * measures.sigma_e * pairs.dlam_dd
+    return _pair_forces(balls.n, i, j, cf[:, None] * pairs.u_ij)
 
 
 def term_h(balls, cx, measures):
     """Corner term: quadrangle-area derivatives weighted by the ball weights,
-    one pair row per side of each exposed corner's triangle."""
-    w = balls.weights
-    a, b, force = [], [], []
-    for (i, j, k), tdata in sorted(cx.triangles.items()):
-        sig = measures.sigma_t.get((i, j, k), 0.0)
-        if sig == 0.0:
-            continue
-        pg_ij, pg_jk, pg_ki = cx.pair(i, j), cx.pair(j, k), cx.pair(k, i)
-        geo = corner_geometry(pg_ij.cos_phi, pg_jk.cos_phi, pg_ki.cos_phi)
-        try:
-            p, q, s = quad_area_gradient(geo, pg_ij, pg_jk, pg_ki)
-        except NonRealizableTriangle as exc:
-            raise DegenerateState(str(exc), simplex=(i, j, k)) from exc
-        # The records are keyed (i, j), (j, k) and (i, k) with i < j < k, so
-        # the side from x_i to x_k has -u of the last.
-        a += (i, j, k)
-        b += (j, k, i)
-        force += [2.0 * sig * (w[i] * p[m] + w[j] * q[m] + w[k] * s[m]) * u_ab
-                  for m, u_ab in enumerate((pg_ij.u_ij, pg_jk.u_ij, -pg_ki.u_ij))]
-    return _pair_forces(balls.n, a, b, force)
+    one pair row per side of each row of the corner table."""
+    corners = cx.corner_table
+    try:
+        p, q, s = quad_area_gradient(corners.geo, *corners.sides)
+    except NonRealizableTriangle as exc:
+        raise DegenerateState(str(exc), simplex=corners.ijk[exc.index].tolist()) from exc
+    w = balls.weights[corners.ijk]
+    coeff = 2.0 * corners.sigma[:, None] * (w[:, :1] * np.column_stack(p)
+                                            + w[:, 1:2] * np.column_stack(q)
+                                            + w[:, 2:] * np.column_stack(s))
+    return _pair_forces(balls.n, corners.ijk, np.roll(corners.ijk, -1, axis=1),
+                        coeff[:, :, None] * corners.u)
 
 
 @dataclass(frozen=True)
@@ -227,7 +207,7 @@ class GaussGradient:
 def gauss_gradient(balls, cx, measures):
     """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i.  The
     arc-endpoint rows are built once and read by both terms d and e."""
-    ends = arc_endpoint_data(balls, cx, cx.boundary_edges())
+    ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
     return GaussGradient(d=term_d(balls, cx, measures, ends), e=term_e(balls, cx, ends),
                          f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphtri import corner_geometry
+from .geometry import pow_squares, row_dots, row_norms
 
 FOUR_PI = 4.0 * math.pi
 
@@ -30,43 +30,37 @@ class IntrinsicVolumes:
     gauss_corner: float
 
 
+def _sum(terms, start=0.0):
+    """start plus an array of terms, added left to right in key order."""
+    return sum(terms.tolist(), start)
+
+
 def weighted_area(balls, cx, measures):
     """4*pi sum of w_i sigma_i r_i^2 over boundary vertices."""
-    return FOUR_PI * sum(balls.weights[i] * s * balls.radii[i] ** 2
-                         for i, s in sorted(measures.sigma_v.items()))
+    return FOUR_PI * _sum(balls.weights * measures.sigma_v * pow_squares(balls.radii))
 
 
 def weighted_mean(balls, cx, measures):
     """Patch term minus the reentrant arc term of the mean curvature."""
-    patch = FOUR_PI * sum(balls.weights[i] * s * balls.radii[i]
-                          for i, s in sorted(measures.sigma_v.items()))
-    arc = 0.0
-    for (i, j), sig in sorted(measures.sigma_e.items()):
-        if sig == 0.0:
-            continue
-        pg = cx.pair(i, j)
-        arc += (0.5 * (balls.weights[i] + balls.weights[j])
-                * sig * pg.phi * pg.r)
+    w = balls.weights
+    i, j = cx.edge_keys.T
+    pairs = cx.edge_pairs
+    patch = FOUR_PI * _sum(w * measures.sigma_v * balls.radii)
+    arc = _sum(0.5 * (w[i] + w[j]) * measures.sigma_e * pairs.phi * pairs.r)
     return patch - math.pi * arc
 
 
 def weighted_gauss(balls, cx, measures):
     """Weighted Gaussian curvature with its patch/arc/corner breakdown."""
     w = balls.weights
-    patch = FOUR_PI * sum(w[i] * s for i, s in sorted(measures.sigma_v.items()))
-    arc = 0.0
-    for (i, j), sig in sorted(measures.sigma_e.items()):
-        if sig == 0.0:
-            continue
-        arc -= math.pi * (w[i] + w[j]) * sig * cx.pair(i, j).lam
-    corner = 0.0
-    for (i, j, k), sig in sorted(measures.sigma_t.items()):
-        if sig == 0.0:
-            continue
-        geo = corner_geometry(cx.pair(i, j).cos_phi, cx.pair(j, k).cos_phi,
-                              cx.pair(k, i).cos_phi)
-        a_i, a_j, a_k = geo.alphas
-        corner += 2.0 * sig * (a_i * w[i] + a_j * w[j] + a_k * w[k]) * geo.area
+    i, j = cx.edge_keys.T
+    patch = FOUR_PI * _sum(w * measures.sigma_v)
+    arc = 0.0 - _sum(math.pi * (w[i] + w[j]) * measures.sigma_e * cx.edge_pairs.lam)
+    corners = cx.corner_table
+    geo, wc = corners.geo, w[corners.ijk]
+    a_i, a_j, a_k = geo.alphas
+    corner = _sum(2.0 * corners.sigma * (a_i * wc[:, 0] + a_j * wc[:, 1] + a_k * wc[:, 2])
+                  * geo.area)
     return patch + arc + corner, (patch, arc, corner)
 
 
@@ -85,28 +79,29 @@ def weighted_volume(balls, cx, measures):
     where l_ijk = 2 nu_ijk r_ijk is the clipped corner segment and h_ijk its
     signed distance from q_ij, positive towards x_k.
     """
-    disk = {}
-    for (i, j), sig in sorted(measures.sigma_e.items()):
-        disk[(i, j)] = math.pi * cx.pair(i, j).r_sq * sig
-    for tri, nu in sorted(measures.nu_t.items()):
-        if nu <= 0.0:
-            continue
-        tg = cx.triangles[tri].triple
-        seg = 2.0 * nu * tg.half_length
-        a, b, c = tri
-        for i, j, k in ((a, b, c), (a, c, b), (b, c, a)):
-            pg = cx.pair(i, j)
-            g = balls.centers[k] - balls.centers[i]
-            g -= (g @ pg.u_ij) * pg.u_ij
-            h = float((tg.center - pg.center) @ g) / float(np.linalg.norm(g))
-            disk[(i, j)] += 0.5 * h * seg
-    w, r = balls.weights, balls.radii
-    total = FOUR_PI * sum(w[i] * s * r[i] ** 3
-                          for i, s in sorted(measures.sigma_v.items()))
-    for (i, j), area in disk.items():
-        pg = cx.pair(i, j)
-        total += (w[i] * pg.xi_i + w[j] * pg.xi_j) * area
-    return float(total) / 3.0
+    pairs, keys = cx.edge_pairs, cx.edge_keys
+    disk = math.pi * pairs.r_sq * measures.sigma_e
+    live = [(key, data.triple, nu) for (key, data), nu
+            in zip(sorted(cx.triangles.items()), measures.nu_t.tolist()) if nu > 0.0]
+    if live:
+        # Per triangle abc the sides ab, ac and bc, each with its third ball.
+        sides = np.array([key for key, _, _ in live])
+        sides = sides[:, [0, 1, 2, 0, 2, 1, 1, 2, 0]].reshape(-1, 3)
+        at = np.searchsorted(keys[:, 0] * balls.n + keys[:, 1],
+                             sides[:, 0] * balls.n + sides[:, 1])
+        u = pairs.u_ij[at]
+        g = balls.centers[sides[:, 2]] - balls.centers[sides[:, 0]]
+        g -= row_dots(g, u)[:, None] * u
+        center = np.repeat([tg.center for _, tg, _ in live], 3, axis=0)
+        h = row_dots(center - pairs.center[at], g) / row_norms(g)
+        seg = np.repeat([2.0 * nu * tg.half_length for _, tg, nu in live], 3)
+        np.add.at(disk, at, 0.5 * h * seg)
+    w = balls.weights
+    i, j = keys.T
+    r_cubed = np.array([r ** 3 for r in balls.radii.tolist()])   # pow, as pow_squares
+    total = _sum((w[i] * pairs.xi_i + w[j] * pairs.xi_j) * disk,
+                 FOUR_PI * _sum(w * measures.sigma_v * r_cubed))
+    return total / 3.0
 
 
 def intrinsic_volumes(balls, cx, measures):

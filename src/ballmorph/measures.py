@@ -6,32 +6,31 @@ corner points, and nu_ijk the fraction of the corner segment inside the
 Voronoi edge.  sigma_i is a flat Gauss-Bonnet sum over the boundary
 circuits of the sphere: the walk only links corner keys, the arcs add
 their extents times their cap depths, and each corner's turn is an angle
-of its normal spherical triangle (sphtri.vertex_angle), read from the pair
-records' cos phi.  With the pair and triple records of the complex, these
-give the weighted volume exactly (intrinsic.weighted_volume); the ball
-volume fraction nu_i is left to the Monte Carlo cross-check
-oracles.nu_i_mc.
+of its normal spherical triangle, read from the complex's corner table.
+With the pair and triple records of the complex, these give the weighted
+volume exactly (intrinsic.weighted_volume); the ball volume fraction nu_i
+is left to the Monte Carlo cross-check oracles.nu_i_mc.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateState
-from .sphtri import vertex_angle
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class FractionalMeasures:
-    sigma_v: dict = field(default_factory=dict)     # vertex -> sigma_i
-    sigma_e: dict = field(default_factory=dict)     # edge -> sigma_ij
-    sigma_t: dict = field(default_factory=dict)     # triangle -> 0, 1/2 or 1
-    nu_t: dict = field(default_factory=dict)        # triangle -> nu_ijk
+    """The measures as arrays aligned with the complex's sorted keys."""
 
-    def sigma_edge(self, e):
-        return self.sigma_e.get(tuple(sorted(e)), 0.0)
+    sigma_v: np.ndarray     # sigma_i of every ball, 0 off the boundary
+    sigma_e: np.ndarray     # sigma_ij of the alpha edges in key order
+    sigma_t: np.ndarray     # 0, 1/2 or 1 for the alpha triangles in key order
+    nu_t: np.ndarray        # nu_ijk for the alpha triangles in key order
 
 
 def sigma_ij(balls, cx, edge):
@@ -91,6 +90,7 @@ def sigma_i(balls, cx, i):
             by_entry[enter.key] = (leave.key, arc.extent * cos_cap)
     unused = set(by_entry)
     while unused:
+        corners = cx.corner_table
         start = key = min(unused)
         area = TWO_PI
         while True:
@@ -99,26 +99,24 @@ def sigma_i(balls, cx, i):
                                       simplex=(i,))
             unused.remove(key)
             key, arc_term = by_entry[key]
-            j, k = (m for m in key[0] if m != i)
-            area += arc_term - vertex_angle(cx.pair(i, j).cos_phi,
-                                            cx.pair(j, k).cos_phi,
-                                            cx.pair(k, i).cos_phi)
+            tri = key[0]
+            area += arc_term - corners.angles[corners.row[tri], tri.index(i)]
             if key == start:
                 break
         total += area
     # Each circuit contributes the solid angle on its left; nested circuits
     # overshoot by full spheres, which the modulus removes.
-    return (total % FOUR_PI) / FOUR_PI
+    return (float(total) % FOUR_PI) / FOUR_PI
 
 
 def compute_measures(balls, cx):
     """All fractional measures of the boundary simplices of the complex."""
-    out = FractionalMeasures()
+    sigma_v = np.zeros(balls.n)
     for i in cx.boundary_vertices():
-        out.sigma_v[i] = sigma_i(balls, cx, i)
-    for e in sorted(cx.edges):
-        out.sigma_e[e] = sigma_ij(balls, cx, e)
-    for t, data in sorted(cx.triangles.items()):
-        out.sigma_t[t] = 0.5 * data.exposed_count
-        out.nu_t[t] = data.nu
-    return out
+        sigma_v[i] = sigma_i(balls, cx, i)
+    tris = [data for _, data in sorted(cx.triangles.items())]
+    return FractionalMeasures(
+        sigma_v=sigma_v,
+        sigma_e=np.array([sigma_ij(balls, cx, e) for e in sorted(cx.edges)]),
+        sigma_t=np.array([0.5 * data.exposed_count for data in tris]),
+        nu_t=np.array([data.nu for data in tris]))

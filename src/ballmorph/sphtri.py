@@ -7,11 +7,11 @@ the same triangle are the turns of the spheres' boundary circuits at the
 corner, which measures.sigma_i sums.  Everything is parametrized by the
 squared cosines of the half side-lengths, a = cos^2(phi_ij / 2) etc., which
 keeps all formulas rational up to square roots and makes the derivatives
-short.  Every formula reads the product of sines of these parameters from
-``_radicand``, in one precision.
+short.  Every formula takes one corner's scalars or arrays over a table of
+corners (complexes.CornerTable), with the same bits per corner either way,
+and reads the product of sines from one ``_radicand`` evaluation per call.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +36,17 @@ def _radicand(a, b, c):
     a corner-sign flip; the extended precision keeps the areas, the angles
     and the derivatives, which all divide by or take the root of it, tight.
     """
-    return float(product_of_sines(np.longdouble(a), np.longdouble(b),
-                                  np.longdouble(c)))
+    return np.float64(product_of_sines(np.longdouble(a), np.longdouble(b),
+                                       np.longdouble(c)))
+
+
+def _positive(u, name="product of sines"):
+    """u, after raising NonRealizableTriangle at its first entry <= 0."""
+    bad = np.flatnonzero(u <= 0.0)
+    if bad.size:
+        raise NonRealizableTriangle(f"{name} is {np.ravel(u)[bad[0]]:.3e}",
+                                    index=int(bad[0]))
+    return u
 
 
 def triangle_area(a, b, c):
@@ -45,24 +54,17 @@ def triangle_area(a, b, c):
 
     Lies in (0, 2*pi); areas above pi occur when a + b + c < 1.
     """
-    u = _radicand(a, b, c)
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
-    t = math.sqrt(min(u / (4.0 * a * b * c), 1.0))
-    s = 2.0 * math.asin(t)
-    if a + b + c < 1.0:
-        s = 2.0 * math.pi - s
-    return s
+    u = _positive(_radicand(a, b, c))
+    s = 2.0 * np.arcsin(np.sqrt(np.minimum(u / (4.0 * a * b * c), 1.0)))
+    return np.where(a + b + c < 1.0, 2.0 * np.pi - s, s)[()]
 
 
 def darea_da(a, b, c):
     """Partial derivative of triangle_area in its first argument."""
-    u = _radicand(a, b, c)
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
+    u = _positive(_radicand(a, b, c))
     # b + c first: for an isosceles darea_da(x, r, r) that is 2r exactly,
     # which keeps the rounding small next to a corner-sign flip.
-    return (b + c - a - 1.0) / (a * math.sqrt(u))
+    return (b + c - a - 1.0) / (a * np.sqrt(u))
 
 
 def vertex_angle(cos_ij, cos_jk, cos_ki):
@@ -74,10 +76,16 @@ def vertex_angle(cos_ij, cos_jk, cos_ki):
     At a corner of spheres i, j and k it is the turn of sphere i's exposed
     boundary where it passes from one of the circles S_ij, S_ki to the other.
     """
-    u = _radicand(0.5 * (1.0 + cos_ij), 0.5 * (1.0 + cos_jk), 0.5 * (1.0 + cos_ki))
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
-    return math.atan2(2.0 * math.sqrt(u), cos_jk - cos_ij * cos_ki)
+    u = _positive(_radicand(0.5 * (1.0 + cos_ij), 0.5 * (1.0 + cos_jk),
+                            0.5 * (1.0 + cos_ki)))
+    return np.arctan2(2.0 * np.sqrt(u), cos_jk - cos_ij * cos_ki)
+
+
+def _cap_terms(a, b, c):
+    """The product of sines u and the cap denominator v of cap_half_radius."""
+    u = _positive(_radicand(a, b, c))
+    v = _positive(u + 4.0 * (1.0 - a) * (1.0 - b) * (1.0 - c), "cap denominator")
+    return u, v
 
 
 def cap_half_radius(a, b, c):
@@ -85,25 +93,15 @@ def cap_half_radius(a, b, c):
 
     Always in (1/2, 1): the formula picks the circumcenter with R < pi/2.
     """
-    u = _radicand(a, b, c)
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
-    v = u + 4.0 * (1.0 - a) * (1.0 - b) * (1.0 - c)
-    if v <= 0.0:
-        raise NonRealizableTriangle(f"cap denominator is {v:.3e}")
-    return 0.5 + 0.5 * math.sqrt(u / v)
+    u, v = _cap_terms(a, b, c)
+    return 0.5 + 0.5 * np.sqrt(u / v)
 
 
 def dcap_da(a, b, c):
     """Partial derivative of cap_half_radius in its first argument."""
-    u = _radicand(a, b, c)
-    if u <= 0.0:
-        raise NonRealizableTriangle(f"product of sines is {u:.3e}")
-    v = u + 4.0 * (1.0 - a) * (1.0 - b) * (1.0 - c)
-    if v <= 0.0:
-        raise NonRealizableTriangle(f"cap denominator is {v:.3e}")
-    return (1.0 - b) * (1.0 - c) * ((a - 1.0) ** 2 - (b - c) ** 2) / (
-        math.sqrt(u) * v * math.sqrt(v))
+    u, v = _cap_terms(a, b, c)
+    return (1.0 - b) * (1.0 - c) * (np.square(a - 1.0) - np.square(b - c)) / (
+        np.sqrt(u) * v * np.sqrt(v))
 
 
 def corner_signs(a, b, c):
@@ -113,10 +111,9 @@ def corner_signs(a, b, c):
     the vertex lie on opposite sides of the great circle through the other
     two vertices; the boundary case counts as +1.  At most one sign is -1.
     """
-    sgm_i = 1 if a + c <= 1.0 + b else -1
-    sgm_j = 1 if a + b <= 1.0 + c else -1
-    sgm_k = 1 if b + c <= 1.0 + a else -1
-    return sgm_i, sgm_j, sgm_k
+    return (np.where(a + c <= 1.0 + b, 1, -1)[()],
+            np.where(a + b <= 1.0 + c, 1, -1)[()],
+            np.where(b + c <= 1.0 + a, 1, -1)[()])
 
 
 def _iso_area(x, r):
@@ -126,11 +123,9 @@ def _iso_area(x, r):
     corner sign flips); triangle_area raises there instead.
     """
     u = _radicand(x, r, r)
-    if u <= 0.0:
-        return 0.0
-    t = math.sqrt(min(u / (4.0 * x * r * r), 1.0))
     # x + 2r - 1 > 0 because r > 1/2, so the small-area branch always applies.
-    return 2.0 * math.asin(t)
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(np.where(u > 0.0, u, 0.0)
+                                              / (4.0 * x * r * r), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,8 @@ class CornerGeometry:
 
     ``a``, ``b``, ``c`` are the squared half-side cosines of sides ij, jk
     and ki.  Quadrangle areas satisfy quad_i + quad_j + quad_k = area, and
-    the fractions alpha sum to one.
+    the fractions alpha sum to one.  Each field (each tuple entry) is a
+    scalar for one corner, or an array with one entry per corner.
     """
 
     a: float
@@ -157,42 +153,37 @@ def quadrangle_areas(a, b, c):
 
     Returns (quad_i, quad_j, quad_k); their sum equals triangle_area(a,b,c).
     """
-    return _split(a, b, c, cap_half_radius(a, b, c), corner_signs(a, b, c))
-
-
-def _split(a, b, c, r, signs):
-    """quadrangle_areas for a given circumcap parameter r and corner signs."""
-    sgm_i, sgm_j, sgm_k = signs
-    iso_a = _iso_area(a, r)   # over side ij, apex at the circumcenter
-    iso_b = _iso_area(b, r)   # over side jk
-    iso_c = _iso_area(c, r)   # over side ki
-    quad_i = 0.5 * (sgm_k * iso_a + sgm_j * iso_c)
-    quad_j = 0.5 * (sgm_i * iso_b + sgm_k * iso_a)
-    quad_k = 0.5 * (sgm_j * iso_c + sgm_i * iso_b)
-    return quad_i, quad_j, quad_k
+    return _corner(a, b, c).quads
 
 
 def corner_geometry(cos_ij, cos_jk, cos_ki):
     """Build the corner split from the three normal-angle cosines."""
-    a = 0.5 * (1.0 + cos_ij)
-    b = 0.5 * (1.0 + cos_jk)
-    c = 0.5 * (1.0 + cos_ki)
+    return _corner(0.5 * (1.0 + cos_ij), 0.5 * (1.0 + cos_jk), 0.5 * (1.0 + cos_ki))
+
+
+def _corner(a, b, c):
+    """The CornerGeometry of the squared half-side cosines a, b and c."""
     area = triangle_area(a, b, c)
     r = cap_half_radius(a, b, c)
-    signs = corner_signs(a, b, c)
-    quads = _split(a, b, c, r, signs)
+    sgm_i, sgm_j, sgm_k = signs = corner_signs(a, b, c)
+    iso_a = _iso_area(a, r)   # over side ij, apex at the circumcenter
+    iso_b = _iso_area(b, r)   # over side jk
+    iso_c = _iso_area(c, r)   # over side ki
+    quads = (0.5 * (sgm_k * iso_a + sgm_j * iso_c),
+             0.5 * (sgm_i * iso_b + sgm_k * iso_a),
+             0.5 * (sgm_j * iso_c + sgm_i * iso_b))
     # Normalizing by the quadrangle sum (equal to the area up to rounding)
     # keeps the fractions summing to one exactly.
     total = quads[0] + quads[1] + quads[2]
-    alphas = tuple(q / total for q in quads)
-    return CornerGeometry(a=a, b=b, c=c, area=area, cap_r=r, signs=signs,
-                          quads=quads, alphas=alphas)
+    return CornerGeometry(a=a, b=b, c=c, area=area, cap_r=r, signs=signs, quads=quads,
+                          alphas=tuple(q / total for q in quads))
 
 
 def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
     """Coefficients of the quadrangle-area derivatives under ball motion.
 
-    For the corner of balls (i, j, k) with pair data for its three edges,
+    For the corner of balls (i, j, k) with pair data for its three edges
+    (PairGeometry records, or PairTable rows for a table of corners),
     returns three triples (p, q, s), each = (c_ij, c_jk, c_ki), such that
 
         quad_i' = p[0] <u_ij, t_i - t_j> + p[1] <u_jk, t_j - t_k>
@@ -200,43 +191,27 @@ def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
 
     and analogously quad_j' with q, quad_k' with s.
     """
-    a, b, c = corner.a, corner.b, corner.c
+    x = (corner.a, corner.b, corner.c)
     r = corner.cap_r
     sgm_i, sgm_j, sgm_k = corner.signs
-
-    dr_da = dcap_da(a, b, c)
-    dr_db = dcap_da(b, a, c)
-    dr_dc = dcap_da(c, a, b)
-
+    pairs = (pair_ij, pair_jk, pair_ki)
+    dr = (dcap_da(x[0], x[1], x[2]), dcap_da(x[1], x[0], x[2]), dcap_da(x[2], x[0], x[1]))
+    if not all(np.all(pair.has_circle) for pair in pairs):
+        raise NoIntersection("corner edges must properly intersect")
     # d(squared cosine)/d(angle) = -sin(phi)/2, then d(angle)/d(distance),
     # which is 1 / r_ij.
-    def edge_factor(pair):
-        return -0.5 * math.sqrt(max(0.0, 1.0 - pair.cos_phi ** 2))
+    dd = [-0.5 * np.sqrt(np.maximum(0.0, 1.0 - pair.cos_phi * pair.cos_phi)) / pair.r
+          for pair in pairs]
 
-    if not (pair_ij.has_circle and pair_jk.has_circle and pair_ki.has_circle):
-        raise NoIntersection("corner edges must properly intersect")
-    da_dd = edge_factor(pair_ij) / pair_ij.r
-    db_dd = edge_factor(pair_jk) / pair_jk.r
-    dc_dd = edge_factor(pair_ki) / pair_ki.r
-
-    # The isosceles area over side x with legs r is triangle_area(x, r, r),
-    # symmetric in its last two arguments.
-    dA_dx, dA_dr = darea_da(a, r, r), 2.0 * darea_da(r, a, r)
-    dB_dx, dB_dr = darea_da(b, r, r), 2.0 * darea_da(r, b, r)
-    dC_dx, dC_dr = darea_da(c, r, r), 2.0 * darea_da(r, c, r)
-
-    # Derivatives of the three isosceles areas with respect to the three
-    # center distances; the base side depends on its own distance both
-    # directly and through the cap radius.
-    dA = ((dA_dx + dA_dr * dr_da) * da_dd,
-          dA_dr * dr_db * db_dd,
-          dA_dr * dr_dc * dc_dd)
-    dB = (dB_dr * dr_da * da_dd,
-          (dB_dx + dB_dr * dr_db) * db_dd,
-          dB_dr * dr_dc * dc_dd)
-    dC = (dC_dr * dr_da * da_dd,
-          dC_dr * dr_db * db_dd,
-          (dC_dx + dC_dr * dr_dc) * dc_dd)
+    # The isosceles area over side n with legs r is triangle_area(x_n, r, r),
+    # symmetric in its last two arguments.  It depends on each center
+    # distance through the cap radius, and on its own side's directly too.
+    diso = []
+    for n in range(3):
+        d_dx, d_dr = darea_da(x[n], r, r), 2.0 * darea_da(r, x[n], r)
+        diso.append([(d_dx + d_dr * dr[m] if m == n else d_dr * dr[m]) * dd[m]
+                     for m in range(3)])
+    dA, dB, dC = diso
 
     p = tuple(0.5 * (sgm_k * dA[m] + sgm_j * dC[m]) for m in range(3))
     q = tuple(0.5 * (sgm_i * dB[m] + sgm_k * dA[m]) for m in range(3))

@@ -20,6 +20,14 @@ triangle (sphtri.vertex_angle) and the derivative kernels darea_da and
 dcap_da came to read the extended-precision product of sines: V, A, M and
 K moved by at most 5.4e-15 relative, the gradient by at most 5.4e-13 of
 max|G| (term h only), and the fdcheck gap from 1.267e-9 to 1.190e-9.
+``g20_grad.*``, ``g20_compute.json``, ``g08_fdcheck.out`` and
+``t03_probe.out`` were regenerated when the corner formulas came to run on
+arrays over one corner table per complex (numpy's arcsin and arctan2 round
+some last bits unlike math's) and the patch term's arc swing became one
+pair row per arc endpoint: V, A, M and K kept every byte, the corner part
+of K moved by 5.8e-16 relative, the gradient entries by at most 1.1e-16
+of max|G|, the probe's grad_norm column by at most 3.8e-16 relative, and
+the fdcheck gap from 1.190e-9 to 1.101e-9.
 ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, euler, \
-    pair_geometry
+from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, \
+    compute_measures, euler, pair_geometry, term_h, weighted_gauss
 from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
 from ballmorph.geometry import pair_table
+from ballmorph.serial import parse_diagram
 from conftest import brute_sigma_ij, make_config, octant_balls, two_balls
 from test_near_tangency import planted_draw
 
@@ -222,3 +224,24 @@ def test_pair_table_raises_coincident_centers():
     assert table.has_circle.tolist() == [True, True]
     with pytest.raises(CoincidentCenters, match="balls 1 and 2"):
         pair_table(centers, radii, np.array([[0, 1], [1, 2]]))
+
+
+def test_non_realizable_corner_raises_degenerate_state_naming_it():
+    # Every reader of a corner's normal triangle (sigma_i's turns, K's
+    # corner sum, the corner gradient) meets one check in the corner table,
+    # which names the first triangle whose triangle inequality fails.
+    balls = parse_diagram(str(Path(__file__).parent / "data" / "g20.txt"))
+    measures = compute_measures(balls, build_alpha_complex(balls))
+    cx = build_alpha_complex(balls)
+    tri = min(key for key, data in cx.triangles.items() if data.exposed_count)
+    # phi_ij = pi exceeds phi_jk + phi_ki.  cx.pair caches its records, so
+    # the record and the pair-table row both change.
+    key = tri[:2]
+    cx._pairs[key] = dataclasses.replace(cx.pair(*key), cos_phi=-1.0)
+    cx._pair_table.cos_phi[cx._pair_rows[key]] = -1.0
+    for stage in (lambda: compute_measures(balls, cx),
+                  lambda: weighted_gauss(balls, cx, measures),
+                  lambda: term_h(balls, cx, measures)):
+        with pytest.raises(DegenerateState, match="product of sines is") as info:
+            stage()
+        assert info.value.simplex == tri

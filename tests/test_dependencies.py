@@ -1,9 +1,10 @@
 """Static checks of the library source: numpy is the only declared
 dependency, the alpha complex takes pair geometry from its batched table,
-downstream modules read geometry from the complex, only
-gradient.arc_endpoint_data walks the exposed arcs, only the gradient's two
-scatter kernels add into per-ball rows, and the CLI and the diagnostics
-reach the pipeline stages only through evaluate."""
+downstream modules read geometry from the complex and call no corner
+formula or pair record in a loop, only gradient.arc_endpoint_data walks
+the exposed arcs, only the gradient's two scatter kernels add into
+per-ball rows, and the CLI and the diagnostics reach the pipeline stages
+only through evaluate."""
 
 import ast
 import os
@@ -93,6 +94,26 @@ def test_gradient_scatters_rows_only_in_its_two_kernels():
             if update or add_at:
                 writers.add(getattr(top, "name", "<module>"))
     assert writers == {"_pair_forces", "_sigma_ij_forces"}
+
+
+def test_no_loop_calls_a_corner_formula_or_a_pair_record():
+    # The corner formulas run once over the complex's corner table and the
+    # pair records are read as table columns, so no loop or comprehension
+    # downstream of the build calls a sphtri function or cx.pair.
+    root = Path(ballmorph.__file__).parent
+    formulas = {node.name for node in ast.parse((root / "sphtri.py").read_text(encoding="utf-8"))
+                .body if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    callers = set()
+    for name in ("measures.py", "intrinsic.py", "gradient.py"):
+        for top in ast.parse((root / name).read_text(encoding="utf-8")).body:
+            for loop in (node for node in ast.walk(top) if isinstance(node, loops)):
+                for node in ast.walk(loop):
+                    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                    called = getattr(func, "id", getattr(func, "attr", None))
+                    if called in formulas or called == "pair":
+                        callers.add(f"{name}:{getattr(top, 'name', '<module>')}")
+    assert sorted(callers) == []
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -198,13 +198,15 @@ def test_measures_rigid_motion_invariance(rng):
     moved = BallSet(balls.centers @ q.T + shift, balls.radii, balls.weights)
     cx2 = build_alpha_complex(moved)
     m1 = compute_measures(moved, cx2)
-    assert set(m0.sigma_v) == set(m1.sigma_v)
-    for i in m0.sigma_v:
+    # The measures are arrays aligned with each complex's sorted keys.
+    assert cx.boundary_vertices() == cx2.boundary_vertices()
+    for i in cx.boundary_vertices():
         assert m0.sigma_v[i] == pytest.approx(m1.sigma_v[i], abs=1e-10)
-    assert set(m0.sigma_e) == set(m1.sigma_e)
-    for e in m0.sigma_e:
+    assert sorted(cx.edges) == sorted(cx2.edges)
+    for e in range(len(cx.edges)):
         assert m0.sigma_e[e] == pytest.approx(m1.sigma_e[e], abs=1e-10)
-    for t in m0.sigma_t:
+    assert sorted(cx.triangles) == sorted(cx2.triangles)
+    for t in range(len(cx.triangles)):
         assert m0.sigma_t[t] == m1.sigma_t[t]
         assert m0.nu_t[t] == pytest.approx(m1.nu_t[t], abs=1e-10)
 
@@ -213,11 +215,11 @@ def test_sigma_values_in_range(rng):
     for _ in range(5):
         balls, cx = make_config(rng, int(rng.integers(3, 10)))
         m = compute_measures(balls, cx)
-        for v in m.sigma_v.values():
+        for v in m.sigma_v[cx.boundary_vertices()]:
             assert 0.0 < v <= 1.0
-        for v in m.sigma_e.values():
+        for v in m.sigma_e:
             assert 0.0 <= v <= 1.0
-        for v in m.sigma_t.values():
+        for v in m.sigma_t:
             assert v in (0.0, 0.5, 1.0)
-        for v in m.nu_t.values():
+        for v in m.nu_t:
             assert 0.0 <= v <= 1.0

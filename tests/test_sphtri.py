@@ -1,15 +1,17 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballmorph import lambda_pair, pair_geometry
-from ballmorph.geometry import Ball
+from ballmorph import build_alpha_complex, lambda_pair, pair_geometry
+from ballmorph.geometry import Ball, pair_table
+from ballmorph.serial import parse_diagram
 from ballmorph.sphtri import cap_half_radius, corner_geometry, \
     corner_signs, darea_da, dcap_da, product_of_sines, \
     quad_area_gradient, quadrangle_areas, triangle_area, vertex_angle
-from ballmorph.errors import NonRealizableTriangle
+from ballmorph.errors import GeometryError, NonRealizableTriangle
 from conftest import random_triangle_params, spherical_triangle_excess
 
 
@@ -398,3 +400,73 @@ def test_quad_area_gradient_partition_and_translation(rng):
     shift = np.tile(np.array([1.0, -0.3, 0.2]), (3, 1))
     fd0 = (area_at(h, shift) - area_at(-h, shift)) / (2 * h)
     assert fd0 == pytest.approx(0.0, abs=1e-8)
+
+
+def split_columns(geo, grads):
+    """Every number of a corner split and its quadrangle derivatives, one
+    row per corner: (1, 20) for a scalar call, (corners, 20) for arrays."""
+    values = [geo.a, geo.b, geo.c, geo.area, geo.cap_r, *geo.signs, *geo.quads,
+              *geo.alphas, *(x for coeffs in grads for x in coeffs)]
+    return np.array([np.ravel(v) for v in values], dtype=float).T
+
+
+def test_corner_formulas_on_arrays_carry_the_scalar_bits(rng):
+    # 200 random realizable corners, evaluated once as arrays: every row
+    # holds the bytes of the scalar calls on that corner.
+    refs, centers, radii = [], [], []
+    while len(refs) < 200:
+        c = rng.uniform(0, 1.3, size=(3, 3))
+        r = rng.uniform(0.8, 1.2, size=3)
+        try:
+            geo, pgs = _corner_from_centers(c, r)
+            grads = quad_area_gradient(geo, pgs[(0, 1)], pgs[(1, 2)], pgs[(2, 0)])
+        except GeometryError:
+            continue
+        angles = (vertex_angle(pgs[(0, 1)].cos_phi, pgs[(1, 2)].cos_phi, pgs[(2, 0)].cos_phi),)
+        refs.append(np.append(split_columns(geo, grads)[0], angles))
+        centers.append(c)
+        radii.append(r)
+    first = 3 * np.arange(len(refs))[:, None]
+    ij, jk, ki = (pair_table(np.concatenate(centers), np.concatenate(radii), first + side)
+                  for side in (np.array([0, 1]), np.array([1, 2]), np.array([2, 0])))
+    geo = corner_geometry(ij.cos_phi, jk.cos_phi, ki.cos_phi)
+    table = np.column_stack([split_columns(geo, quad_area_gradient(geo, ij, jk, ki)),
+                             vertex_angle(ij.cos_phi, jk.cos_phi, ki.cos_phi)])
+    assert [row.tobytes() for row in table] == [ref.tobytes() for ref in refs]
+
+
+@pytest.mark.parametrize("name", ["g20", "g60"])
+def test_corner_table_rows_carry_the_scalar_bits(name):
+    # Each row of a complex's corner table equals the scalar calls on the
+    # corner's pair records, byte for byte, and its corner signs agree with
+    # the side test on the corner's unit normals, which no formula shares.
+    balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
+    cx = build_alpha_complex(balls)
+    table = cx.corner_table
+    assert [tuple(key) for key in table.ijk.tolist()] == sorted(
+        key for key, data in cx.triangles.items() if data.exposed_count)
+    cols = split_columns(table.geo, quad_area_gradient(table.geo, *table.sides))
+    negative = 0
+    for m, (i, j, k) in enumerate(table.ijk.tolist()):
+        pij, pjk, pki = cx.pair(i, j), cx.pair(j, k), cx.pair(k, i)
+        cos = (pij.cos_phi, pjk.cos_phi, pki.cos_phi)
+        geo = corner_geometry(*cos)
+        ref = split_columns(geo, quad_area_gradient(geo, pij, pjk, pki))[0]
+        assert cols[m].tobytes() == ref.tobytes(), (i, j, k)
+        angles = [vertex_angle(*cos), vertex_angle(*cos[1:], cos[0]),
+                  vertex_angle(cos[2], *cos[:2])]
+        assert table.angles[m].tobytes() == np.array(angles).tobytes(), (i, j, k)
+        assert table.u[m].tobytes() == np.array([pij.u_ij, pjk.u_ij, -pki.u_ij]).tobytes()
+        assert table.sigma[m] == 0.5 * cx.triangles[(i, j, k)].exposed_count
+        assert table.row[(i, j, k)] == m
+        # Normals at a corner point: v_a . v_b is cos phi_ab.
+        point = cx.triangles[(i, j, k)].triple.p_plus
+        v = (point - balls.centers[[i, j, k]]) / balls.radii[[i, j, k]][:, None]
+        z = circumcenter(v)
+        for col, (p, q, r) in enumerate(((v[0], v[1], v[2]), (v[1], v[2], v[0]),
+                                         (v[2], v[0], v[1]))):
+            plane = np.cross(q, r)
+            expected = 1 if float(plane @ p) * float(plane @ z) >= 0 else -1
+            assert cols[m, 5 + col] == expected, (i, j, k, col)
+            negative += expected == -1
+    assert len(table.ijk) > 10 and negative > 0
