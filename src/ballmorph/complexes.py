@@ -34,12 +34,15 @@ batched solve.
 
 The exposed arcs of a circle S_ij end at exposed corners, and every
 exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
-arcs come from the corners the triangle test has already classified,
-sorted by angle around the circle, with no further pass over the balls.
+arcs come from the corners the triangle test has already classified, in
+one sort by angle around their circles, with no further pass over the
+balls, and make one array table per complex, ``cx.arcs``: a row per arc
+with its circle, extent and two endpoint corners.  No record is made per
+alpha edge or per arc.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -52,6 +55,7 @@ from .sphtri import CornerGeometry, corner_geometry, vertex_angle
 
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
+_SIDE_OF = np.array([[1, 2], [0, 2], [0, 1]])   # the side of a triangle opposite each vertex
 
 
 def plane_basis(u):
@@ -65,56 +69,16 @@ def plane_basis(u):
     return (e1, e2) if u.ndim == 2 else (e1[0], e2[0])
 
 
-@dataclass(frozen=True)
-class CornerRef:
-    """A corner point terminating an exposed arc.
-
-    ``triangle`` is the sorted index triple whose spheres meet at the point,
-    ``tag`` identifies which of the two intersection points it is (+1 for
-    the point on the positive side of the sorted triple's center plane),
-    and ``occluder`` is the third ball as seen from the arc's edge.
-    """
-
-    triangle: tuple
-    tag: int
-    occluder: int
-    point: np.ndarray
-    angle: float
-
-    @property
-    def key(self):
-        return (self.triangle, self.tag)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Exposed arc of a circle S_ij, in ccw angular parametrization."""
-
-    edge: tuple
-    extent: float
-    start: CornerRef = None        # None for a full circle
-    end: CornerRef = None
-
-    @property
-    def full_circle(self):
-        return self.start is None
-
-
 @dataclass
 class VertexData:
     index: int
     in_alpha: bool = False
     on_boundary: bool = False
-    boundary_edges: list = field(default_factory=list)   # incident, in key order
 
 
 @dataclass
 class EdgeData:
-    pair: object
-    e1: np.ndarray = None
-    e2: np.ndarray = None
     on_boundary: bool = False
-    arcs: list = field(default_factory=list)
 
 
 @dataclass
@@ -150,6 +114,31 @@ class CornerTable:
 
 
 @dataclass(frozen=True)
+class ArcTable:
+    """One row per exposed arc, the alpha edges in key order and each circle
+    S_ij's arcs ccw around u_ij from its first start: the ``edge`` row in
+    cx.edge_keys, the ``extent``, and per endpoint (start, then end) the
+    ``corner`` row in the corner table, the ``tag`` (+1 for the corner on
+    the positive side of the triangle's centre plane), the ``occluder`` k,
+    the ``point`` and its ``angle`` from e1 of plane_basis(u_ij).  A whole
+    circle has extent 2 pi and endpoints -1, 0, -1 and NaN.
+    """
+
+    edge: np.ndarray         # (arcs,)
+    extent: np.ndarray       # (arcs,)
+    corner: np.ndarray       # (arcs, 2)
+    tag: np.ndarray          # (arcs, 2)
+    occluder: np.ndarray     # (arcs, 2)
+    point: np.ndarray        # (arcs, 2, 3)
+    angle: np.ndarray        # (arcs, 2)
+
+    @property
+    def full(self):
+        """Which rows are whole circles."""
+        return self.corner[:, 0] < 0
+
+
+@dataclass(frozen=True)
 class EulerData:
     chi_alpha: int
     chi_surface: int
@@ -177,7 +166,11 @@ class AlphaComplex:
         self._pairs = {}
         self._pair_table = None   # PairTable of the candidate pairs
         self._pair_rows = {}      # candidate pair -> its row in _pair_table
-        self._pair_basis = None   # plane_basis of each row of _pair_table
+        # The alpha triangles with an exposed corner in key order (the corner
+        # table's rows), their points p_plus and p_minus, and which are exposed.
+        self._corners = (np.zeros((0, 3), dtype=int), np.zeros((0, 2, 3)),
+                         np.zeros((0, 2), dtype=bool))
+        self.arcs = None          # the ArcTable, set by the build
         self._triples = {}
         self._triple_raw = {}     # key -> (center, axis, h_sq), None if collinear
         self._quads = None        # candidate-quad reductions of _build_tetrahedra
@@ -211,6 +204,11 @@ class AlphaComplex:
         """The pair-table rows of the sorted index pairs ``keys``."""
         return self._pair_table.take(np.array([self._pair_rows[key] for key in keys], dtype=int))
 
+    def edge_rows(self, keys):
+        """The rows in edge_keys of the alpha edges ``keys`` (sorted pairs)."""
+        code = np.array([self.balls.n, 1])
+        return np.searchsorted(self.edge_keys @ code, np.reshape(keys, (-1, 2)) @ code)
+
     # -- tables of the finished complex, each built on first use ----------
 
     @cached_property
@@ -227,7 +225,8 @@ class AlphaComplex:
     def corner_table(self):
         """The CornerTable: each corner formula runs once over all rows, and
         a normal triangle that is not realizable raises DegenerateState."""
-        keys = [key for key, data in sorted(self.triangles.items()) if data.exposed_count]
+        ijk, _, exposed = self._corners
+        keys = [tuple(key) for key in ijk.tolist()]
         sides = tuple(self.pair_columns([(t[a], t[b]) for t in keys])
                       for a, b in ((0, 1), (1, 2), (0, 2)))
         cos = tuple(side.cos_phi for side in sides)
@@ -237,8 +236,7 @@ class AlphaComplex:
         except NonRealizableTriangle as exc:
             raise DegenerateState(str(exc), simplex=keys[exc.index]) from exc
         return CornerTable(
-            ijk=np.array(keys, dtype=int).reshape(-1, 3), row={t: m for m, t in enumerate(keys)},
-            sigma=np.array([0.5 * self.triangles[t].exposed_count for t in keys]),
+            ijk=ijk, row={t: m for m, t in enumerate(keys)}, sigma=0.5 * exposed.sum(axis=1),
             sides=sides, u=np.stack([sides[0].u_ij, sides[1].u_ij, -sides[2].u_ij], axis=1),
             geo=geo, angles=angles)
 
@@ -371,16 +369,8 @@ def _build_edges(cx, pairs):
     pows[rows, pairs[:, 0]] = _INF
     pows[rows, pairs[:, 1]] = _INF
     accept = table.has_circle & (own <= pows.min(axis=1) + cx.tol ** 2)
-    cx._pair_basis = plane_basis(table.u_ij)
     for k in np.nonzero(accept)[0].tolist():
-        cx.edges[keys[k]] = _alpha_edge(cx, keys[k])
-
-
-def _alpha_edge(cx, key):
-    """EdgeData of the alpha edge ``key``, from its row of the pair table."""
-    e1, e2 = cx._pair_basis
-    k = cx._pair_rows[key]
-    return EdgeData(pair=cx.pair(*key), e1=e1[k], e2=e2[k])
+        cx.edges[keys[k]] = EdgeData()
 
 
 def _build_triangles(cx, idx):
@@ -419,6 +409,10 @@ def _build_triangles(cx, idx):
     p_minus = center - half[:, None] * axis
     exp_plus = _points_exposed(cx, idx, p_plus)
     exp_minus = _points_exposed(cx, idx, p_minus)
+    # idx is in key order, as the corner table's rows are.
+    on = accept & (exp_plus | exp_minus)
+    cx._corners = (idx[on], np.concatenate((p_plus, p_minus), axis=1)[on].reshape(-1, 2, 3),
+                   np.array([exp_plus, exp_minus]).T[on])
     # The records cx.triple would build from _triple_raw, from the rows at
     # hand: the same elementwise arithmetic, so the same bits.
     keys, half, nu = idx.tolist(), half.tolist(), nu.tolist()
@@ -439,8 +433,8 @@ def _note_collinear_triple(cx, tri):
     i, j, k = tri
     u = cx.balls.centers[j] - cx.balls.centers[i]
     u = u / np.linalg.norm(u)
-    pos = [float(cx.pair(a, b).center @ u)
-           for a, b in ((i, j), (i, k), (j, k))]
+    pos = [float(cx._pair_table.center[cx._pair_rows[key]] @ u)
+           for key in ((i, j), (i, k), (j, k))]
     gap = min(abs(pos[0] - pos[1]), abs(pos[0] - pos[2]), abs(pos[1] - pos[2]))
     if gap < cx.tol:
         cx.degeneracies.append(("I", tri, gap))
@@ -556,87 +550,67 @@ def _close_faces(cx):
     for tri in cx.triangles:
         for e in combinations(tri, 2):
             if e not in cx.edges:
-                cx.edges[e] = _alpha_edge(cx, e)
+                cx.edges[e] = EdgeData()
     for e in cx.edges:
         for v in e:
             cx.vertices[v].in_alpha = True
 
 
 def _build_arcs(cx):
-    """Exposed arcs of every alpha circle S_ij, from the exposed corners of
-    its alpha triangles ijm.
-
-    Walking ccw around u_ij from a corner p enters B_m exactly when
-    (x_m - p) . (u_ij x (p - q_ij)) > 0; such a corner ends an exposed arc
-    and every other corner starts one.  Sorted by angle, starts and ends
-    alternate unless a corner lies within tol of a fourth sphere, which
-    _points_exposed has recorded; such a circle is flagged and left without
-    arcs.  A circle with no exposed corner is wholly exposed or wholly
-    covered, so one point decides.
+    """The ArcTable of every alpha circle S_ij, from the exposed corners of
+    its alpha triangles ijm, put in ccw order by one sort by (edge, angle,
+    corner key).  Walking ccw around u_ij from a corner p enters B_m exactly
+    when (x_m - p) . (u_ij x (p - q_ij)) > 0; such a corner ends an arc and
+    every other corner starts one.  Starts and ends alternate unless a
+    corner lies within tol of a fourth sphere, which _points_exposed has
+    recorded; such a circle is flagged and left without arcs.  One point
+    decides a circle with no exposed corner.
     """
     balls = cx.balls
-    edges = sorted(cx.edges)
-    if not edges:
-        return
+    keys = cx.edge_keys
+    edges = [tuple(key) for key in keys.tolist()]
     _record_circle_tangencies(cx, edges)
-    corners = {}
-    for key, tdata in cx.triangles.items():
-        if not tdata.on_boundary:
-            continue
-        tg = tdata.triple
-        for tag, exposed, p in ((1, tdata.exposed_plus, tg.p_plus),
-                                (-1, tdata.exposed_minus, tg.p_minus)):
-            if exposed:
-                i, j, k = key
-                for m, edge in ((i, (j, k)), (j, (i, k)), (k, (i, j))):
-                    corners.setdefault(edge, []).append((key, tag, m, p))
-    # The angle of every corner and whether it ends an arc, in one batched
-    # pass; the test point of every circle without corners, in another.
-    table = cx._pair_table
-    e1, e2 = cx._pair_basis
-    flat = [(edge, c) for edge in edges for c in corners.get(edge, ())]
-    angles, ends = [], []
-    if flat:
-        at = [cx._pair_rows[edge] for edge, _ in flat]
-        pts = np.stack([c[3] for _, c in flat])
-        rel = pts - table.center[at]
-        x, y = row_dots(rel, e1[at]), row_dots(rel, e2[at])
-        angles = [math.atan2(b, a) % TWO_PI for a, b in zip(x.tolist(), y.tolist())]
-        turn = row_dots(balls.centers[[c[2] for _, c in flat]] - pts,
-                        cross_rows(table.u_ij[at], rel))
-        ends = (turn > 0.0).tolist()
-    bare = [edge for edge in edges if edge not in corners]
-    if bare:
-        at = [cx._pair_rows[edge] for edge in bare]
-        pows = _powers(table.center[at] + table.r[at][:, None] * e1[at], balls)
-        rows = np.arange(len(bare))
-        for col in range(2):
-            pows[rows, [edge[col] for edge in bare]] = _INF
-        whole = dict(zip(bare, (pows.min(axis=1) >= 0.0).tolist()))
-    start = 0
-    for edge in edges:
-        data = cx.edges[edge]
-        found = corners.get(edge)
-        if not found:
-            data.arcs = [Arc(edge=edge, extent=TWO_PI)] if whole[edge] else []
-        else:
-            stop = start + len(found)
-            pairs = sorted(((CornerRef(*c, angle), end) for c, angle, end
-                            in zip(found, angles[start:stop], ends[start:stop])),
-                           key=lambda pr: (pr[0].angle, pr[0].key))
-            start = stop
-            refs = [r for r, _ in pairs]
-            flags = [end for _, end in pairs]
-            if any(f == g for f, g in zip(flags, flags[1:] + flags[:1])):
-                cx.degeneracies.append(("II", edge, cx.tol))
-                data.arcs = []
-            else:
-                first = flags.index(False)
-                refs = refs[first:] + refs[:first]
-                data.arcs = [Arc(edge=edge, extent=(e.angle - s.angle) % TWO_PI,
-                                 start=s, end=e)
-                             for s, e in zip(refs[::2], refs[1::2])]
-        data.on_boundary = bool(data.arcs)
+    pairs = cx.edge_pairs
+    e1, e2 = plane_basis(pairs.u_ij)
+    # Each exposed corner of triangle t lies on its three sides' circles.
+    ijk, points, exposed = cx._corners
+    t, s = np.nonzero(exposed)
+    t, s, m = np.repeat(t, 3), np.repeat(s, 3), np.arange(3 * len(t)) % 3
+    occ = ijk[t, m]
+    edge = cx.edge_rows(ijk[t[:, None], _SIDE_OF[m]])
+    p = points[t, s]
+    rel = p - pairs.center[edge]
+    x, y = row_dots(rel, e1[edge]), row_dots(rel, e2[edge])
+    angle = np.array([math.atan2(v, u) for u, v in zip(x.tolist(), y.tolist())]) % TWO_PI
+    ends = row_dots(balls.centers[occ] - p, cross_rows(pairs.u_ij[edge], rel)) > 0.0
+    tag = 1 - 2 * s
+    order = np.lexsort((tag, t, angle, edge))
+    edge, t, tag, occ, p, angle, ends = (v[order] for v in (edge, t, tag, occ, p, angle, ends))
+    count = np.bincount(edge, minlength=len(edges))
+    stop = np.cumsum(count)[edge]
+    nxt = np.arange(1, len(edge) + 1)
+    nxt = np.where(nxt == stop, stop - count[edge], nxt)      # the next corner ccw
+    broken = np.bincount(edge[ends == ends[nxt]], minlength=len(edges)) > 0
+    cx.degeneracies += [("II", edges[e], cx.tol) for e in np.flatnonzero(broken).tolist()]
+    # On an intact circle each start is followed by an end.
+    a = np.flatnonzero(~broken[edge] & ~ends)
+    # The circles without corners: exposed when their point on e1 is.
+    bare = np.flatnonzero(count == 0)
+    pows = _powers(pairs.center[bare] + pairs.r[bare][:, None] * e1[bare], balls)
+    pows[np.arange(len(bare))[:, None], keys[bare]] = _INF
+    whole = bare[pows.min(axis=1) >= 0.0]
+    # A whole circle takes both its endpoints from a blank entry put last.
+    t, tag, occ, angle, p = (np.concatenate((v, [fill])) for v, fill in (
+        (t, -1), (tag, 0), (occ, -1), (angle, np.nan), (p, np.full(3, np.nan))))
+    arc_edge, blank = np.concatenate([edge[a], whole]), np.full(len(whole), len(edge))
+    rows = np.argsort(arc_edge, kind="stable")
+    at = np.array([np.concatenate((a, blank)), np.concatenate((nxt[a], blank))]).T[rows]
+    extent = np.concatenate([(angle[nxt[a]] - angle[a]) % TWO_PI, np.full(len(whole), TWO_PI)])
+    cx.arcs = ArcTable(edge=arc_edge[rows], extent=extent[rows], corner=t[at], tag=tag[at],
+                       occluder=occ[at], point=p[at], angle=angle[at])
+    on = np.bincount(cx.arcs.edge, minlength=len(edges)) > 0
+    for key, flag in zip(edges, on.tolist()):
+        cx.edges[key].on_boundary = flag
 
 
 def _record_circle_tangencies(cx, edges):
@@ -655,9 +629,7 @@ def _record_circle_tangencies(cx, edges):
     b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
     gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),
                      np.abs(np.hypot(g_u, b + rho) - balls.radii))
-    rows = np.arange(len(edges))
-    for col in range(2):
-        gap[rows, [e[col] for e in edges]] = _INF
+    gap[np.arange(len(edges))[:, None], cx.edge_keys] = _INF
     for e, m in zip(*np.nonzero(gap < cx.tol)):
         cx.degeneracies.append(("II", tuple(sorted(edges[e] + (int(m),))),
                                 float(gap[e, m])))
@@ -665,14 +637,12 @@ def _record_circle_tangencies(cx, edges):
 
 def _mark_boundary_vertices(cx):
     balls = cx.balls
-    for key in sorted(cx.edges):
-        if cx.edges[key].on_boundary:
-            for v in key:
-                cx.vertices[v].boundary_edges.append(key)
+    on_arcs = np.zeros(balls.n, dtype=bool)
+    on_arcs[cx.edge_keys[cx.arcs.edge]] = True
     for i, vd in cx.vertices.items():
         if not vd.in_alpha:
             continue
-        if vd.boundary_edges:
+        if on_arcs[i]:
             vd.on_boundary = True
             continue
         # No exposed arcs on the sphere: it is entirely exposed or entirely

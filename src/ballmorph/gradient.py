@@ -2,11 +2,11 @@
 
 The derivative splits into four terms: patch-fraction change (d), arc
 fraction change (e), arc angle change (f), and corner quadrangle change
-(h).  Each term is rows of coefficients fed to one of two scatters into
-per-ball vectors.  What depends on the state only through a centre
-distance d_ab has equal and opposite rows, since dd_ab/dx_a = u_ab =
--dd_ab/dx_b (``_pair_forces``: d, f, h and lambda'); the arc fractions
-move with the arc endpoints (``_sigma_ij_forces``: e and sigma_ij').
+(h), each rows of coefficients fed to one of two scatters into per-ball
+vectors.  What depends on the state only through a centre distance d_ab
+has equal and opposite rows, since dd_ab/dx_a = u_ab = -dd_ab/dx_b
+(``_pair_forces``: d, f, h and lambda'); the arc fractions move with the
+arc endpoints, read from the arc table (``_sigma_ij_forces``: e and sigma_ij').
 """
 
 import math
@@ -62,17 +62,17 @@ class ArcEndpoints:
 
 
 def arc_endpoint_data(balls, cx, edges):
-    """ArcEndpoints of the exposed-arc corners of the circles ``edges``,
-    walked edge by edge, arc by arc, start then end.  Raises DegenerateState
-    at the first corner that moves tangentially to its sphere."""
-    walk = [(m, ref, sign) for m, e in enumerate(edges) for arc in cx.edges[e].arcs
-            if not arc.full_circle for ref, sign in ((arc.start, -1.0), (arc.end, 1.0))]
-    edge = np.array([m for m, _, _ in walk], dtype=int)
-    k = np.array([ref.occluder for _, ref, _ in walk], dtype=int)
-    p = np.array([ref.point for _, ref, _ in walk]).reshape(-1, 3)
-    sign = np.array([s for _, _, s in walk])
-    ijk = np.column_stack([np.array(edges, dtype=int).reshape(-1, 2)[edge], k])
-    pairs = cx.pair_columns(edges).take(edge)
+    """ArcEndpoints of the arc-table rows of the alpha edges ``edges`` (in
+    key order), each start then end.  Raises DegenerateState at the first
+    corner that moves tangentially to its sphere."""
+    arcs, at = cx.arcs, cx.edge_rows(edges)
+    rows = np.repeat(np.flatnonzero(np.isin(arcs.edge, at) & ~arcs.full), 2)
+    end = np.arange(len(rows)) % 2
+    edge = np.searchsorted(at, arcs.edge[rows])
+    k, p = arcs.occluder[rows, end], arcs.point[rows, end]
+    sign = 2.0 * end - 1.0
+    ijk = np.column_stack([cx.edge_keys[arcs.edge[rows]], k])
+    pairs = cx.edge_pairs.take(arcs.edge[rows])
     u, q, d, rho = pairs.u_ij, pairs.center, pairs.d, pairs.r
     depth = pairs.xi_j / d
     g = balls.centers[k] - p

@@ -87,8 +87,7 @@ def weighted_volume(balls, cx, measures):
         # Per triangle abc the sides ab, ac and bc, each with its third ball.
         sides = np.array([key for key, _, _ in live])
         sides = sides[:, [0, 1, 2, 0, 2, 1, 1, 2, 0]].reshape(-1, 3)
-        at = np.searchsorted(keys[:, 0] * balls.n + keys[:, 1],
-                             sides[:, 0] * balls.n + sides[:, 1])
+        at = cx.edge_rows(sides[:, :2])
         u = pairs.u_ij[at]
         g = balls.centers[sides[:, 2]] - balls.centers[sides[:, 0]]
         g -= row_dots(g, u)[:, None] * u

@@ -3,10 +3,10 @@
 sigma_i is the exposed area fraction of sphere i, sigma_ij the exposed
 length fraction of circle S_ij, sigma_ijk the exposed fraction of the two
 corner points, and nu_ijk the fraction of the corner segment inside the
-Voronoi edge.  sigma_i is a flat Gauss-Bonnet sum over the boundary
-circuits of the sphere: the walk only links corner keys, the arcs add
-their extents times their cap depths, and each corner's turn is an angle
-of its normal spherical triangle, read from the complex's corner table.
+Voronoi edge.  sigma_ij sums the extents of its circle's rows of the arc
+table, and sigma_i is a flat Gauss-Bonnet sum over the links the arcs make
+between corners, each circuit a cycle of the link permutation and each
+turn an angle of the corner's normal triangle, from the corner table.
 With the pair and triple records of the complex, these give the weighted
 volume exactly (intrinsic.weighted_volume); the ball volume fraction nu_i
 is left to the Monte Carlo cross-check oracles.nu_i_mc.
@@ -36,10 +36,13 @@ class FractionalMeasures:
 def sigma_ij(balls, cx, edge):
     """Fraction of circle S_ij outside all other balls: the extents of its
     exposed arcs over 2 pi."""
-    data = cx.edges.get(tuple(sorted(edge)))
-    if data is None:
-        return 0.0
-    return sum(arc.extent for arc in data.arcs) / TWO_PI
+    key = tuple(sorted(edge))
+    return float(_arc_sums(cx)[cx.edge_rows([key])[0]] / TWO_PI) if key in cx.edges else 0.0
+
+
+def _arc_sums(cx):
+    """Each alpha edge's arc extents, added in the arc table's row order."""
+    return np.bincount(cx.arcs.edge, cx.arcs.extent, minlength=len(cx.edge_keys))
 
 
 def sigma_ijk(balls, cx, tri):
@@ -55,68 +58,95 @@ def nu_ijk(balls, cx, tri):
 
 
 def sigma_i(balls, cx, i):
-    """Exposed area fraction of sphere i by spherical Gauss-Bonnet.
-
-    Boundary circuits are walked with the exposed region on the left.  A
-    circuit encloses 2 pi, plus extent * cos_cap for each arc on a cap of
-    signed depth cos_cap = xi_i / r_i, minus the turn at each corner.  The
-    turn from circle S_ij to S_ik at a corner of spheres i, j, k is the
-    angle at i of their normal triangle.  Nesting is resolved by reducing
-    the total modulo the sphere area.
-    """
+    """Exposed area fraction of sphere i by spherical Gauss-Bonnet."""
     vd = cx.vertices.get(i)
     if vd is None or not vd.in_alpha or not vd.on_boundary:
         return 0.0
-    if not vd.boundary_edges:
-        return 1.0   # whole sphere exposed (boundary flag rules out covered)
-    total = 0.0
-    by_entry = {}    # corner key -> (key of the next corner, extent * cos_cap)
-    # Key order fixes the summation order of the full circles.
-    for edge in vd.boundary_edges:
-        data = cx.edges[edge]
-        pg = data.pair
-        cos_cap = (pg.xi_i if i == pg.i else pg.xi_j) / balls.radii[i]
-        for arc in data.arcs:
-            if arc.full_circle:
-                total += TWO_PI * (1.0 + cos_cap)
-                continue
-            # Arcs are stored ccw around u_ij, which is clockwise around the
-            # cap axis -u_ij of the pair's first sphere and keeps its exposed
-            # region on the left; the second sphere walks them backwards.
-            enter, leave = (arc.start, arc.end) if i == pg.i else (arc.end, arc.start)
-            if enter.key in by_entry:
-                raise DegenerateState("more than two arcs meet at a corner",
-                                      simplex=enter.triangle)
-            by_entry[enter.key] = (leave.key, arc.extent * cos_cap)
-    unused = set(by_entry)
-    while unused:
-        corners = cx.corner_table
-        start = key = min(unused)
-        area = TWO_PI
-        while True:
-            if key not in unused:
-                raise DegenerateState("boundary circuit on sphere does not close",
-                                      simplex=(i,))
-            unused.remove(key)
-            key, arc_term = by_entry[key]
-            tri = key[0]
-            area += arc_term - corners.angles[corners.row[tri], tri.index(i)]
-            if key == start:
-                break
-        total += area
-    # Each circuit contributes the solid angle on its left; nested circuits
-    # overshoot by full spheres, which the modulus removes.
-    return (float(total) % FOUR_PI) / FOUR_PI
+    return float(_sphere_sigmas(balls, cx, np.array([i]))[0])
+
+
+def _sphere_sigmas(balls, cx, spheres):
+    """sigma_i of the boundary vertices ``spheres``, in ascending order.
+
+    Arcs run ccw around u_ij: clockwise around the cap axis -u_ij of the
+    first sphere, so with its exposed region on the left, and the second
+    sphere walks them backwards.  So each arc links, on each of its spheres,
+    the corner it enters to the corner it leaves, with extent * cos_cap on
+    a cap of signed depth cos_cap = xi / r.  A circuit encloses 2 pi plus
+    its links minus its turns, a whole circle 2 pi (1 + cos_cap), and the
+    modulus by the sphere area resolves nesting.
+    """
+    arcs, n = cx.arcs, balls.n
+    # One entry per arc and sphere, the arc's first sphere first.
+    sphere = cx.edge_keys[arcs.edge].ravel()
+    row = np.arange(2 * len(arcs.edge)) // 2
+    xi = np.column_stack([cx.edge_pairs.xi_i, cx.edge_pairs.xi_j])
+    cos_cap = xi[arcs.edge].ravel() / balls.radii[sphere]
+    full, pick = arcs.full[row], np.bincount(spheres, minlength=n).astype(bool)[sphere]
+    whole = np.flatnonzero(pick & full)
+    link = np.flatnonzero(pick & ~full)
+    link = link[np.argsort(sphere[link], kind="stable")]
+    owner, area = _circuits(cx, sphere[link], row[link], link % 2,
+                            arcs.extent[row[link]] * cos_cap[link])
+    # bincount adds each sphere's terms in order: its whole circles in key
+    # order, then its circuits from the least corner key up.
+    total = np.bincount(np.concatenate([sphere[whole], owner]),
+                        np.concatenate([TWO_PI * (1.0 + cos_cap[whole]), area]), minlength=n)
+    return np.where(np.bincount(sphere, minlength=n) > 0, total % FOUR_PI / FOUR_PI, 1.0)[spheres]
+
+
+def _circuits(cx, sphere, row, side, arc_term):
+    """The sphere and area of each boundary circuit of the links that walk
+    the arc rows ``row`` from end ``side`` (sorted by sphere, each sphere's
+    in row order; ``arc_term`` is extent * cos_cap), sphere by sphere, each
+    from its least corner key up.  Raises DegenerateState at the first
+    sphere where two links enter one corner or that does not close.
+    """
+    arcs, count = cx.arcs, len(row)
+    if not count:
+        return sphere, arc_term
+    corner = 2 * arcs.corner + (arcs.tag > 0)    # ordered as the corner keys
+    span = corner.max() + 1
+    enter, leave = (sphere * span + corner[row, end] for end in (side, 1 - side))
+    order = np.argsort(enter, kind="stable")
+    ordered = enter[order]
+    repeat = order[1:][ordered[1:] == ordered[:-1]].min(initial=count)
+    at = np.minimum(np.searchsorted(ordered, leave), count - 1)
+    found = ordered[at] == leave
+    nxt = order[at]             # the link that goes on from where each one leaves
+    open_ = ~found | (np.bincount(nxt[found], minlength=count) > 1)[nxt]
+    first = sphere[open_].min(initial=cx.balls.n)
+    repeated = repeat < count and sphere[repeat] <= first
+    # A walk sphere by sphere reads the corner table after the first one's repeats.
+    corners = None if repeated and sphere[repeat] == sphere[0] else cx.corner_table
+    if repeated:
+        tri = cx.edge_keys[arcs.edge[row[repeat]]].tolist() + [arcs.occluder[row, side][repeat]]
+        raise DegenerateState("more than two arcs meet at a corner", simplex=sorted(map(int, tri)))
+    if open_.any():
+        raise DegenerateState("boundary circuit on sphere does not close", simplex=(int(first),))
+    out = arcs.corner[row, 1 - side]
+    turn = corners.angles[out, np.argmax(corners.ijk[out] == sphere[:, None], axis=1)]
+    # Pointer doubling: the least corner key on each link's circuit, and
+    # how many links ahead of it the link entering there lies.
+    least, ahead, dist = enter, nxt, np.zeros(count, dtype=int)
+    for k in range(int(np.bincount(sphere).max()).bit_length()):    # circuits stay on a sphere
+        better = least[ahead] < least
+        least = np.where(better, least[ahead], least)
+        dist = np.where(better, dist[ahead] + 2 ** k, dist)
+        ahead = ahead[ahead]
+    walk = np.lexsort((-dist, dist > 0, least))
+    term, head = (arc_term - turn)[walk], dist[walk] == 0
+    return sphere[walk][head], np.bincount(np.cumsum(head) - 1, np.where(head, TWO_PI + term, term))
 
 
 def compute_measures(balls, cx):
     """All fractional measures of the boundary simplices of the complex."""
     sigma_v = np.zeros(balls.n)
-    for i in cx.boundary_vertices():
-        sigma_v[i] = sigma_i(balls, cx, i)
+    spheres = np.array(cx.boundary_vertices(), dtype=int)
+    sigma_v[spheres] = _sphere_sigmas(balls, cx, spheres)
     tris = [data for _, data in sorted(cx.triangles.items())]
     return FractionalMeasures(
         sigma_v=sigma_v,
-        sigma_e=np.array([sigma_ij(balls, cx, e) for e in sorted(cx.edges)]),
+        sigma_e=_arc_sums(cx) / TWO_PI,
         sigma_t=np.array([0.5 * data.exposed_count for data in tris]),
         nu_t=np.array([data.nu for data in tris]))

@@ -2,13 +2,14 @@
 
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ballmorph import BallSet
-from ballmorph.complexes import TWO_PI, CornerRef, build_alpha_complex
+from ballmorph.complexes import TWO_PI, build_alpha_complex, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.serial import fmt
 
@@ -52,19 +53,68 @@ def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,
         return balls, cx
 
 
-def brute_cover(cx, i, j, data):
+@dataclass(frozen=True)
+class Corner:
+    """A corner point ending an exposed arc: the sorted index triple whose
+    spheres meet there, its tag (+1 for the point on the positive side of
+    the triple's centre plane), the occluding third ball, point and angle."""
+
+    triangle: tuple
+    tag: int
+    occluder: int
+    point: np.ndarray
+    angle: float
+
+    @property
+    def key(self):
+        return (self.triangle, self.tag)
+
+
+@dataclass(frozen=True)
+class Arc:
+    """One row of the complex's arc table, as a record."""
+
+    edge: tuple
+    extent: float
+    start: Corner = None      # None for a full circle
+    end: Corner = None
+
+    @property
+    def full_circle(self):
+        return self.start is None
+
+
+def edge_arcs(cx, edge):
+    """The rows of ``cx.arcs`` on the circle S_ij as Arc records, in table
+    order; empty when ij is no alpha edge."""
+    key = tuple(sorted(edge))
+    if key not in cx.edges:
+        return []
+    arcs, tris = cx.arcs, cx._corners[0]
+    out = []
+    for r in np.flatnonzero(arcs.edge == cx.edge_rows([key])[0]).tolist():
+        ends = () if arcs.full[r] else [
+            Corner(tuple(tris[arcs.corner[r, c]].tolist()), int(arcs.tag[r, c]),
+                   int(arcs.occluder[r, c]), arcs.point[r, c], float(arcs.angle[r, c]))
+            for c in (0, 1)]
+        out.append(Arc(key, float(arcs.extent[r]), *ends))
+    return out
+
+
+def brute_cover(cx, i, j):
     """Angular intervals of the circle S_ij inside each ball m other than i
     and j, by a loop over every ball.
 
     Returns (intervals, fully_covered, records): each interval is (start,
-    extent, m, start corner, end corner) in the (e1, e2) angle of ``data``,
-    and records are the ("II", triple, residual) near-tangencies of a
-    sphere with the circle met on the way.
+    extent, m, start corner, end corner) in the angle from e1 of the
+    circle's plane_basis, and records are the ("II", triple, residual)
+    near-tangencies of a sphere with the circle met on the way.
     """
     balls = cx.balls
-    pg = data.pair
+    pg = cx.pair(i, j)
     q, rho = pg.center, pg.r
-    u, e1, e2 = pg.u_ij, data.e1, data.e2
+    u = pg.u_ij
+    e1, e2 = plane_basis(u)
     out = []
     records = []
     for m in range(balls.n):
@@ -104,8 +154,8 @@ def brute_cover(cx, i, j, data):
         extent = (angles[end_tag][0] - start_ang) % TWO_PI
         end_p = angles[end_tag][1]
         out.append((start_ang, extent, m,
-                    CornerRef(key, start_tag, m, start_p, start_ang),
-                    CornerRef(key, end_tag, m, end_p, (start_ang + extent) % TWO_PI)))
+                    Corner(key, start_tag, m, start_p, start_ang),
+                    Corner(key, end_tag, m, end_p, (start_ang + extent) % TWO_PI)))
     return out, False, records
 
 
@@ -135,7 +185,7 @@ def union_measure(covered):
 def brute_sigma_ij(cx, edge):
     """Exposed fraction of the alpha circle S_ij, 1 - union/2pi over the
     intervals of brute_cover: independent of the build's arcs."""
-    covered, full, _ = brute_cover(cx, *edge, cx.edges[edge])
+    covered, full, _ = brute_cover(cx, *edge)
     if full:
         return 0.0
     return 1.0 - union_measure(covered) / TWO_PI if covered else 1.0
@@ -149,7 +199,8 @@ def vector_sigma_i(balls, cx, i):
     vd = cx.vertices.get(i)
     if vd is None or not vd.in_alpha or not vd.on_boundary:
         return 0.0
-    if not vd.boundary_edges:
+    edges = [e for e in cx.boundary_edges() if i in e]
+    if not edges:
         return 1.0
     x_i, r_i = balls.centers[i], balls.radii[i]
 
@@ -159,10 +210,10 @@ def vector_sigma_i(balls, cx, i):
 
     total = 0.0
     by_entry = {}   # corner key -> (next corner key, its point, arc data)
-    for key in vd.boundary_edges:
-        pg = cx.edges[key].pair
+    for key in edges:
+        pg = cx.pair(*key)
         axis, xi = (-pg.u_ij, pg.xi_i) if i == pg.i else (pg.u_ij, pg.xi_j)
-        for arc in cx.edges[key].arcs:
+        for arc in edge_arcs(cx, key):
             if arc.full_circle:
                 total += TWO_PI * (1.0 + xi / r_i)
                 continue

@@ -20,8 +20,8 @@ from ballmorph.errors import DegenerateState, NonRealizableTriangle, OracleDegen
 from ballmorph.measures import sigma_i, sigma_ij
 from ballmorph.sphtri import cap_half_radius, corner_geometry, darea_da, dcap_da, \
     product_of_sines, quad_area_gradient, quadrangle_areas, triangle_area
-from conftest import brute_sigma_ij, make_config, random_triangle_params, rigid_generators, \
-    serialize_diagram, two_balls
+from conftest import brute_sigma_ij, edge_arcs, make_config, random_triangle_params, \
+    rigid_generators, serialize_diagram, two_balls
 
 TWO_PI = 2 * math.pi
 
@@ -178,7 +178,7 @@ def test_acceptance_5_sub_derivatives():
         check(sigma_i_prime(balls, cx, m, i, t), fd, "sigma_i'")
 
         edges = [e for e in cx.boundary_edges()
-                 if any(not arc.full_circle for arc in cx.edges[e].arcs)]
+                 if any(not arc.full_circle for arc in edge_arcs(cx, e))]
         if edges:
             e = edges[int(rng.integers(len(edges)))]
 
@@ -285,7 +285,7 @@ def test_acceptance_7_measure_consistency():
             floor = math.sqrt(max(val * (1 - val), 1e-12) / 1_000_000)
             assert abs(val - sig_mc[i]) <= 3.0 * max(err[i], floor), (trial, i)
         for e in cx.boundary_edges():
-            total = sum(arc.extent for arc in cx.edges[e].arcs) / TWO_PI
+            total = sum(arc.extent for arc in edge_arcs(cx, e)) / TWO_PI
             gap = abs(brute_sigma_ij(cx, e) - total)
             worst_edges = max(worst_edges, gap)
             assert gap <= 1e-10

@@ -7,17 +7,13 @@ import pytest
 
 from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, \
     compute_measures, euler, pair_geometry, term_h, weighted_gauss
+from ballmorph.complexes import plane_basis
 from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
-from ballmorph.geometry import pair_table
+from ballmorph.geometry import PairTable, pair_table
+from ballmorph.pipeline import evaluate
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, make_config, octant_balls, two_balls
+from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, two_balls
 from test_near_tangency import planted_draw
-
-
-def boundary_arcs(cx, edge):
-    """Exposed arcs of the circle S_ij, empty when fully occluded."""
-    data = cx.edges.get(tuple(sorted(edge)))
-    return [] if data is None else list(data.arcs)
 
 
 def test_single_ball():
@@ -33,7 +29,7 @@ def test_two_overlapping_balls():
     assert cx.alpha_simplices() == [(0,), (1,), (0, 1)]
     e = euler(cx)
     assert (e.chi_alpha, e.chi_surface) == (1, 2)
-    arcs = boundary_arcs(cx, (0, 1))
+    arcs = edge_arcs(cx, (0, 1))
     assert len(arcs) == 1 and arcs[0].full_circle
     assert arcs[0].extent == pytest.approx(2 * np.pi)
 
@@ -57,7 +53,7 @@ def test_four_ball_tetrahedron_complex():
 
 def test_octant_arcs_end_at_triple_corners():
     cx = build_alpha_complex(octant_balls())
-    arcs = boundary_arcs(cx, (0, 1))
+    arcs = edge_arcs(cx, (0, 1))
     assert len(arcs) == 1
     arc = arcs[0]
     assert arc.start.triangle == (0, 1, 2)
@@ -75,7 +71,7 @@ def test_fully_occluded_circle_yields_no_arcs():
     # balls themselves), so the edge contributes no arcs.
     balls = BallSet([[0, 0, 0], [1, 0, 0], [0.5, 0, 0]], [1.0, 1.0, 1.0])
     cx = build_alpha_complex(balls)
-    assert boundary_arcs(cx, (0, 1)) == []
+    assert edge_arcs(cx, (0, 1)) == []
 
 
 def test_tangency_raises_degenerate_state():
@@ -89,15 +85,16 @@ def test_tangency_raises_degenerate_state():
 def cyclic_gap_count(cx, edge):
     """Arc gaps around a boundary edge, counted from its cyclic triangle fan."""
     i, j = edge
-    data = cx.edges[edge]
+    pg = cx.pair(i, j)
+    e1, e2 = plane_basis(pg.u_ij)
     tris = sorted(t for t in cx.triangles if i in t and j in t)
     if not tris:
         return 1
     angles = []
     for t in tris:
         k = next(v for v in t if v not in (i, j))
-        rel = cx.balls.centers[k] - data.pair.center
-        angles.append((math.atan2(rel @ data.e2, rel @ data.e1) % (2 * math.pi), k))
+        rel = cx.balls.centers[k] - pg.center
+        angles.append((math.atan2(rel @ e2, rel @ e1) % (2 * math.pi), k))
     angles.sort()
     gaps = 0
     for (a1, k1), (a2, k2) in zip(angles, angles[1:] + angles[:1]):
@@ -116,7 +113,7 @@ def test_gap_count_equals_arc_count(rng):
         balls, cx = make_config(rng, int(rng.integers(4, 10)))
         for e in cx.boundary_edges():
             gaps = cyclic_gap_count(cx, e)
-            assert gaps == len(cx.edges[e].arcs), (e, gaps, len(cx.edges[e].arcs))
+            assert gaps == len(edge_arcs(cx, e)), (e, gaps, len(edge_arcs(cx, e)))
 
 
 def test_face_closure(rng):
@@ -163,8 +160,7 @@ def test_arc_extents_sum_to_exposed_measure(rng):
     for _ in range(8):
         balls, cx = make_config(rng, int(rng.integers(3, 9)))
         for e in cx.boundary_edges():
-            data = cx.edges[e]
-            total = sum(a.extent for a in data.arcs)
+            total = sum(a.extent for a in edge_arcs(cx, e))
             covered = 2 * np.pi * (1.0 - brute_sigma_ij(cx, e))
             assert total + covered == pytest.approx(2 * np.pi, abs=1e-9)
 
@@ -245,3 +241,16 @@ def test_non_realizable_corner_raises_degenerate_state_naming_it():
         with pytest.raises(DegenerateState, match="product of sines is") as info:
             stage()
         assert info.value.simplex == tri
+
+
+@pytest.mark.parametrize("name", ["g20", "g60"])
+def test_pipeline_makes_no_pair_record(name, monkeypatch):
+    # The build, the volumes and the gradient read pair-table columns; no
+    # PairGeometry record is made on the way.
+    calls = []
+    record = PairTable.record
+    monkeypatch.setattr(PairTable, "record",
+                        lambda table, *args: calls.append(args) or record(table, *args))
+    ev = evaluate(parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt")))
+    assert ev.volumes.gauss and ev.gradient.flat.any()
+    assert calls == []

@@ -1,10 +1,11 @@
 """Static checks of the library source: numpy is the only declared
 dependency, the alpha complex takes pair geometry from its batched table,
 downstream modules read geometry from the complex and call no corner
-formula or pair record in a loop, only gradient.arc_endpoint_data walks
-the exposed arcs, only the gradient's two scatter kernels add into
-per-ball rows, and the CLI and the diagnostics reach the pipeline stages
-only through evaluate."""
+formula or pair record in a loop, measures and the gradient read the arc
+and corner tables as columns with no walk over arcs, corners or boundary
+edges, only the gradient's two scatter kernels add into per-ball rows,
+and the CLI and the diagnostics reach the pipeline stages only through
+evaluate."""
 
 import ast
 import os
@@ -64,18 +65,27 @@ def test_complex_takes_pairs_from_its_batched_table():
     assert rebuilder_calls("complexes.py") == []
 
 
-def test_gradient_walks_arcs_only_in_arc_endpoint_data():
-    # arc_endpoint_data is the one kernel that turns exposed arcs into
-    # endpoint records; every gradient term reads those records.
-    tree = ast.parse((Path(ballmorph.__file__).parent / "gradient.py")
-                     .read_text(encoding="utf-8"))
+# Names of the boundary's parts that measures and the gradient read as
+# table columns, never one by one.
+WALKED = {"arcs", "corners", "boundary_edges"}
+
+
+def test_measures_and_gradient_walk_no_arcs():
+    # The exposed boundary is the complex's arc and corner tables; sigma_i,
+    # sigma_ij and the arc endpoints read their columns, so no function in
+    # measures.py or gradient.py has a while loop, or a for loop or
+    # comprehension over arcs, corners or boundary edges.
+    root = Path(ballmorph.__file__).parent
     walkers = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if (isinstance(node, (ast.For, ast.comprehension))
-                    and isinstance(node.iter, ast.Attribute) and node.iter.attr == "arcs"):
-                walkers.append(getattr(top, "name", "<module>"))
-    assert walkers == ["arc_endpoint_data"]
+    for name in ("measures.py", "gradient.py"):
+        for top in ast.parse((root / name).read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                over = ({getattr(sub, "id", getattr(sub, "attr", None))
+                         for sub in ast.walk(node.iter)}
+                        if isinstance(node, (ast.For, ast.comprehension)) else set())
+                if isinstance(node, ast.While) or over & WALKED:
+                    walkers.append(f"{name}:{getattr(top, 'name', '<module>')}")
+    assert sorted(set(walkers)) == []
 
 
 def test_gradient_scatters_rows_only_in_its_two_kernels():

@@ -10,7 +10,7 @@ from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, 
 from ballmorph.errors import DimensionMismatch, NoIntersection
 from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
-from conftest import make_config, octant_balls, rigid_generators, two_balls
+from conftest import edge_arcs, make_config, octant_balls, rigid_generators, two_balls
 
 
 def along(vec, t):
@@ -126,7 +126,7 @@ def test_sigma_ij_prime_matches_fd(rng):
     while checked < 10:
         balls, cx = make_config(rng, int(rng.integers(3, 7)))
         edges = [e for e in cx.boundary_edges()
-                 if any(not a.full_circle for a in cx.edges[e].arcs)]
+                 if any(not a.full_circle for a in edge_arcs(cx, e))]
         if not edges:
             continue
         e = edges[int(rng.integers(len(edges)))]
@@ -253,7 +253,7 @@ def test_gradient_parts_match_fd_of_breakdown(rng):
     checked = 0
     while checked < 12:
         balls, cx = make_config(rng, int(rng.integers(4, 10)), margin=1e-2)
-        if all(arc.full_circle for e in cx.boundary_edges() for arc in cx.edges[e].arcs):
+        if all(arc.full_circle for e in cx.boundary_edges() for arc in edge_arcs(cx, e)):
             continue
         g = gauss_gradient(balls, cx, compute_measures(balls, cx))
         t = rng.normal(size=(balls.n, 3))

@@ -25,7 +25,7 @@ from ballmorph.complexes import TWO_PI, _circle_cliques, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
 from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
-from conftest import brute_cover, union_measure
+from conftest import brute_cover, edge_arcs, union_measure
 
 
 def brute_cliques(circle):
@@ -88,7 +88,7 @@ def sweep_arcs(cx, edge, covered):
         e_rel = (s_rel + extent) % TWO_PI
         events.append((e_rel if e_rel != 0.0 else TWO_PI, -1, end_ref))
     events.sort(key=lambda ev: (ev[0], ev[1]))
-    tol_ang = cx.tol / max(cx.edges[edge].pair.r, cx.tol)
+    tol_ang = cx.tol / max(cx.pair(*edge).r, cx.tol)
     records = [("II", tuple(sorted(set(edge) | {r1.occluder, r2.occluder})), a2 - a1)
                for (a1, _, r1), (a2, _, r2) in zip(events, events[1:])
                if a2 - a1 < tol_ang and r1.occluder != r2.occluder]
@@ -112,14 +112,14 @@ def check_arcs(cx, seen):
     """The corner-built arcs of every alpha circle against the cover loop."""
     built = {(c, s) for c, s, _ in cx.degeneracies}
     for edge, data in sorted(cx.edges.items()):
-        covered, full, records = brute_cover(cx, *edge, data)
+        covered, full, records = brute_cover(cx, *edge)
         want = []
         if not full:
             want, sweep_records = sweep_arcs(cx, edge, covered)
             records += sweep_records
         assert {(c, s) for c, s, _ in records} <= built, edge
         got = [(a.start.key if a.start else None, a.end.key if a.end else None, a.extent)
-               for a in data.arcs]
+               for a in edge_arcs(cx, edge)]
         assert len(got) == len(want), edge
         if want:
             keys = [w[:2] for w in want]

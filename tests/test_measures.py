@@ -1,23 +1,28 @@
 import math
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex, compute_measures, nu_i_mc, \
     nu_ijk, sigma_i, sigma_ij, sigma_ijk
+from ballmorph.complexes import plane_basis
+from ballmorph.errors import DegenerateState
 from ballmorph.oracles import mc_boundary_integrals
-from conftest import brute_sigma_ij, make_config, octant_balls, random_rotation, \
+from ballmorph.serial import parse_diagram
+from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, random_rotation, \
     two_balls, vector_sigma_i
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
     """Dense angular sampling of the circle S_ij against all other balls."""
-    data = cx.edges[tuple(sorted(edge))]
-    pg = data.pair
+    pg = cx.pair(*edge)
+    e1, e2 = plane_basis(pg.u_ij)
     alphas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     pts = (pg.center[None, :]
-           + pg.r * (np.cos(alphas)[:, None] * data.e1[None, :]
-                     + np.sin(alphas)[:, None] * data.e2[None, :]))
+           + pg.r * (np.cos(alphas)[:, None] * e1[None, :]
+                     + np.sin(alphas)[:, None] * e2[None, :]))
     covered = np.zeros(samples, dtype=bool)
     for m in range(balls.n):
         if m in edge:
@@ -86,6 +91,34 @@ def test_sigma_i_matches_vector_turns():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("shape, spacing, sphere", [((2, 2, 2), 1.2, 3), ((3, 3, 3), 1.2, 4),
+                                                    ((3, 3, 3), 1.4, 1)])
+def test_sigma_i_names_the_sphere_whose_circuit_does_not_close(shape, spacing, sphere):
+    # Unit balls on a cubic lattice meet four or more at a corner point.  The
+    # loose build keeps their arcs, whose links on some sphere form no
+    # permutation of its corners; the measures name the first such sphere.
+    balls = BallSet(np.array(list(product(*map(range, shape))), dtype=float) * spacing,
+                    np.ones(math.prod(shape)))
+    cx = build_alpha_complex(balls, strict=False)
+    with pytest.raises(DegenerateState) as info:
+        compute_measures(balls, cx)
+    assert str(info.value) == "boundary circuit on sphere does not close"
+    assert info.value.simplex == (sphere,)
+
+
+@pytest.mark.parametrize("name", ["g20", "g60"])
+def test_single_simplex_measures_are_the_compute_measures_bytes(name):
+    # sigma_i and sigma_ij take the same path as compute_measures.
+    balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
+    cx = build_alpha_complex(balls)
+    measures = compute_measures(balls, cx)
+    assert len(cx.boundary_vertices()) > 10 and len(cx.edges) > 20
+    for i in cx.boundary_vertices():
+        assert np.float64(sigma_i(balls, cx, i)).tobytes() == measures.sigma_v[i].tobytes(), i
+    for row, e in enumerate(sorted(cx.edges)):
+        assert np.float64(sigma_ij(balls, cx, e)).tobytes() == measures.sigma_e[row].tobytes(), e
+
+
 def test_sigma_ij_two_balls_full_circle():
     balls = two_balls(d=1.0)
     cx = build_alpha_complex(balls)
@@ -112,7 +145,7 @@ def test_sigma_ij_equals_arc_extent_sum(rng):
     for _ in range(8):
         balls, cx = make_config(rng, int(rng.integers(3, 9)))
         for e in cx.boundary_edges():
-            arcs = cx.edges[e].arcs
+            arcs = edge_arcs(cx, e)
             total = sum(a.extent for a in arcs) / (2 * np.pi)
             assert sigma_ij(balls, cx, e) == total
             # The independent side: the union of the cover intervals.
