@@ -25,12 +25,13 @@ cliques rather than all index tuples; the batched power kernel
 ``_powers`` still takes a column for every ball, because
 diagnostics.general_position_check reads their all-ball records.
 
-The pair records come from one batched pass per build
-(geometry.pair_table over the candidate pairs), and ``cx.pair`` hands out
-a row of that table, ``cx.edge_pairs`` the rows of the alpha edges and
-``cx.corner_table`` the exposed corners' geometry.  The triple records of
-the alpha triangles are made from the rows of the triangle test's own
-batched solve.
+The candidate pairs and triples each get one batched pass per build
+(geometry.pair_table, geometry.triple_points), kept as tables in key
+order.  The alpha triangles are one more table, ``cx.triangle_table``:
+per row its triple row, nu and the exposure of its two corner points.
+``cx.key_rows`` finds rows in any of these by their integer key codes.
+``cx.pair`` and ``cx.triple`` hand out one row as a record; the stages
+read columns (``cx.edge_pairs``, ``cx.corner_table``) instead.
 
 The exposed arcs of a circle S_ij end at exposed corners, and every
 exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
@@ -42,6 +43,7 @@ alpha edge or per arc.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -56,6 +58,11 @@ from .sphtri import CornerGeometry, corner_geometry, vertex_angle
 TWO_PI = 2.0 * math.pi
 _INF = float("inf")
 _SIDE_OF = np.array([[1, 2], [0, 2], [0, 1]])   # the side of a triangle opposite each vertex
+_FACES = list(combinations(range(4), 3))          # the faces of a tetrahedron
+
+# The candidate triples in key order with the columns of geometry.triple_points,
+# NaN where collinear.
+TripleTable = namedtuple("TripleTable", "ijk collinear center axis h_sq")
 
 
 def plane_basis(u):
@@ -81,23 +88,25 @@ class EdgeData:
     on_boundary: bool = False
 
 
-@dataclass
-class TriangleData:
-    triple: object                 # TripleGeometry in sorted orientation
-    on_boundary: bool = False
-    nu: float = 0.0                # exposed fraction of the corner segment
-    exposed_plus: bool = False
-    exposed_minus: bool = False
+@dataclass(frozen=True)
+class TriangleTable:
+    """One row per alpha triangle, in key order: ``ijk``, its ``triple`` row
+    in the candidate triple table, ``nu``, the fraction of its corner
+    segment inside V_ijk, and ``exposed``, whether p_plus and p_minus lie
+    outside every other ball.  A face added by closure has nu 0 and no
+    exposed corner.
+    """
 
-    @property
-    def exposed_count(self):
-        return int(self.exposed_plus) + int(self.exposed_minus)
+    ijk: np.ndarray          # (t, 3)
+    triple: np.ndarray       # (t,)
+    nu: np.ndarray           # (t,)
+    exposed: np.ndarray      # (t, 2)
 
 
 @dataclass(frozen=True)
 class CornerTable:
     """One row per alpha triangle with an exposed corner, in key order:
-    ``ijk`` and its ``row``, sigma_ijk, the pair-table rows of the sides
+    ``ijk``, sigma_ijk, the pair-table rows of the sides
     ij, jk and ki, and ``u`` with per side ab the u_ab along which d_ab
     grows with x_a (side ki is keyed (i, k), so its row is -u_ik).  ``geo``
     is the normal triangles' CornerGeometry and ``angles`` their angles at
@@ -105,7 +114,6 @@ class CornerTable:
     """
 
     ijk: np.ndarray
-    row: dict
     sigma: np.ndarray
     sides: tuple
     u: np.ndarray
@@ -148,8 +156,9 @@ class AlphaComplex:
     """Simplices of the alpha complex with boundary structure.
 
     ``vertices`` holds every ball, with ``in_alpha`` set on those in the
-    complex; ``edges`` and ``triangles`` map the alpha simplices to their
-    data, and ``tetrahedra`` lists the alpha quads in acceptance order.
+    complex; ``edges`` maps the alpha edges to their data,
+    ``triangle_table`` holds the alpha triangles, and ``tetrahedra`` lists
+    the alpha quads in acceptance order.
     ``degeneracies`` lists (condition, simplex, residual) records for
     near-violations of general position found during construction.
     """
@@ -159,55 +168,64 @@ class AlphaComplex:
         self.tol = EPS_GEO * balls.scale
         self.vertices = {}
         self.edges = {}
-        self.triangles = {}
+        self.triangle_table = None   # the TriangleTable, set by the build
         self.tetrahedra = []
         self.degeneracies = []
         self.condition2_margin = _INF   # cheapest distance-to-tangency seen
         self._pairs = {}
-        self._pair_table = None   # PairTable of the candidate pairs
-        self._pair_rows = {}      # candidate pair -> its row in _pair_table
-        # The alpha triangles with an exposed corner in key order (the corner
-        # table's rows), their points p_plus and p_minus, and which are exposed.
-        self._corners = (np.zeros((0, 3), dtype=int), np.zeros((0, 2, 3)),
-                         np.zeros((0, 2), dtype=bool))
+        self._pair_keys = None    # the candidate pairs in key order, (k, 2)
+        self._pair_table = None   # their PairTable
+        self._triple_table = None   # the TripleTable of the candidate triples
         self.arcs = None          # the ArcTable, set by the build
-        self._triples = {}
-        self._triple_raw = {}     # key -> (center, axis, h_sq), None if collinear
         self._quads = None        # candidate-quad reductions of _build_tetrahedra
 
     # -- cached elementary geometry -------------------------------------
+
+    def key_rows(self, keys, query):
+        """The rows in ``keys``, a sorted (k, d) array of sorted index tuples
+        (the pair, edge, triple or triangle keys), of the tuples ``query``,
+        found by a searchsorted on integer key codes; -1 where one is absent."""
+        code = self.balls.n ** np.arange(keys.shape[1])[::-1]
+        have = np.append(keys @ code, self.balls.n * code[0])     # above every code
+        want = np.reshape(query, (-1, len(code))) @ code
+        at = np.searchsorted(have, want)
+        return np.where(have[at] == want, at, -1)
 
     def pair(self, i, j):
         key = (i, j) if i < j else (j, i)
         pg = self._pairs.get(key)
         if pg is None:
-            # Every pair the complex is asked for is a face of a candidate
-            # simplex, so a circle-graph pair with a row in the table.
-            pg = self._pair_table.record(self._pair_rows[key], *key)
+            row = self.key_rows(self._pair_keys, key)[0]
+            if row < 0:     # only circle-graph pairs, the faces of candidates, have rows
+                raise KeyError(key)
+            pg = self._pair_table.record(row, *key)
             self._pairs[key] = pg
         return pg
 
     def triple(self, i, j, k):
-        key = tuple(sorted((i, j, k)))
-        if key in self._triples:
-            return self._triples[key]
-        # Only triples of pairwise intersecting spheres can meet in two
-        # points, and _build_triangles records every such triple.
-        raw = self._triple_raw.get(key)
-        tg = None
-        if raw is not None and raw[2] > self.tol * self.balls.scale:
-            tg = TripleGeometry.from_center(key, raw[0], raw[1], math.sqrt(raw[2]))
-        self._triples[key] = tg
-        return tg
+        """Row ijk of the candidate triple table as a TripleGeometry; None
+        unless the spheres meet in two points more than the band apart."""
+        ijk, _, center, axis, h_sq = self._triple_table
+        row = self.key_rows(ijk, sorted((i, j, k)))[0]
+        if row < 0 or not h_sq[row] > self.tol * self.balls.scale:
+            return None
+        return TripleGeometry.from_center(tuple(ijk[row].tolist()), center[row], axis[row],
+                                          math.sqrt(h_sq[row]))
+
+    def corner_points(self, rows):
+        """The points p_plus and p_minus, center +/- half * axis, of the
+        triple table's ``rows``, as a (rows, 2, 3) array."""
+        triples = self._triple_table
+        half = np.sqrt(triples.h_sq[rows])[:, None, None] * np.array([[1.0], [-1.0]])
+        return triples.center[rows, None] + half * triples.axis[rows, None]
 
     def pair_columns(self, keys):
         """The pair-table rows of the sorted index pairs ``keys``."""
-        return self._pair_table.take(np.array([self._pair_rows[key] for key in keys], dtype=int))
+        return self._pair_table.take(self.key_rows(self._pair_keys, keys))
 
     def edge_rows(self, keys):
         """The rows in edge_keys of the alpha edges ``keys`` (sorted pairs)."""
-        code = np.array([self.balls.n, 1])
-        return np.searchsorted(self.edge_keys @ code, np.reshape(keys, (-1, 2)) @ code)
+        return self.key_rows(self.edge_keys, keys)
 
     # -- tables of the finished complex, each built on first use ----------
 
@@ -219,33 +237,33 @@ class AlphaComplex:
     @cached_property
     def edge_pairs(self):
         """The pair-table rows of the alpha edges, in key order."""
-        return self.pair_columns(sorted(self.edges))
+        return self.pair_columns(self.edge_keys)
 
     @cached_property
     def corner_table(self):
         """The CornerTable: each corner formula runs once over all rows, and
         a normal triangle that is not realizable raises DegenerateState."""
-        ijk, _, exposed = self._corners
-        keys = [tuple(key) for key in ijk.tolist()]
-        sides = tuple(self.pair_columns([(t[a], t[b]) for t in keys])
-                      for a, b in ((0, 1), (1, 2), (0, 2)))
+        tris = self.triangle_table
+        on = tris.exposed.any(axis=1)
+        ijk = tris.ijk[on]
+        sides = tuple(self.pair_columns(ijk[:, side]) for side in ([0, 1], [1, 2], [0, 2]))
         cos = tuple(side.cos_phi for side in sides)
         try:
             geo = corner_geometry(*cos)
             angles = np.column_stack([vertex_angle(*cos[m:], *cos[:m]) for m in range(3)])
         except NonRealizableTriangle as exc:
-            raise DegenerateState(str(exc), simplex=keys[exc.index]) from exc
+            raise DegenerateState(str(exc), simplex=tuple(ijk[exc.index].tolist())) from exc
         return CornerTable(
-            ijk=ijk, row={t: m for m, t in enumerate(keys)}, sigma=0.5 * exposed.sum(axis=1),
-            sides=sides, u=np.stack([sides[0].u_ij, sides[1].u_ij, -sides[2].u_ij], axis=1),
+            ijk=ijk, sigma=0.5 * tris.exposed[on].sum(axis=1), sides=sides,
+            u=np.stack([sides[0].u_ij, sides[1].u_ij, -sides[2].u_ij], axis=1),
             geo=geo, angles=angles)
 
     # -- queries ---------------------------------------------------------
 
     def alpha_simplices(self):
         """All alpha simplices as sorted index tuples."""
-        return ([(v,) for v, d in self.vertices.items() if d.in_alpha]
-                + list(self.edges) + list(self.triangles) + self.tetrahedra)
+        return ([(v,) for v, d in self.vertices.items() if d.in_alpha] + list(self.edges)
+                + list(map(tuple, self.triangle_table.ijk.tolist())) + self.tetrahedra)
 
     def boundary_vertices(self):
         return sorted(v for v, d in self.vertices.items() if d.on_boundary)
@@ -287,7 +305,7 @@ def build_alpha_complex(balls, strict=True):
 def euler(cx):
     """Euler characteristics of the alpha complex and of the surface."""
     v = sum(1 for d in cx.vertices.values() if d.in_alpha)
-    chi = v - len(cx.edges) + len(cx.triangles) - len(cx.tetrahedra)
+    chi = v - len(cx.edges) + len(cx.triangle_table.ijk) - len(cx.tetrahedra)
     return EulerData(chi_alpha=chi, chi_surface=2 * chi)
 
 
@@ -319,8 +337,9 @@ def _circle_cliques(circle):
 
 
 def _check_pair_degeneracies(cx):
-    """Tangency residuals and the circle-pair mask; returns the squared
-    centre distances."""
+    """Tangency residuals, kept as ``cx._pair_gap`` in pair order (the
+    upper triangle row by row), and the circle-pair mask; returns the
+    squared centre distances."""
     balls = cx.balls
     n = balls.n
     diff = balls.centers[:, None, :] - balls.centers[None, :, :]
@@ -329,17 +348,15 @@ def _check_pair_degeneracies(cx):
     r_sum = balls.radii[:, None] + balls.radii[None, :]
     r_dif = np.abs(balls.radii[:, None] - balls.radii[None, :])
     gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
-    iu, ju = np.triu_indices(n, k=1)
-    if iu.size:
-        cx.condition2_margin = min(cx.condition2_margin, float(gap[iu, ju].min()))
-    close = dist[iu, ju] <= EPS_GEO * np.maximum(balls.radii[iu], balls.radii[ju])
+    upper = np.arange(n)[:, None] < np.arange(n)
+    cx._pair_gap = gap[upper]
+    cx.condition2_margin = min(cx.condition2_margin, float(cx._pair_gap.min(initial=_INF)))
+    close = upper & (dist <= EPS_GEO * np.maximum(balls.radii[:, None], balls.radii))
     if close.any():
-        a = int(iu[close][0])
-        b = int(ju[close][0])
+        a, b = np.argwhere(close)[0].tolist()
         raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
-    for i, j in zip(iu[gap[iu, ju] < cx.tol], ju[gap[iu, ju] < cx.tol]):
-        cx.degeneracies.append(("II", (int(i), int(j)), float(gap[i, j])))
-    cx._pair_gap = gap
+    for i, j in np.argwhere(upper & (gap < cx.tol)).tolist():
+        cx.degeneracies.append(("II", (i, j), float(gap[i, j])))
     cx._circle = (r_dif < dist) & (dist < r_sum)
     return dist_sq
 
@@ -360,85 +377,63 @@ def _build_edges(cx, pairs):
     the circle centre q_ij lies in V_ij, and closure adds the rest."""
     balls = cx.balls
     table = pair_table(balls.centers, balls.radii, pairs)
-    keys = [tuple(p) for p in pairs.tolist()]
-    cx._pair_table = table
-    cx._pair_rows = {key: k for k, key in enumerate(keys)}
+    cx._pair_keys, cx._pair_table = pairs, table
     pows = _powers(table.center, balls)
-    rows = np.arange(len(keys))
+    rows = np.arange(len(pairs))
     own = pows[rows, pairs[:, 0]]
     pows[rows, pairs[:, 0]] = _INF
     pows[rows, pairs[:, 1]] = _INF
     accept = table.has_circle & (own <= pows.min(axis=1) + cx.tol ** 2)
-    for k in np.nonzero(accept)[0].tolist():
-        cx.edges[keys[k]] = EdgeData()
+    for key in pairs[accept].tolist():
+        cx.edges[tuple(key)] = EdgeData()
 
 
 def _build_triangles(cx, idx):
+    """The candidate triple table of the triples ``idx``, and the alpha
+    triangles: those whose corner segment meets V_ijk."""
     balls = cx.balls
-    if not len(idx):
-        return
     collinear, center, axis, h_sq = triple_points(balls.centers, balls.radii, idx,
                                                   cx.tol ** 2)
-    for t in idx[collinear].tolist():
-        _note_collinear_triple(cx, tuple(t))
-    idx = idx[~collinear]
-    if idx.size == 0:
-        return
-    for key, c, ax, h2 in zip(map(tuple, idx.tolist()), center, axis, h_sq.tolist()):
-        cx._triple_raw[key] = (c, ax, h2)
+    columns = (np.full((len(idx), 3), np.nan), np.full((len(idx), 3), np.nan),
+               np.full(len(idx), np.nan))
+    for column, part in zip(columns, (center, axis, h_sq)):
+        column[~collinear] = part
+    cx._triple_table = TripleTable(idx, collinear, *columns)
+    _note_collinear_triples(cx, idx[collinear])
     # The discriminant h^2 is the smooth residual of the corner pair
     # degenerating; the tolerance band is EPS_GEO * scale^2.
     band = cx.tol * balls.scale
     cx.condition2_margin = min(cx.condition2_margin,
-                               float(np.abs(h_sq).min() / balls.scale))
-    live = h_sq > band
+                               float(np.abs(h_sq).min(initial=_INF) / balls.scale))
+    rows = np.flatnonzero(~collinear)
     near = np.abs(h_sq) <= band
-    for row, h2 in zip(idx[near], h_sq[near]):
-        cx.degeneracies.append(("II", tuple(int(v) for v in row),
-                                float(abs(h2) / balls.scale)))
-    if not live.any():
-        return
-    idx, center, axis, h_sq = idx[live], center[live], axis[live], h_sq[live]
+    for key, h2 in zip(idx[rows[near]].tolist(), h_sq[near]):
+        cx.degeneracies.append(("II", tuple(key), float(abs(h2) / balls.scale)))
+    live = h_sq > band
+    rows, center, axis, h_sq = rows[live], center[live], axis[live], h_sq[live]
     half = np.sqrt(h_sq)
-    lo, hi, feasible = _voronoi_intervals(cx, idx, center, axis)
+    lo, hi, feasible = _voronoi_intervals(cx, idx[rows], center, axis)
     a_clip = np.maximum(lo, -half)
     b_clip = np.minimum(hi, half)
     nu = np.where(feasible & (b_clip > a_clip), (b_clip - a_clip) / (2.0 * half), 0.0)
+    points = cx.corner_points(rows)
+    exposed = np.column_stack([_points_exposed(cx, idx[rows], points[:, s]) for s in (0, 1)])
     accept = nu > 0.0
-    p_plus = center + half[:, None] * axis
-    p_minus = center - half[:, None] * axis
-    exp_plus = _points_exposed(cx, idx, p_plus)
-    exp_minus = _points_exposed(cx, idx, p_minus)
-    # idx is in key order, as the corner table's rows are.
-    on = accept & (exp_plus | exp_minus)
-    cx._corners = (idx[on], np.concatenate((p_plus, p_minus), axis=1)[on].reshape(-1, 2, 3),
-                   np.array([exp_plus, exp_minus]).T[on])
-    # The records cx.triple would build from _triple_raw, from the rows at
-    # hand: the same elementwise arithmetic, so the same bits.
-    keys, half, nu = idx.tolist(), half.tolist(), nu.tolist()
-    exp_plus, exp_minus = exp_plus.tolist(), exp_minus.tolist()
-    for m in np.nonzero(accept)[0].tolist():
-        key = tuple(keys[m])
-        tg = TripleGeometry(*key, center=center[m], half_length=half[m], axis=axis[m],
-                            p_plus=p_plus[m], p_minus=p_minus[m])
-        cx._triples[key] = tg
-        cx.triangles[key] = TriangleData(
-            triple=tg, on_boundary=exp_plus[m] or exp_minus[m], nu=nu[m],
-            exposed_plus=exp_plus[m], exposed_minus=exp_minus[m])
+    cx.triangle_table = TriangleTable(ijk=idx[rows[accept]], triple=rows[accept],
+                                      nu=nu[accept], exposed=exposed[accept])
 
 
-def _note_collinear_triple(cx, tri):
+def _note_collinear_triples(cx, tri):
     """Collinear centers: parallel radical planes, degenerate only if two
     of them coincide (the Voronoi intersection would gain a dimension)."""
-    i, j, k = tri
-    u = cx.balls.centers[j] - cx.balls.centers[i]
-    u = u / np.linalg.norm(u)
-    pos = [float(cx._pair_table.center[cx._pair_rows[key]] @ u)
-           for key in ((i, j), (i, k), (j, k))]
-    gap = min(abs(pos[0] - pos[1]), abs(pos[0] - pos[2]), abs(pos[1] - pos[2]))
-    if gap < cx.tol:
-        cx.degeneracies.append(("I", tri, gap))
-    cx._triple_raw[tri] = None
+    centers = cx.balls.centers
+    u = centers[tri[:, 1]] - centers[tri[:, 0]]
+    u = u / row_norms(u)[:, None]
+    sides = cx.key_rows(cx._pair_keys, tri[:, [0, 1, 0, 2, 1, 2]]).reshape(-1, 3)
+    pos = row_dots(cx._pair_table.center[sides], u[:, None, :])
+    gap = np.abs(pos[:, [0, 0, 1]] - pos[:, [1, 2, 2]]).min(axis=1)
+    cx.degeneracies += [("I", tuple(key), g) for key, g in zip(tri.tolist(), gap.tolist())
+                        if g < cx.tol]
 
 
 def _voronoi_intervals(cx, idx, center, axis):
@@ -540,17 +535,27 @@ def _build_tetrahedra(cx, idx):
 
 
 def _close_faces(cx):
-    """Enforce closure of the alpha complex under taking faces."""
-    for quad in cx.tetrahedra:
-        for tri in combinations(quad, 3):
-            if tri not in cx.triangles:
-                tg = cx.triple(*tri)
-                if tg is not None:
-                    cx.triangles[tri] = TriangleData(triple=tg)
-    for tri in cx.triangles:
+    """Enforce closure of the alpha complex under taking faces.  A face of
+    a tetrahedron that is no alpha triangle joins the triangle table with
+    nu 0 and no exposed corner, when its spheres meet in two points more
+    than the band apart (as for cx.triple)."""
+    tris, ijk = cx.triangle_table, cx._triple_table.ijk
+    quads = np.array(cx.tetrahedra, dtype=int).reshape(-1, 4)
+    faces = cx.key_rows(ijk, quads[:, _FACES])    # a candidate quad's faces are candidates
+    live = cx._triple_table.h_sq[faces] > cx.tol * cx.balls.scale
+    new, first = np.unique(faces[live & ~np.isin(faces, tris.triple)], return_index=True)
+    # Edges join in the order alpha_simplices lists them: from the accepted
+    # triangles in key order, then from the added faces in tetrahedron order.
+    for tri in tris.ijk.tolist() + ijk[new[np.argsort(first)]].tolist():
         for e in combinations(tri, 2):
             if e not in cx.edges:
                 cx.edges[e] = EdgeData()
+    triple = np.concatenate([tris.triple, new])
+    order = np.argsort(triple)
+    cx.triangle_table = TriangleTable(
+        ijk=ijk[triple[order]], triple=triple[order],
+        nu=np.concatenate([tris.nu, np.zeros(len(new))])[order],
+        exposed=np.concatenate([tris.exposed, np.zeros((len(new), 2), dtype=bool)])[order])
     for e in cx.edges:
         for v in e:
             cx.vertices[v].in_alpha = True
@@ -572,8 +577,11 @@ def _build_arcs(cx):
     _record_circle_tangencies(cx, edges)
     pairs = cx.edge_pairs
     e1, e2 = plane_basis(pairs.u_ij)
-    # Each exposed corner of triangle t lies on its three sides' circles.
-    ijk, points, exposed = cx._corners
+    # Each exposed corner of triangle t lies on its three sides' circles;
+    # the triangles with one are the corner table's rows.
+    tris = cx.triangle_table
+    on = tris.exposed.any(axis=1)
+    ijk, points, exposed = tris.ijk[on], cx.corner_points(tris.triple[on]), tris.exposed[on]
     t, s = np.nonzero(exposed)
     t, s, m = np.repeat(t, 3), np.repeat(s, 3), np.arange(3 * len(t)) % 3
     occ = ijk[t, m]

@@ -4,7 +4,8 @@ Condition I concerns the dimensions of Voronoi intersections (flips in the
 weighted Delaunay mosaic), Condition II the dimensions of sphere
 intersections (tangencies).  Violations of II at the surface are where the
 curvature gradient jumps; the probe walks a motion path and reports
-one-sided gradient limits around flagged states.
+one-sided gradient limits around flagged states.  The residuals and the
+Betti numbers read the complex's tables as columns, rows found by key.
 """
 
 import math
@@ -68,28 +69,30 @@ def general_position_check(balls, cx=None, tol=1e-6):
         for k in np.flatnonzero(residuals < tol):
             violations.append(Violation(*record(k), float(residuals.flat[k])))
 
-    iu, ju = np.triu_indices(n, k=1)
-    pair_res = cx._pair_gap[iu, ju]
-    note(pair_res, lambda k: ("II", (int(iu[k]), int(ju[k]))))
+    # Pair k of the upper triangle, row by row, is (i, j) with i the last
+    # ball whose pairs start at or before k.
+    first = np.cumsum(np.arange(n)[::-1]) - np.arange(n)[::-1]
+
+    def pair(k):
+        i = int(np.searchsorted(first, k, side="right")) - 1
+        return "II", (i, int(k - first[i]) + i + 1)
+
+    pair_res = cx._pair_gap
+    note(pair_res, pair)
 
     # The discriminant h^2 is the smooth residual of the two-point
     # intersection folding away; state-space distance scales with it.
     # Collinear centres (no radical center) are a Condition I record at 0.
-    tris = sorted(cx._triple_raw)
-    raw = [cx._triple_raw[t] for t in tris]
-    tri_res = np.array([0.0 if r is None else abs(r[2]) / scale for r in raw])
-    note(tri_res, lambda k: ("I" if raw[k] is None else "II", tris[k]))
+    tris, collinear, _, _, h_sq = cx._triple_table
+    tri_res = np.where(collinear, 0.0, np.abs(h_sq) / scale)
+    note(tri_res, lambda k: ("I" if collinear[k] else "II", tuple(tris[k].tolist())))
 
-    live = [k for k, r in enumerate(raw) if r is not None and r[2] > 0.0]
-    z = np.array([raw[k][0] for k in live]).reshape(-1, 3)
-    axis = np.array([raw[k][1] for k in live]).reshape(-1, 3)
-    h = np.sqrt([raw[k][2] for k in live])[:, None]
-    diff = np.stack([z + h * axis, z - h * axis], axis=1)[:, :, None, :] - balls.centers
+    live = np.flatnonzero(h_sq > 0.0)
+    diff = cx.corner_points(live)[:, :, None, :] - balls.centers
     corner_gap = np.abs(np.sqrt(np.einsum("tsmj,tsmj->tsm", diff, diff)) - radii)
-    members = np.array([tris[k] for k in live], dtype=int).reshape(-1, 3)
-    corner_gap[np.arange(len(live))[:, None], :, members] = math.inf
-    note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]]
-                                                   + (int(k % n),)))))
+    corner_gap[np.arange(len(live))[:, None], :, tris[live]] = math.inf
+    note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]].tolist()
+                                                   + [int(k % n)]))))
 
     five_res = np.empty(0)
     if cx._quads is not None:
@@ -123,28 +126,16 @@ def _gf2_rank(rows):
 
 def betti_numbers(cx):
     """(b0, b1, b2) of the alpha complex, hence of the ball union."""
-    verts = sorted(v for v, d in cx.vertices.items() if d.in_alpha)
-    edges, tris, tets = sorted(cx.edges), sorted(cx.triangles), sorted(cx.tetrahedra)
-    v_idx = {v: m for m, v in enumerate(verts)}
-    e_idx = {e: m for m, e in enumerate(edges)}
-    t_idx = {t: m for m, t in enumerate(tris)}
-    d1 = [(1 << v_idx[e[0]]) | (1 << v_idx[e[1]]) for e in edges]
-    d2 = []
-    for t in tris:
-        row = 0
-        for e in combinations(t, 2):
-            row |= 1 << e_idx[tuple(sorted(e))]
-        d2.append(row)
-    d3 = []
-    for q in tets:
-        row = 0
-        for t in combinations(q, 3):
-            row |= 1 << t_idx[tuple(sorted(t))]
-        d3.append(row)
-    r1 = _gf2_rank(d1)
-    r2 = _gf2_rank(d2)
-    r3 = _gf2_rank(d3)
-    b0 = len(verts) - r1
+    in_alpha = np.array([cx.vertices[v].in_alpha for v in range(cx.balls.n)])
+    edges, tris = cx.edge_keys, cx.triangle_table.ijk
+    tets = np.array(cx.tetrahedra, dtype=int).reshape(-1, 4)
+    # Each simplex's boundary as a GF(2) row over its faces' rows in key order.
+    d1 = (np.cumsum(in_alpha) - 1)[edges]
+    d2 = cx.edge_rows(tris[:, [0, 1, 0, 2, 1, 2]]).reshape(-1, 3)
+    d3 = cx.key_rows(tris, tets[:, list(combinations(range(4), 3))]).reshape(-1, 4)
+    r1, r2, r3 = (_gf2_rank([sum(1 << f for f in row) for row in d.tolist()])
+                  for d in (d1, d2, d3))
+    b0 = int(in_alpha.sum()) - r1
     b1 = len(edges) - r1 - r2
     b2 = len(tris) - r2 - r3
     return b0, b1, b2
@@ -172,10 +163,11 @@ def classify_event(balls, cx, violation, delta=None):
         point = centers[i] + radii[i] * u
         mover, direction = j, u
     elif len(simplex) == 3:
-        raw = cx._triple_raw.get(tuple(sorted(simplex)))
-        if raw is None:
+        triples = cx._triple_table
+        row = cx.key_rows(triples.ijk, sorted(simplex))[0]
+        if row < 0 or triples.collinear[row]:
             raise Unclassifiable(f"no radical center for triple {simplex}")
-        point = raw[0]
+        point = triples.center[row]
         mover = simplex[2]
         direction = centers[mover] - point
         nd = np.linalg.norm(direction)
@@ -223,14 +215,14 @@ def classify_event(balls, cx, violation, delta=None):
 def _closest_corner(cx, quad):
     """Corner of some sub-triple of the quad lying on the fourth sphere."""
     balls = cx.balls
+    triples = cx._triple_table
     best = None
     for tri in combinations(quad, 3):
         m = next(v for v in quad if v not in tri)
-        raw = cx._triple_raw.get(tuple(sorted(tri)))
-        if raw is None or raw[2] <= 0:
+        row = cx.key_rows(triples.ijk, sorted(tri))[0]
+        if row < 0 or not triples.h_sq[row] > 0:
             continue
-        z, axis, h_sq = raw
-        for p in (z + math.sqrt(h_sq) * axis, z - math.sqrt(h_sq) * axis):
+        for p in cx.corner_points([row])[0]:
             gap = abs(np.linalg.norm(p - balls.centers[m]) - balls.radii[m])
             if best is None or gap < best[0]:
                 direction = balls.centers[m] - p

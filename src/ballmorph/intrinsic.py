@@ -7,6 +7,9 @@ characteristic of the surface and the mean curvature matches the additive
 reduces each clipped ball B_i cap V_i to its exposed sphere patch and the
 clipped disks of its alpha edges, whose areas reduce in turn to exposed
 arcs and clipped corner segments (Edelsbrunner and Koehl, PNAS 2003).
+Every sum reads columns: the pair rows of the alpha edges, the corner
+table, and the triangle table with the centres and half-lengths of its
+rows of the candidate triple table.
 """
 
 import math
@@ -79,22 +82,19 @@ def weighted_volume(balls, cx, measures):
     where l_ijk = 2 nu_ijk r_ijk is the clipped corner segment and h_ijk its
     signed distance from q_ij, positive towards x_k.
     """
-    pairs, keys = cx.edge_pairs, cx.edge_keys
+    pairs, keys, tris, triples = cx.edge_pairs, cx.edge_keys, cx.triangle_table, cx._triple_table
     disk = math.pi * pairs.r_sq * measures.sigma_e
-    live = [(key, data.triple, nu) for (key, data), nu
-            in zip(sorted(cx.triangles.items()), measures.nu_t.tolist()) if nu > 0.0]
-    if live:
-        # Per triangle abc the sides ab, ac and bc, each with its third ball.
-        sides = np.array([key for key, _, _ in live])
-        sides = sides[:, [0, 1, 2, 0, 2, 1, 1, 2, 0]].reshape(-1, 3)
-        at = cx.edge_rows(sides[:, :2])
-        u = pairs.u_ij[at]
-        g = balls.centers[sides[:, 2]] - balls.centers[sides[:, 0]]
-        g -= row_dots(g, u)[:, None] * u
-        center = np.repeat([tg.center for _, tg, _ in live], 3, axis=0)
-        h = row_dots(center - pairs.center[at], g) / row_norms(g)
-        seg = np.repeat([2.0 * nu * tg.half_length for _, tg, nu in live], 3)
-        np.add.at(disk, at, 0.5 * h * seg)
+    live = np.flatnonzero(measures.nu_t > 0.0)
+    triple = tris.triple[live]
+    # Per triangle abc the sides ab, ac and bc, each with its third ball.
+    sides = tris.ijk[live][:, [0, 1, 2, 0, 2, 1, 1, 2, 0]].reshape(-1, 3)
+    at = cx.edge_rows(sides[:, :2])
+    u = pairs.u_ij[at]
+    g = balls.centers[sides[:, 2]] - balls.centers[sides[:, 0]]
+    g -= row_dots(g, u)[:, None] * u
+    h = row_dots(np.repeat(triples.center[triple], 3, axis=0) - pairs.center[at], g) / row_norms(g)
+    seg = np.repeat(2.0 * measures.nu_t[live] * np.sqrt(triples.h_sq[triple]), 3)
+    np.add.at(disk, at, 0.5 * h * seg)
     w = balls.weights
     i, j = keys.T
     r_cubed = np.array([r ** 3 for r in balls.radii.tolist()])   # pow, as pow_squares

@@ -7,9 +7,10 @@ Voronoi edge.  sigma_ij sums the extents of its circle's rows of the arc
 table, and sigma_i is a flat Gauss-Bonnet sum over the links the arcs make
 between corners, each circuit a cycle of the link permutation and each
 turn an angle of the corner's normal triangle, from the corner table.
-With the pair and triple records of the complex, these give the weighted
-volume exactly (intrinsic.weighted_volume); the ball volume fraction nu_i
-is left to the Monte Carlo cross-check oracles.nu_i_mc.
+sigma_ijk and nu_ijk are columns of the triangle table.  With the pair
+and triple tables of the complex, these give the weighted volume exactly
+(intrinsic.weighted_volume); the ball volume fraction nu_i is left to the
+Monte Carlo cross-check oracles.nu_i_mc.
 """
 
 import math
@@ -47,14 +48,14 @@ def _arc_sums(cx):
 
 def sigma_ijk(balls, cx, tri):
     """Exposed corner count over two: 0, 1/2 or 1."""
-    data = cx.triangles.get(tuple(sorted(tri)))
-    return 0.0 if data is None else 0.5 * data.exposed_count
+    row = cx.key_rows(cx.triangle_table.ijk, sorted(tri))[0]
+    return 0.0 if row < 0 else float(0.5 * cx.triangle_table.exposed[row].sum())
 
 
 def nu_ijk(balls, cx, tri):
     """Fraction of the corner segment inside the Voronoi edge V_ijk."""
-    data = cx.triangles.get(tuple(sorted(tri)))
-    return 0.0 if data is None else data.nu
+    row = cx.key_rows(cx.triangle_table.ijk, sorted(tri))[0]
+    return 0.0 if row < 0 else float(cx.triangle_table.nu[row])
 
 
 def sigma_i(balls, cx, i):
@@ -144,9 +145,6 @@ def compute_measures(balls, cx):
     sigma_v = np.zeros(balls.n)
     spheres = np.array(cx.boundary_vertices(), dtype=int)
     sigma_v[spheres] = _sphere_sigmas(balls, cx, spheres)
-    tris = [data for _, data in sorted(cx.triangles.items())]
-    return FractionalMeasures(
-        sigma_v=sigma_v,
-        sigma_e=_arc_sums(cx) / TWO_PI,
-        sigma_t=np.array([0.5 * data.exposed_count for data in tris]),
-        nu_t=np.array([data.nu for data in tris]))
+    tris = cx.triangle_table
+    return FractionalMeasures(sigma_v=sigma_v, sigma_e=_arc_sums(cx) / TWO_PI,
+                              sigma_t=0.5 * tris.exposed.sum(axis=1), nu_t=tris.nu)

@@ -46,7 +46,7 @@ def make_config(rng, n, weights="random", require_triangle=True, margin=1e-4,
             cx = build_alpha_complex(balls)
         except DegenerateState:
             continue
-        if require_triangle and not any(t.on_boundary for t in cx.triangles.values()):
+        if require_triangle and not cx.triangle_table.exposed.any():
             continue
         if margin is not None and cx.condition2_margin <= margin:
             continue
@@ -84,13 +84,19 @@ class Arc:
         return self.start is None
 
 
+def triangle_keys(cx):
+    """The alpha triangles as sorted index tuples, in key order."""
+    return [tuple(key) for key in cx.triangle_table.ijk.tolist()]
+
+
 def edge_arcs(cx, edge):
     """The rows of ``cx.arcs`` on the circle S_ij as Arc records, in table
     order; empty when ij is no alpha edge."""
     key = tuple(sorted(edge))
     if key not in cx.edges:
         return []
-    arcs, tris = cx.arcs, cx._corners[0]
+    # The arcs' corner rows count the triangles with an exposed corner.
+    arcs, tris = cx.arcs, cx.triangle_table.ijk[cx.triangle_table.exposed.any(axis=1)]
     out = []
     for r in np.flatnonzero(arcs.edge == cx.edge_rows([key])[0]).tolist():
         ends = () if arcs.full[r] else [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
 from ballmorph.geometry import PairTable, pair_table
 from ballmorph.pipeline import evaluate
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, two_balls
+from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, triangle_keys, \
+    two_balls
 from test_near_tangency import planted_draw
 
 
@@ -45,7 +47,7 @@ def test_four_ball_tetrahedron_complex():
     pts = np.array([[0, 0, 0], [1.2, 0, 0], [0.6, 1.1, 0], [0.6, 0.4, 1.1]])
     cx = build_alpha_complex(BallSet(pts, np.ones(4)))
     assert len(cx.tetrahedra) == 1
-    assert len(cx.triangles) == 4
+    assert len(cx.triangle_table.ijk) == 4
     assert len(cx.edges) == 6
     e = euler(cx)
     assert (e.chi_alpha, e.chi_surface) == (1, 2)   # 4 - 6 + 4 - 1 = 1
@@ -87,7 +89,7 @@ def cyclic_gap_count(cx, edge):
     i, j = edge
     pg = cx.pair(i, j)
     e1, e2 = plane_basis(pg.u_ij)
-    tris = sorted(t for t in cx.triangles if i in t and j in t)
+    tris = sorted(t for t in triangle_keys(cx) if i in t and j in t)
     if not tris:
         return 1
     angles = []
@@ -119,7 +121,7 @@ def test_gap_count_equals_arc_count(rng):
 def test_face_closure(rng):
     for _ in range(6):
         balls, cx = make_config(rng, int(rng.integers(4, 11)))
-        for tri in cx.triangles:
+        for tri in triangle_keys(cx):
             for a in tri:
                 assert cx.vertices[a].in_alpha
             for pair in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
@@ -127,19 +129,18 @@ def test_face_closure(rng):
         for quad in cx.tetrahedra:
             for m in range(4):
                 tri = tuple(sorted(set(quad) - {quad[m]}))
-                assert tri in cx.triangles
+                assert tri in triangle_keys(cx)
 
 
 def test_boundary_triangle_exposure_counts(rng):
     for _ in range(6):
         balls, cx = make_config(rng, int(rng.integers(4, 10)))
-        for tri, tdata in cx.triangles.items():
-            if tdata.on_boundary:
-                assert tdata.exposed_count in (1, 2)
+        for tri, exposed in zip(triangle_keys(cx), cx.triangle_table.exposed.tolist()):
+            if any(exposed):
+                assert sum(exposed) in (1, 2)
                 # Exposure matches a direct point-in-ball test.
-                tg = tdata.triple
-                for point, flag in ((tg.p_plus, tdata.exposed_plus),
-                                    (tg.p_minus, tdata.exposed_minus)):
+                tg = cx.triple(*tri)
+                for point, flag in ((tg.p_plus, exposed[0]), (tg.p_minus, exposed[1])):
                     gaps = (np.linalg.norm(balls.centers - point, axis=1)
                             - balls.radii)
                     gaps[list(tri)] = np.inf
@@ -199,17 +200,19 @@ def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
             cx = build_alpha_complex(balls, strict=False)
         except GeometryError:
             continue
-        for i, j in cx._pair_rows:
+        for i, j in cx._pair_keys.tolist():
             pg = cx.pair(i, j)
             ref = pair_geometry(balls.ball(i), balls.ball(j), i, j)
             assert record_mismatches(pg, ref, PairGeometry) == [], (i, j)
             assert cx.pair(j, i) is pg
             pairs += 1
-        for key, data in cx.triangles.items():
-            raw = cx._triple_raw[key]
-            ref = TripleGeometry.from_center(key, raw[0], raw[1], math.sqrt(raw[2]))
+        _, _, center, axis, h_sq = cx._triple_table
+        for key, row in zip(triangle_keys(cx), cx.triangle_table.triple.tolist()):
+            ref = TripleGeometry.from_center(key, center[row], axis[row], math.sqrt(h_sq[row]))
             assert record_mismatches(cx.triple(*key), ref, TripleGeometry) == [], key
-            assert cx.triple(*key) is data.triple
+            # The arcs' corner points are the record's points, bit for bit.
+            points = np.array([ref.p_plus, ref.p_minus])
+            assert cx.corner_points([row]).tobytes() == points.tobytes(), key
     assert pairs > 1000
 
 
@@ -229,12 +232,13 @@ def test_non_realizable_corner_raises_degenerate_state_naming_it():
     balls = parse_diagram(str(Path(__file__).parent / "data" / "g20.txt"))
     measures = compute_measures(balls, build_alpha_complex(balls))
     cx = build_alpha_complex(balls)
-    tri = min(key for key, data in cx.triangles.items() if data.exposed_count)
+    tri = min(key for key, exposed in zip(triangle_keys(cx), cx.triangle_table.exposed)
+              if exposed.any())
     # phi_ij = pi exceeds phi_jk + phi_ki.  cx.pair caches its records, so
     # the record and the pair-table row both change.
     key = tri[:2]
     cx._pairs[key] = dataclasses.replace(cx.pair(*key), cos_phi=-1.0)
-    cx._pair_table.cos_phi[cx._pair_rows[key]] = -1.0
+    cx._pair_table.cos_phi[cx.key_rows(cx._pair_keys, key)] = -1.0
     for stage in (lambda: compute_measures(balls, cx),
                   lambda: weighted_gauss(balls, cx, measures),
                   lambda: term_h(balls, cx, measures)):
@@ -245,12 +249,40 @@ def test_non_realizable_corner_raises_degenerate_state_naming_it():
 
 @pytest.mark.parametrize("name", ["g20", "g60"])
 def test_pipeline_makes_no_pair_record(name, monkeypatch):
-    # The build, the volumes and the gradient read pair-table columns; no
-    # PairGeometry record is made on the way.
-    calls = []
+    # The build, the volumes and the gradient read pair-table and triple-
+    # table columns; no PairGeometry or TripleGeometry record is made on
+    # the way.
+    calls, triples = [], []
     record = PairTable.record
     monkeypatch.setattr(PairTable, "record",
                         lambda table, *args: calls.append(args) or record(table, *args))
+    init = TripleGeometry.__init__
+    monkeypatch.setattr(TripleGeometry, "__init__",
+                        lambda tg, *args, **kw: triples.append(args) or init(tg, *args, **kw))
     ev = evaluate(parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt")))
     assert ev.volumes.gauss and ev.gradient.flat.any()
     assert calls == []
+    assert triples == []
+
+
+@pytest.mark.parametrize("shape, triangles, added, tets", [((2, 2, 2), 56, 27, 58),
+                                                          ((3, 3, 3), 400, 197, 464)])
+def test_face_closure_adds_lattice_triangles(shape, triangles, added, tets):
+    # Unit balls on a cubic lattice at spacing 1: four or more spheres meet
+    # at each corner point, and the loose build accepts tetrahedra whose
+    # faces the triangle test rejected.  Closure adds those faces with nu 0
+    # and no exposed corner, and keeps the table in key order.
+    centers = np.array(list(itertools.product(*map(range, shape))), dtype=float)
+    cx = build_alpha_complex(BallSet(centers, np.ones(len(centers))), strict=False)
+    tris = cx.triangle_table
+    keys = triangle_keys(cx)
+    assert (len(keys), len(cx.tetrahedra)) == (triangles, tets)
+    assert keys == sorted(set(keys))
+    assert tris.triple.tolist() == cx.key_rows(cx._triple_table.ijk, tris.ijk).tolist()
+    for quad in cx.tetrahedra:
+        for tri in itertools.combinations(quad, 3):
+            assert tri in keys
+    closed = tris.nu == 0.0
+    assert int(closed.sum()) == added
+    assert not tris.exposed[closed].any()
+    assert [tuple(s) for s in cx.alpha_simplices() if len(s) == 3] == keys

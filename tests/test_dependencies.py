@@ -1,11 +1,11 @@
 """Static checks of the library source: numpy is the only declared
 dependency, the alpha complex takes pair geometry from its batched table,
 downstream modules read geometry from the complex and call no corner
-formula or pair record in a loop, measures and the gradient read the arc
-and corner tables as columns with no walk over arcs, corners or boundary
-edges, only the gradient's two scatter kernels add into per-ball rows,
-and the CLI and the diagnostics reach the pipeline stages only through
-evaluate."""
+formula or pair record in a loop, the measures, the volumes and the
+gradient read the arc, corner and triangle tables as columns with no walk
+over arcs, corners, triangles or boundary edges, only the gradient's two
+scatter kernels add into per-ball rows, and the CLI and the diagnostics
+reach the pipeline stages only through evaluate."""
 
 import ast
 import os
@@ -65,19 +65,20 @@ def test_complex_takes_pairs_from_its_batched_table():
     assert rebuilder_calls("complexes.py") == []
 
 
-# Names of the boundary's parts that measures and the gradient read as
-# table columns, never one by one.
-WALKED = {"arcs", "corners", "boundary_edges"}
+# Names of the boundary's parts that the measures, the volumes and the
+# gradient read as table columns, never one by one.
+WALKED = {"arcs", "corners", "triangles", "triangle_table", "boundary_edges"}
 
 
 def test_measures_and_gradient_walk_no_arcs():
-    # The exposed boundary is the complex's arc and corner tables; sigma_i,
-    # sigma_ij and the arc endpoints read their columns, so no function in
-    # measures.py or gradient.py has a while loop, or a for loop or
-    # comprehension over arcs, corners or boundary edges.
+    # The exposed boundary is the complex's arc, corner and triangle tables;
+    # sigma_i, sigma_ij, sigma_t, nu_t, the volume's corner segments and the
+    # arc endpoints read their columns, so no function in measures.py,
+    # intrinsic.py or gradient.py has a while loop, or a for loop or
+    # comprehension over arcs, corners, triangles or boundary edges.
     root = Path(ballmorph.__file__).parent
     walkers = []
-    for name in ("measures.py", "gradient.py"):
+    for name in ("measures.py", "intrinsic.py", "gradient.py"):
         for top in ast.parse((root / name).read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 over = ({getattr(sub, "id", getattr(sub, "attr", None))

@@ -12,7 +12,7 @@ from ballmorph.errors import DegenerateState
 from ballmorph.oracles import mc_boundary_integrals
 from ballmorph.serial import parse_diagram
 from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, random_rotation, \
-    two_balls, vector_sigma_i
+    triangle_keys, two_balls, vector_sigma_i
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
@@ -34,7 +34,7 @@ def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
 
 def segment_sampling_fraction(balls, cx, tri, samples=1_000_000):
     """Dense sampling of the corner segment against the Voronoi condition."""
-    tg = cx.triangles[tuple(sorted(tri))].triple
+    tg = cx.triple(*tri)
     s = np.linspace(-tg.half_length, tg.half_length, samples)
     pts = tg.center[None, :] + s[:, None] * tg.axis[None, :]
     pows = (np.einsum("pij,pij->pi", pts[:, None, :] - balls.centers[None, :, :],
@@ -86,7 +86,7 @@ def test_sigma_i_matches_vector_turns():
         balls, cx = make_config(rng, int(rng.integers(3, 20)), require_triangle=False)
         for i in cx.boundary_vertices():
             worst = max(worst, abs(sigma_i(balls, cx, i) - vector_sigma_i(balls, cx, i)))
-        corners += sum(d.exposed_count for d in cx.triangles.values() if d.on_boundary)
+        corners += int(cx.triangle_table.exposed.sum())
     assert corners > 1000
     assert worst <= 1e-12
 
@@ -108,7 +108,8 @@ def test_sigma_i_names_the_sphere_whose_circuit_does_not_close(shape, spacing, s
 
 @pytest.mark.parametrize("name", ["g20", "g60"])
 def test_single_simplex_measures_are_the_compute_measures_bytes(name):
-    # sigma_i and sigma_ij take the same path as compute_measures.
+    # sigma_i, sigma_ij, sigma_ijk and nu_ijk take the same path as
+    # compute_measures; a candidate triple that is no alpha triangle has 0.
     balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
     cx = build_alpha_complex(balls)
     measures = compute_measures(balls, cx)
@@ -117,6 +118,15 @@ def test_single_simplex_measures_are_the_compute_measures_bytes(name):
         assert np.float64(sigma_i(balls, cx, i)).tobytes() == measures.sigma_v[i].tobytes(), i
     for row, e in enumerate(sorted(cx.edges)):
         assert np.float64(sigma_ij(balls, cx, e)).tobytes() == measures.sigma_e[row].tobytes(), e
+    tris = triangle_keys(cx)
+    assert len(tris) > 10 and measures.sigma_t.any() and measures.nu_t.any()
+    for row, t in enumerate(tris):
+        assert np.float64(sigma_ijk(balls, cx, t)).tobytes() == measures.sigma_t[row].tobytes(), t
+        assert np.float64(nu_ijk(balls, cx, t)).tobytes() == measures.nu_t[row].tobytes(), t
+    others = [t for t in map(tuple, cx._triple_table.ijk.tolist()) if t not in tris]
+    assert others
+    for t in others:
+        assert sigma_ijk(balls, cx, t) == 0.0 and nu_ijk(balls, cx, t) == 0.0, t
 
 
 def test_sigma_ij_two_balls_full_circle():
@@ -164,7 +174,8 @@ def test_sigma_ijk_fourth_ball_over_one_corner():
     balls = BallSet([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.8, 0.8, 0.8]],
                     [1.0, 1.0, 1.0, 0.35])
     cx = build_alpha_complex(balls)
-    tg = cx.triangles[(0, 1, 2)].triple
+    assert (0, 1, 2) in triangle_keys(cx)
+    tg = cx.triple(0, 1, 2)
     covered_plus = np.linalg.norm(tg.p_plus - balls.centers[3]) < balls.radii[3]
     covered_minus = np.linalg.norm(tg.p_minus - balls.centers[3]) < balls.radii[3]
     assert covered_plus and not covered_minus
@@ -176,7 +187,7 @@ def test_sigma_ijk_both_corners_covered():
                      [0.8, 0.8, 0.8], [-0.14, -0.14, -0.14]],
                     [1.0, 1.0, 1.0, 0.35, 0.3])
     cx = build_alpha_complex(balls)
-    assert (0, 1, 2) in cx.triangles
+    assert (0, 1, 2) in triangle_keys(cx)
     assert sigma_ijk(balls, cx, (0, 1, 2)) == 0.0
     assert nu_ijk(balls, cx, (0, 1, 2)) > 0.0
 
@@ -238,8 +249,8 @@ def test_measures_rigid_motion_invariance(rng):
     assert sorted(cx.edges) == sorted(cx2.edges)
     for e in range(len(cx.edges)):
         assert m0.sigma_e[e] == pytest.approx(m1.sigma_e[e], abs=1e-10)
-    assert sorted(cx.triangles) == sorted(cx2.triangles)
-    for t in range(len(cx.triangles)):
+    assert triangle_keys(cx) == triangle_keys(cx2)
+    for t in range(len(cx.triangle_table.ijk)):
         assert m0.sigma_t[t] == m1.sigma_t[t]
         assert m0.nu_t[t] == pytest.approx(m1.nu_t[t], abs=1e-10)
 

@@ -443,8 +443,9 @@ def test_corner_table_rows_carry_the_scalar_bits(name):
     balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
     cx = build_alpha_complex(balls)
     table = cx.corner_table
-    assert [tuple(key) for key in table.ijk.tolist()] == sorted(
-        key for key, data in cx.triangles.items() if data.exposed_count)
+    tris = cx.triangle_table
+    assert [tuple(key) for key in table.ijk.tolist()] == [
+        tuple(key) for key, exposed in zip(tris.ijk.tolist(), tris.exposed) if exposed.any()]
     cols = split_columns(table.geo, quad_area_gradient(table.geo, *table.sides))
     negative = 0
     for m, (i, j, k) in enumerate(table.ijk.tolist()):
@@ -457,10 +458,9 @@ def test_corner_table_rows_carry_the_scalar_bits(name):
                   vertex_angle(cos[2], *cos[:2])]
         assert table.angles[m].tobytes() == np.array(angles).tobytes(), (i, j, k)
         assert table.u[m].tobytes() == np.array([pij.u_ij, pjk.u_ij, -pki.u_ij]).tobytes()
-        assert table.sigma[m] == 0.5 * cx.triangles[(i, j, k)].exposed_count
-        assert table.row[(i, j, k)] == m
+        assert table.sigma[m] == 0.5 * tris.exposed[cx.key_rows(tris.ijk, (i, j, k))[0]].sum()
         # Normals at a corner point: v_a . v_b is cos phi_ab.
-        point = cx.triangles[(i, j, k)].triple.p_plus
+        point = cx.triple(i, j, k).p_plus
         v = (point - balls.centers[[i, j, k]]) / balls.radii[[i, j, k]][:, None]
         z = circumcenter(v)
         for col, (p, q, r) in enumerate(((v[0], v[1], v[2]), (v[1], v[2], v[0]),
