@@ -29,9 +29,11 @@ The candidate pairs and triples each get one batched pass per build
 (geometry.pair_table, geometry.triple_points), kept as tables in key
 order.  The alpha triangles are one more table, ``cx.triangle_table``:
 per row its triple row, nu and the exposure of its two corner points.
-``cx.key_rows`` finds rows in any of these by their integer key codes.
-``cx.pair`` and ``cx.triple`` hand out one row as a record; the stages
-read columns (``cx.edge_pairs``, ``cx.corner_table``) instead.
+The rest of the complex is arrays too: the flags ``cx.in_alpha`` and
+``cx.on_boundary`` over the balls, and the alpha edges and tetrahedra as
+key-ordered index arrays, ``cx.edge_keys`` and ``cx.tet_keys``.
+``cx.key_rows`` finds rows in any of these by their integer key codes,
+and the stages read columns (``cx.edge_pairs``, ``cx.corner_table``).
 
 The exposed arcs of a circle S_ij end at exposed corners, and every
 exposed corner of S_ij is a corner of an alpha triangle ijm.  So the
@@ -39,7 +41,7 @@ arcs come from the corners the triangle test has already classified, in
 one sort by angle around their circles, with no further pass over the
 balls, and make one array table per complex, ``cx.arcs``: a row per arc
 with its circle, extent and two endpoint corners.  No record is made per
-alpha edge or per arc.
+simplex or per arc.
 """
 
 import math
@@ -51,8 +53,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CoincidentCenters, DegenerateState, NonRealizableTriangle
-from .geometry import EPS_GEO, TripleGeometry, cross_rows, pair_table, row_dots, \
-    row_norms, triple_points
+from .geometry import EPS_GEO, cross_rows, pair_table, row_dots, row_norms, \
+    triple_points
 from .sphtri import CornerGeometry, corner_geometry, vertex_angle
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +65,10 @@ _FACES = list(combinations(range(4), 3))          # the faces of a tetrahedron
 # The candidate triples in key order with the columns of geometry.triple_points,
 # NaN where collinear.
 TripleTable = namedtuple("TripleTable", "ijk collinear center axis h_sq")
+# The candidate quads in key order with, for general_position_check, |det| /
+# row_scale, the orthocenter's power over the least power of all balls, and
+# its closest power tie |pow_m - own| with a fifth ball m.
+QuadTable = namedtuple("QuadTable", "ijkl coplanar excess tie tie_ball")
 
 
 def plane_basis(u):
@@ -74,18 +80,6 @@ def plane_basis(u):
     e1 /= row_norms(e1)[:, None]
     e2 = cross_rows(rows, e1)
     return (e1, e2) if u.ndim == 2 else (e1[0], e2[0])
-
-
-@dataclass
-class VertexData:
-    index: int
-    in_alpha: bool = False
-    on_boundary: bool = False
-
-
-@dataclass
-class EdgeData:
-    on_boundary: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,31 +147,30 @@ class EulerData:
 
 
 class AlphaComplex:
-    """Simplices of the alpha complex with boundary structure.
+    """Simplices of the alpha complex with boundary structure, as arrays.
 
-    ``vertices`` holds every ball, with ``in_alpha`` set on those in the
-    complex; ``edges`` maps the alpha edges to their data,
-    ``triangle_table`` holds the alpha triangles, and ``tetrahedra`` lists
-    the alpha quads in acceptance order.
-    ``degeneracies`` lists (condition, simplex, residual) records for
-    near-violations of general position found during construction.
+    ``in_alpha`` and ``on_boundary`` flag the balls that are vertices of
+    the complex and of its boundary; ``edge_keys``, ``triangle_table`` and
+    ``tet_keys`` hold the alpha edges, triangles and tetrahedra in key
+    order.  ``degeneracies`` lists (condition, simplex, residual) records
+    for near-violations of general position found during construction.
     """
 
     def __init__(self, balls):
         self.balls = balls
         self.tol = EPS_GEO * balls.scale
-        self.vertices = {}
-        self.edges = {}
+        self.in_alpha = None      # (n,) flags, set by the build
+        self.on_boundary = None   # (n,) flags, set by the build
+        self.edge_keys = None     # the alpha edges in key order, (edges, 2)
         self.triangle_table = None   # the TriangleTable, set by the build
-        self.tetrahedra = []
+        self.tet_keys = None      # the alpha tetrahedra in key order, (tets, 4)
         self.degeneracies = []
         self.condition2_margin = _INF   # cheapest distance-to-tangency seen
-        self._pairs = {}
         self._pair_keys = None    # the candidate pairs in key order, (k, 2)
         self._pair_table = None   # their PairTable
         self._triple_table = None   # the TripleTable of the candidate triples
         self.arcs = None          # the ArcTable, set by the build
-        self._quads = None        # candidate-quad reductions of _build_tetrahedra
+        self._quads = None        # the QuadTable, set by the build
 
     # -- cached elementary geometry -------------------------------------
 
@@ -185,32 +178,14 @@ class AlphaComplex:
         """The rows in ``keys``, a sorted (k, d) array of sorted index tuples
         (the pair, edge, triple or triangle keys), of the tuples ``query``,
         found by a searchsorted on integer key codes; -1 where one is absent."""
-        code = self.balls.n ** np.arange(keys.shape[1])[::-1]
-        have = np.append(keys @ code, self.balls.n * code[0])     # above every code
-        want = np.reshape(query, (-1, len(code))) @ code
+        n = self.balls.n
+        code = n ** np.arange(keys.shape[1])[::-1]
+        have = np.append(keys @ code, n * code[0])     # above every code
+        query = np.reshape(query, (-1, len(code)))
+        # An index outside 0..n-1 would alias another tuple's code.
+        want = np.where(((query >= 0) & (query < n)).all(axis=1), query @ code, -1)
         at = np.searchsorted(have, want)
         return np.where(have[at] == want, at, -1)
-
-    def pair(self, i, j):
-        key = (i, j) if i < j else (j, i)
-        pg = self._pairs.get(key)
-        if pg is None:
-            row = self.key_rows(self._pair_keys, key)[0]
-            if row < 0:     # only circle-graph pairs, the faces of candidates, have rows
-                raise KeyError(key)
-            pg = self._pair_table.record(row, *key)
-            self._pairs[key] = pg
-        return pg
-
-    def triple(self, i, j, k):
-        """Row ijk of the candidate triple table as a TripleGeometry; None
-        unless the spheres meet in two points more than the band apart."""
-        ijk, _, center, axis, h_sq = self._triple_table
-        row = self.key_rows(ijk, sorted((i, j, k)))[0]
-        if row < 0 or not h_sq[row] > self.tol * self.balls.scale:
-            return None
-        return TripleGeometry.from_center(tuple(ijk[row].tolist()), center[row], axis[row],
-                                          math.sqrt(h_sq[row]))
 
     def corner_points(self, rows):
         """The points p_plus and p_minus, center +/- half * axis, of the
@@ -224,15 +199,11 @@ class AlphaComplex:
         return self._pair_table.take(self.key_rows(self._pair_keys, keys))
 
     def edge_rows(self, keys):
-        """The rows in edge_keys of the alpha edges ``keys`` (sorted pairs)."""
+        """The rows in edge_keys of the sorted index pairs ``keys``; -1 where
+        one is no alpha edge."""
         return self.key_rows(self.edge_keys, keys)
 
     # -- tables of the finished complex, each built on first use ----------
-
-    @cached_property
-    def edge_keys(self):
-        """The alpha edges in key order, as an (edges, 2) index array."""
-        return np.array(sorted(self.edges), dtype=int).reshape(-1, 2)
 
     @cached_property
     def edge_pairs(self):
@@ -261,15 +232,18 @@ class AlphaComplex:
     # -- queries ---------------------------------------------------------
 
     def alpha_simplices(self):
-        """All alpha simplices as sorted index tuples."""
-        return ([(v,) for v, d in self.vertices.items() if d.in_alpha] + list(self.edges)
-                + list(map(tuple, self.triangle_table.ijk.tolist())) + self.tetrahedra)
+        """All alpha simplices as sorted index tuples, each dimension in key
+        order."""
+        blocks = (np.flatnonzero(self.in_alpha)[:, None], self.edge_keys,
+                  self.triangle_table.ijk, self.tet_keys)
+        return [tuple(key) for keys in blocks for key in keys.tolist()]
 
     def boundary_vertices(self):
-        return sorted(v for v, d in self.vertices.items() if d.on_boundary)
+        return np.flatnonzero(self.on_boundary).tolist()
 
     def boundary_edges(self):
-        return sorted(e for e, d in self.edges.items() if d.on_boundary)
+        """The alpha edges with exposed arcs, in key order."""
+        return [tuple(key) for key in self.edge_keys[np.unique(self.arcs.edge)].tolist()]
 
     def require_generic(self):
         if self.degeneracies:
@@ -304,8 +278,8 @@ def build_alpha_complex(balls, strict=True):
 
 def euler(cx):
     """Euler characteristics of the alpha complex and of the surface."""
-    v = sum(1 for d in cx.vertices.values() if d.in_alpha)
-    chi = v - len(cx.edges) + len(cx.triangle_table.ijk) - len(cx.tetrahedra)
+    chi = (int(cx.in_alpha.sum()) - len(cx.edge_keys) + len(cx.triangle_table.ijk)
+           - len(cx.tet_keys))
     return EulerData(chi_alpha=chi, chi_surface=2 * chi)
 
 
@@ -367,9 +341,7 @@ def _build_vertices(cx, dist_sq):
     Row i of ``dist_sq`` minus the squared radii is the power of x_i to
     every ball."""
     pows = dist_sq - cx.balls.radii ** 2
-    in_alpha = np.diagonal(pows) <= pows.min(axis=1) + cx.tol ** 2
-    for i, flag in enumerate(in_alpha.tolist()):
-        cx.vertices[i] = VertexData(i, in_alpha=flag)
+    cx.in_alpha = np.diagonal(pows) <= pows.min(axis=1) + cx.tol ** 2
 
 
 def _build_edges(cx, pairs):
@@ -384,16 +356,14 @@ def _build_edges(cx, pairs):
     pows[rows, pairs[:, 0]] = _INF
     pows[rows, pairs[:, 1]] = _INF
     accept = table.has_circle & (own <= pows.min(axis=1) + cx.tol ** 2)
-    for key in pairs[accept].tolist():
-        cx.edges[tuple(key)] = EdgeData()
+    cx.edge_keys = pairs[accept]
 
 
 def _build_triangles(cx, idx):
     """The candidate triple table of the triples ``idx``, and the alpha
     triangles: those whose corner segment meets V_ijk."""
     balls = cx.balls
-    collinear, center, axis, h_sq = triple_points(balls.centers, balls.radii, idx,
-                                                  cx.tol ** 2)
+    collinear, center, axis, h_sq = triple_points(balls.centers, balls.radii, idx, EPS_GEO)
     columns = (np.full((len(idx), 3), np.nan), np.full((len(idx), 3), np.nan),
                np.full(len(idx), np.nan))
     for column, part in zip(columns, (center, axis, h_sq)):
@@ -484,9 +454,10 @@ def _points_exposed(cx, idx, pts):
 
 
 def _build_tetrahedra(cx, idx):
+    """The QuadTable of the candidate quads ``idx`` and the alpha
+    tetrahedra: those whose orthocenter lies in every member ball and in no
+    other ball's cell."""
     balls = cx.balls
-    if not len(idx):
-        return
     xi = balls.centers[idx[:, 0]]
     rows = 2.0 * (balls.centers[idx[:, 1:]] - xi[:, None, :])
     sq = np.einsum("ij,ij->i", balls.centers, balls.centers)
@@ -497,18 +468,14 @@ def _build_tetrahedra(cx, idx):
     flat = np.abs(det) < 1e-12 * row_scale
     for q, dt, sc in zip(idx[flat], det[flat], row_scale[flat]):
         cx.degeneracies.append(("I", tuple(int(v) for v in q), float(abs(dt) / sc)))
-    # Per candidate, for general_position_check: |det| / row_scale, the
-    # orthocenter's power over the least power of all balls, and its
-    # closest power tie |pow_m - own| with a fifth ball m.  The last two
-    # stay inf on flat quads, and the tie stays inf when n == 4.
+    # The excess and the tie stay inf on flat quads, and the tie stays inf
+    # when n == 4.
     excess = np.full(idx.shape[0], _INF)
     tie = np.full(idx.shape[0], _INF)
     tie_ball = np.zeros(idx.shape[0], dtype=int)
-    cx._quads = (idx, np.abs(det) / row_scale, excess, tie, tie_ball)
+    cx._quads = QuadTable(idx, np.abs(det) / row_scale, excess, tie, tie_ball)
     keep = ~flat
     idx = idx[keep]
-    if idx.size == 0:
-        return
     z = np.linalg.solve(rows[keep], rhs[keep][:, :, None])[:, :, 0]
     pows = _powers(z, balls)
     q_count = idx.shape[0]
@@ -526,7 +493,7 @@ def _build_tetrahedra(cx, idx):
         cx.degeneracies.append(("I", tuple(int(v) for v in idx[m]) + (fifth,),
                                 float(abs(gap[m]))))
     accept = (own <= 0.0) & ((other_min >= own) | np.isinf(other_min))
-    cx.tetrahedra = [tuple(q) for q in idx[accept].tolist()]
+    cx.tet_keys = idx[accept]
     excess[keep] = own - pows.min(axis=1)
     masked -= own[:, None]
     np.abs(masked, out=masked)
@@ -538,27 +505,23 @@ def _close_faces(cx):
     """Enforce closure of the alpha complex under taking faces.  A face of
     a tetrahedron that is no alpha triangle joins the triangle table with
     nu 0 and no exposed corner, when its spheres meet in two points more
-    than the band apart (as for cx.triple)."""
+    than the band apart.  The sides of every triangle join the edges, in
+    key order, and the ends of every edge the vertices."""
     tris, ijk = cx.triangle_table, cx._triple_table.ijk
-    quads = np.array(cx.tetrahedra, dtype=int).reshape(-1, 4)
-    faces = cx.key_rows(ijk, quads[:, _FACES])    # a candidate quad's faces are candidates
+    faces = cx.key_rows(ijk, cx.tet_keys[:, _FACES])   # a candidate quad's faces are candidates
     live = cx._triple_table.h_sq[faces] > cx.tol * cx.balls.scale
-    new, first = np.unique(faces[live & ~np.isin(faces, tris.triple)], return_index=True)
-    # Edges join in the order alpha_simplices lists them: from the accepted
-    # triangles in key order, then from the added faces in tetrahedron order.
-    for tri in tris.ijk.tolist() + ijk[new[np.argsort(first)]].tolist():
-        for e in combinations(tri, 2):
-            if e not in cx.edges:
-                cx.edges[e] = EdgeData()
+    new = np.unique(faces[live & ~np.isin(faces, tris.triple)])
     triple = np.concatenate([tris.triple, new])
     order = np.argsort(triple)
     cx.triangle_table = TriangleTable(
         ijk=ijk[triple[order]], triple=triple[order],
         nu=np.concatenate([tris.nu, np.zeros(len(new))])[order],
         exposed=np.concatenate([tris.exposed, np.zeros((len(new), 2), dtype=bool)])[order])
-    for e in cx.edges:
-        for v in e:
-            cx.vertices[v].in_alpha = True
+    n = cx.balls.n
+    sides = cx.triangle_table.ijk[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    codes = np.unique(np.concatenate([cx.edge_keys, sides]) @ [n, 1])
+    cx.edge_keys = np.column_stack(np.divmod(codes, n))
+    cx.in_alpha[cx.edge_keys] = True
 
 
 def _build_arcs(cx):
@@ -616,9 +579,6 @@ def _build_arcs(cx):
     extent = np.concatenate([(angle[nxt[a]] - angle[a]) % TWO_PI, np.full(len(whole), TWO_PI)])
     cx.arcs = ArcTable(edge=arc_edge[rows], extent=extent[rows], corner=t[at], tag=tag[at],
                        occluder=occ[at], point=p[at], angle=angle[at])
-    on = np.bincount(cx.arcs.edge, minlength=len(edges)) > 0
-    for key, flag in zip(edges, on.tolist()):
-        cx.edges[key].on_boundary = flag
 
 
 def _record_circle_tangencies(cx, edges):
@@ -644,19 +604,16 @@ def _record_circle_tangencies(cx, edges):
 
 
 def _mark_boundary_vertices(cx):
+    """A vertex is on the boundary when its sphere has exposed arcs.  A
+    sphere without them is entirely exposed or entirely covered, so one
+    test point x_i + r_i z decides it."""
     balls = cx.balls
-    on_arcs = np.zeros(balls.n, dtype=bool)
-    on_arcs[cx.edge_keys[cx.arcs.edge]] = True
-    for i, vd in cx.vertices.items():
-        if not vd.in_alpha:
-            continue
-        if on_arcs[i]:
-            vd.on_boundary = True
-            continue
-        # No exposed arcs on the sphere: it is entirely exposed or entirely
-        # covered, so one test point decides.
-        p = balls.centers[i] + balls.radii[i] * np.array([0.0, 0.0, 1.0])
-        pows = _powers(p, balls)
-        pows[i] = _INF
-        vd.on_boundary = bool(pows.min() >= 0.0)
+    on = np.zeros(balls.n, dtype=bool)
+    on[cx.edge_keys[cx.arcs.edge]] = True
+    rest = np.flatnonzero(cx.in_alpha & ~on)
+    pows = _powers(balls.centers[rest] + balls.radii[rest, None] * np.array([0.0, 0.0, 1.0]),
+                   balls)
+    pows[np.arange(len(rest)), rest] = _INF
+    on[rest] = pows.min(axis=1) >= 0.0
+    cx.on_boundary = on
 

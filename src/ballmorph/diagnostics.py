@@ -94,16 +94,14 @@ def general_position_check(balls, cx=None, tol=1e-6):
     note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]].tolist()
                                                    + [int(k % n)]))))
 
-    five_res = np.empty(0)
-    if cx._quads is not None:
-        idx, coplanar, excess, tie, fifth = cx._quads
-        # Flattening tets matter only when the quad is locally Delaunay, so
-        # a small determinant is reported but kept out of the metric.  Only
-        # a tie in the minimal power changes the mosaic.
-        five_res = np.where(excess <= 2.0 * tol * scale, tie / (2.0 * scale), math.inf)
-        note(np.stack([coplanar * scale, five_res], axis=1),
-             lambda k: ("I", tuple(int(v) for v in idx[k // 2])
-                        + ((int(fifth[k // 2]),) if k % 2 else ())))
+    idx, coplanar, excess, tie, fifth = cx._quads
+    # Flattening tets matter only when the quad is locally Delaunay, so a
+    # small determinant is reported but kept out of the metric.  Only a tie
+    # in the minimal power changes the mosaic.
+    five_res = np.where(excess <= 2.0 * tol * scale, tie / (2.0 * scale), math.inf)
+    note(np.stack([coplanar * scale, five_res], axis=1),
+         lambda k: ("I", tuple(int(v) for v in idx[k // 2])
+                    + ((int(fifth[k // 2]),) if k % 2 else ())))
 
     min_res = min((float(r.min()) for r in (pair_res, tri_res, corner_gap, five_res)
                    if r.size), default=math.inf)
@@ -126,9 +124,7 @@ def _gf2_rank(rows):
 
 def betti_numbers(cx):
     """(b0, b1, b2) of the alpha complex, hence of the ball union."""
-    in_alpha = np.array([cx.vertices[v].in_alpha for v in range(cx.balls.n)])
-    edges, tris = cx.edge_keys, cx.triangle_table.ijk
-    tets = np.array(cx.tetrahedra, dtype=int).reshape(-1, 4)
+    in_alpha, edges, tris, tets = cx.in_alpha, cx.edge_keys, cx.triangle_table.ijk, cx.tet_keys
     # Each simplex's boundary as a GF(2) row over its faces' rows in key order.
     d1 = (np.cumsum(in_alpha) - 1)[edges]
     d2 = cx.edge_rows(tris[:, [0, 1, 0, 2, 1, 2]]).reshape(-1, 3)

@@ -275,22 +275,24 @@ class TripleGeometry:
                    axis=axis, p_plus=center + h * axis, p_minus=center - h * axis)
 
 
-def triple_points(centers, radii, idx, area_eps):
+def triple_points(centers, radii, idx, eps):
     """Radical centres of the index triples ``idx`` (rows into ``centers``).
 
     Returns (collinear, center, axis, h_sq): ``collinear`` flags the rows
-    whose doubled triangle area |(x_j - x_i) x (x_k - x_i)| is at most
-    ``area_eps``; the other three arrays hold, for the remaining rows in
-    order, the point of equal power in the plane of the centers, the unit
-    normal of that plane and the squared half-distance h^2 from the centre
-    to the two points where the spheres meet (negative when they miss).
+    whose sine of the angle at x_i, |a1 x a2| / (|a1| |a2|) with a1 =
+    x_j - x_i and a2 = x_k - x_i, is at most the dimensionless ``eps``
+    (rounding passes any bound on the area itself); the other three arrays
+    hold, for the remaining rows in order, the point of equal power in the
+    plane of the centers, the unit normal of that plane and the squared
+    half-distance h^2 from the centre to the two points where the spheres
+    meet (negative when they miss).
     """
     xi = centers[idx[:, 0]]
     a1 = centers[idx[:, 1]] - xi
     a2 = centers[idx[:, 2]] - xi
     nrm = cross_rows(a1, a2)
     area2 = np.linalg.norm(nrm, axis=1)
-    collinear = area2 <= area_eps
+    collinear = area2 <= eps * row_norms(a1) * row_norms(a2)
     keep = ~collinear
     idx = idx[keep]
     xi, a1, a2, nrm, area2 = xi[keep], a1[keep], a2[keep], nrm[keep], area2[keep]

@@ -106,8 +106,8 @@ def _sigma_ij_forces(n, ends, coeff):
 def sigma_ij_prime(balls, cx, edge, t):
     """Directional derivative of the arc fraction sigma_ij along momentum t:
     the arc-fraction rows of term_e with coefficient one."""
-    key = tuple(sorted(edge))
-    if key not in cx.edges:
+    key = sorted(edge)
+    if cx.edge_rows(key)[0] < 0:
         return 0.0
     vec = _sigma_ij_forces(balls.n, arc_endpoint_data(balls, cx, [key]), 1.0)
     return float(np.sum(vec * as_momentum(t, balls.n)))
@@ -133,7 +133,7 @@ def term_d(balls, cx, measures, ends=None):
     it already.
     """
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
+        ends = arc_endpoint_data(balls, cx, cx.edge_keys)
     i, j = cx.edge_keys.T
     pairs = cx.edge_pairs
     w, r, r2 = balls.weights, balls.radii, pow_squares(balls.radii)
@@ -152,7 +152,7 @@ def term_e(balls, cx, ends=None):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'.
     ``ends`` is as for term_d."""
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
+        ends = arc_endpoint_data(balls, cx, cx.edge_keys)
     w_i, w_j = balls.weights[ends.ijk[:, 0]], balls.weights[ends.ijk[:, 1]]
     return _sigma_ij_forces(balls.n, ends,
                             -math.pi * (w_i + w_j) * cx.edge_pairs.lam[ends.edge])
@@ -207,7 +207,7 @@ class GaussGradient:
 def gauss_gradient(balls, cx, measures):
     """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i.  The
     arc-endpoint rows are built once and read by both terms d and e."""
-    ends = arc_endpoint_data(balls, cx, sorted(cx.edges))
+    ends = arc_endpoint_data(balls, cx, cx.edge_keys)
     return GaussGradient(d=term_d(balls, cx, measures, ends), e=term_e(balls, cx, ends),
                          f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 

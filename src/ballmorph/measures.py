@@ -37,8 +37,8 @@ class FractionalMeasures:
 def sigma_ij(balls, cx, edge):
     """Fraction of circle S_ij outside all other balls: the extents of its
     exposed arcs over 2 pi."""
-    key = tuple(sorted(edge))
-    return float(_arc_sums(cx)[cx.edge_rows([key])[0]] / TWO_PI) if key in cx.edges else 0.0
+    row = cx.edge_rows(sorted(edge))[0]
+    return 0.0 if row < 0 else float(_arc_sums(cx)[row] / TWO_PI)
 
 
 def _arc_sums(cx):
@@ -60,8 +60,7 @@ def nu_ijk(balls, cx, tri):
 
 def sigma_i(balls, cx, i):
     """Exposed area fraction of sphere i by spherical Gauss-Bonnet."""
-    vd = cx.vertices.get(i)
-    if vd is None or not vd.in_alpha or not vd.on_boundary:
+    if not 0 <= i < balls.n or not cx.on_boundary[i]:
         return 0.0
     return float(_sphere_sigmas(balls, cx, np.array([i]))[0])
 
@@ -143,7 +142,7 @@ def _circuits(cx, sphere, row, side, arc_term):
 def compute_measures(balls, cx):
     """All fractional measures of the boundary simplices of the complex."""
     sigma_v = np.zeros(balls.n)
-    spheres = np.array(cx.boundary_vertices(), dtype=int)
+    spheres = np.flatnonzero(cx.on_boundary)
     sigma_v[spheres] = _sphere_sigmas(balls, cx, spheres)
     tris = cx.triangle_table
     return FractionalMeasures(sigma_v=sigma_v, sigma_e=_arc_sums(cx) / TWO_PI,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmorph import BallSet
+from ballmorph import BallSet, TripleGeometry
 from ballmorph.complexes import TWO_PI, build_alpha_complex, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.serial import fmt
@@ -84,21 +84,48 @@ class Arc:
         return self.start is None
 
 
+def pair(cx, i, j):
+    """Row ij of the complex's candidate pair table as a PairGeometry;
+    KeyError unless the spheres of i and j meet in a circle."""
+    key = (i, j) if i < j else (j, i)
+    row = cx.key_rows(cx._pair_keys, key)[0]
+    if row < 0:
+        raise KeyError(key)
+    return cx._pair_table.record(row, *key)
+
+
+def triple(cx, i, j, k):
+    """Row ijk of the complex's candidate triple table as a TripleGeometry;
+    None unless the spheres meet in two points more than the band apart."""
+    ijk, _, center, axis, h_sq = cx._triple_table
+    row = cx.key_rows(ijk, sorted((i, j, k)))[0]
+    if row < 0 or not h_sq[row] > cx.tol * cx.balls.scale:
+        return None
+    return TripleGeometry.from_center(tuple(ijk[row].tolist()), center[row], axis[row],
+                                      math.sqrt(h_sq[row]))
+
+
 def triangle_keys(cx):
     """The alpha triangles as sorted index tuples, in key order."""
     return [tuple(key) for key in cx.triangle_table.ijk.tolist()]
+
+
+def tetrahedron_keys(cx):
+    """The alpha tetrahedra as sorted index tuples, in key order."""
+    return [tuple(key) for key in cx.tet_keys.tolist()]
 
 
 def edge_arcs(cx, edge):
     """The rows of ``cx.arcs`` on the circle S_ij as Arc records, in table
     order; empty when ij is no alpha edge."""
     key = tuple(sorted(edge))
-    if key not in cx.edges:
+    row = cx.edge_rows(key)[0]
+    if row < 0:
         return []
     # The arcs' corner rows count the triangles with an exposed corner.
     arcs, tris = cx.arcs, cx.triangle_table.ijk[cx.triangle_table.exposed.any(axis=1)]
     out = []
-    for r in np.flatnonzero(arcs.edge == cx.edge_rows([key])[0]).tolist():
+    for r in np.flatnonzero(arcs.edge == row).tolist():
         ends = () if arcs.full[r] else [
             Corner(tuple(tris[arcs.corner[r, c]].tolist()), int(arcs.tag[r, c]),
                    int(arcs.occluder[r, c]), arcs.point[r, c], float(arcs.angle[r, c]))
@@ -117,7 +144,7 @@ def brute_cover(cx, i, j):
     near-tangencies of a sphere with the circle met on the way.
     """
     balls = cx.balls
-    pg = cx.pair(i, j)
+    pg = pair(cx, i, j)
     q, rho = pg.center, pg.r
     u = pg.u_ij
     e1, e2 = plane_basis(u)
@@ -140,7 +167,7 @@ def brute_cover(cx, i, j):
             continue
         if dmax <= rm:
             return [], True, records
-        tg = cx.triple(i, j, m)
+        tg = triple(cx, i, j, m)
         if tg is None:
             records.append(("II", tuple(sorted((i, j, m))), cx.tol))
             continue
@@ -202,8 +229,7 @@ def vector_sigma_i(balls, cx, i):
     each corner's turn is the signed angle between the unit tangents of the
     two cap circles at the corner point, independent of the normal
     triangle that measures.sigma_i reads."""
-    vd = cx.vertices.get(i)
-    if vd is None or not vd.in_alpha or not vd.on_boundary:
+    if not 0 <= i < balls.n or not cx.on_boundary[i]:
         return 0.0
     edges = [e for e in cx.boundary_edges() if i in e]
     if not edges:
@@ -217,7 +243,7 @@ def vector_sigma_i(balls, cx, i):
     total = 0.0
     by_entry = {}   # corner key -> (next corner key, its point, arc data)
     for key in edges:
-        pg = cx.pair(*key)
+        pg = pair(cx, *key)
         axis, xi = (-pg.u_ij, pg.xi_i) if i == pg.i else (pg.u_ij, pg.xi_j)
         for arc in edge_arcs(cx, key):
             if arc.full_circle:

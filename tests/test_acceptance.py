@@ -307,7 +307,7 @@ def test_acceptance_8_continuity_behavior():
 
     def tets_at(tau):
         bs = BallSet(centers + tau * t, radii, weights)
-        return tuple(sorted(build_alpha_complex(bs).tetrahedra))
+        return tuple(sorted(map(tuple, build_alpha_complex(bs).tet_keys.tolist())))
 
     def grad_at(tau):
         bs = BallSet(centers + tau * t, radii, weights)

@@ -23,7 +23,9 @@ import pytest
 import run as perfbench
 import trace_driver
 import ballmorph
+from ballmorph import build_alpha_complex
 from ballmorph.cli import main
+from ballmorph.serial import parse_diagram
 
 CASES = [(name, seed) for name in ("grad-large", "fdcheck-small", "compute-volume")
          for seed in (1, 2)]
@@ -44,6 +46,21 @@ def test_workload_passes_benchmark_check(name, seed, tmp_path, capsys):
         stdout = capsys.readouterr().out
         json_bytes = out_json.read_bytes() if out_json.exists() else None
         assert wl.check(inp, rc, stdout, json_bytes, state) is None
+
+
+@pytest.mark.parametrize("name", ["grad-large", "fdcheck-small"])
+def test_trace_counts_are_the_complex_arrays(name, tmp_path):
+    # The benchmark's per-layer counts of alpha edges, triangles and
+    # tetrahedra come from alpha_simplices(); they are the lengths of the
+    # complex's key arrays.
+    wl = perfbench.WORKLOADS[name]
+    balls = parse_diagram(str(perfbench.make_input(SimpleNamespace(seed=1), wl, tmp_path).path))
+    cx = build_alpha_complex(balls)
+    attrs = {}
+    trace_driver._note_complex(attrs, (balls,), {}, cx)
+    assert attrs == {"edges": len(cx.edge_keys), "triangles": len(cx.triangle_table.ijk),
+                     "tets": len(cx.tet_keys)}
+    assert min(attrs.values()) > 0
 
 
 def test_trace_driver_layer_functions_are_bound():

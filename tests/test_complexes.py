@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
 from ballmorph.geometry import PairTable, pair_table
 from ballmorph.pipeline import evaluate
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, triangle_keys, \
-    two_balls
+from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, pair, \
+    random_rotation, tetrahedron_keys, triangle_keys, triple, two_balls
 from test_near_tangency import planted_draw
 
 
@@ -22,7 +23,7 @@ def test_single_ball():
     balls = BallSet([[0, 0, 0]], [1.0])
     cx = build_alpha_complex(balls)
     assert cx.alpha_simplices() == [(0,)]
-    assert cx.vertices[0].on_boundary
+    assert cx.on_boundary[0]
     assert euler(cx) == euler(cx).__class__(chi_alpha=1, chi_surface=2)
 
 
@@ -46,9 +47,9 @@ def test_two_distant_balls():
 def test_four_ball_tetrahedron_complex():
     pts = np.array([[0, 0, 0], [1.2, 0, 0], [0.6, 1.1, 0], [0.6, 0.4, 1.1]])
     cx = build_alpha_complex(BallSet(pts, np.ones(4)))
-    assert len(cx.tetrahedra) == 1
+    assert len(cx.tet_keys) == 1
     assert len(cx.triangle_table.ijk) == 4
-    assert len(cx.edges) == 6
+    assert len(cx.edge_keys) == 6
     e = euler(cx)
     assert (e.chi_alpha, e.chi_surface) == (1, 2)   # 4 - 6 + 4 - 1 = 1
 
@@ -62,7 +63,7 @@ def test_octant_arcs_end_at_triple_corners():
     assert arc.end.triangle == (0, 1, 2)
     assert {arc.start.tag, arc.end.tag} == {1, -1}
     # Endpoint positions are the two triple points.
-    tg = cx.triple(0, 1, 2)
+    tg = triple(cx, 0, 1, 2)
     pts = {1: tg.p_plus, -1: tg.p_minus}
     assert np.allclose(arc.start.point, pts[arc.start.tag], atol=1e-12)
     assert np.allclose(arc.end.point, pts[arc.end.tag], atol=1e-12)
@@ -76,6 +77,24 @@ def test_fully_occluded_circle_yields_no_arcs():
     assert edge_arcs(cx, (0, 1)) == []
 
 
+def test_collinear_triple_is_one_condition_i_record():
+    # Centres 0, 1 and 2 on a line with radii 1, 1 and sqrt 3: the radical
+    # planes of 01 and 02 coincide at 1/2.  Rotated and shifted, the cross
+    # product of the centre differences rounds to a few ulps, not zero;
+    # the sine of the angle at x_0 still marks the triple collinear, so no
+    # NaN or meaningless radical centre is computed and Condition I names it.
+    rng = np.random.default_rng(0)
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    for draw in range(40):
+        centers = line @ random_rotation(rng).T + rng.uniform(-5.0, 5.0, size=3)
+        balls = BallSet(centers, [1.0, 1.0, math.sqrt(3.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cx = build_alpha_complex(balls, strict=False)
+        assert cx._triple_table.collinear.tolist() == [True], draw
+        assert ("I", (0, 1, 2)) in [record[:2] for record in cx.degeneracies], draw
+
+
 def test_tangency_raises_degenerate_state():
     with pytest.raises(DegenerateState):
         build_alpha_complex(two_balls(d=2.0))
@@ -87,7 +106,7 @@ def test_tangency_raises_degenerate_state():
 def cyclic_gap_count(cx, edge):
     """Arc gaps around a boundary edge, counted from its cyclic triangle fan."""
     i, j = edge
-    pg = cx.pair(i, j)
+    pg = pair(cx, i, j)
     e1, e2 = plane_basis(pg.u_ij)
     tris = sorted(t for t in triangle_keys(cx) if i in t and j in t)
     if not tris:
@@ -104,7 +123,7 @@ def cyclic_gap_count(cx, edge):
         # A tetrahedron fills only the wedge between its two apexes that
         # subtends less than pi around the edge.
         wedge = (a2 - a1) % (2 * math.pi)
-        joined = len(quad) == 4 and quad in cx.tetrahedra and wedge < math.pi
+        joined = len(quad) == 4 and quad in tetrahedron_keys(cx) and wedge < math.pi
         if not joined:
             gaps += 1
     return gaps
@@ -123,10 +142,10 @@ def test_face_closure(rng):
         balls, cx = make_config(rng, int(rng.integers(4, 11)))
         for tri in triangle_keys(cx):
             for a in tri:
-                assert cx.vertices[a].in_alpha
-            for pair in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-                assert pair in cx.edges
-        for quad in cx.tetrahedra:
+                assert cx.in_alpha[a]
+            for side in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
+                assert cx.edge_rows(side)[0] >= 0
+        for quad in tetrahedron_keys(cx):
             for m in range(4):
                 tri = tuple(sorted(set(quad) - {quad[m]}))
                 assert tri in triangle_keys(cx)
@@ -139,7 +158,7 @@ def test_boundary_triangle_exposure_counts(rng):
             if any(exposed):
                 assert sum(exposed) in (1, 2)
                 # Exposure matches a direct point-in-ball test.
-                tg = cx.triple(*tri)
+                tg = triple(cx, *tri)
                 for point, flag in ((tg.p_plus, exposed[0]), (tg.p_minus, exposed[1])):
                     gaps = (np.linalg.norm(balls.centers - point, axis=1)
                             - balls.radii)
@@ -150,9 +169,9 @@ def test_boundary_triangle_exposure_counts(rng):
 def test_nested_ball_not_in_alpha():
     balls = BallSet([[0, 0, 0], [0.2, 0, 0]], [1.0, 0.5])
     cx = build_alpha_complex(balls)
-    assert cx.vertices[0].in_alpha and cx.vertices[0].on_boundary
-    assert not cx.vertices[1].in_alpha
-    assert (0, 1) not in cx.edges
+    assert cx.in_alpha[0] and cx.on_boundary[0]
+    assert not cx.in_alpha[1]
+    assert cx.edge_rows((0, 1))[0] < 0
     e = euler(cx)
     assert (e.chi_alpha, e.chi_surface) == (1, 2)
 
@@ -193,7 +212,7 @@ def table_draws(rng):
 
 def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
     # The build's one batched pass gives every candidate pair the bits of
-    # the one-row call, and the complex caches one record per pair.
+    # the one-row call.
     pairs = 0
     for balls in table_draws(rng):
         try:
@@ -201,15 +220,15 @@ def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
         except GeometryError:
             continue
         for i, j in cx._pair_keys.tolist():
-            pg = cx.pair(i, j)
+            pg = pair(cx, i, j)
             ref = pair_geometry(balls.ball(i), balls.ball(j), i, j)
             assert record_mismatches(pg, ref, PairGeometry) == [], (i, j)
-            assert cx.pair(j, i) is pg
+            assert record_mismatches(pair(cx, j, i), pg, PairGeometry) == [], (i, j)
             pairs += 1
         _, _, center, axis, h_sq = cx._triple_table
         for key, row in zip(triangle_keys(cx), cx.triangle_table.triple.tolist()):
             ref = TripleGeometry.from_center(key, center[row], axis[row], math.sqrt(h_sq[row]))
-            assert record_mismatches(cx.triple(*key), ref, TripleGeometry) == [], key
+            assert record_mismatches(triple(cx, *key), ref, TripleGeometry) == [], key
             # The arcs' corner points are the record's points, bit for bit.
             points = np.array([ref.p_plus, ref.p_minus])
             assert cx.corner_points([row]).tobytes() == points.tobytes(), key
@@ -234,10 +253,8 @@ def test_non_realizable_corner_raises_degenerate_state_naming_it():
     cx = build_alpha_complex(balls)
     tri = min(key for key, exposed in zip(triangle_keys(cx), cx.triangle_table.exposed)
               if exposed.any())
-    # phi_ij = pi exceeds phi_jk + phi_ki.  cx.pair caches its records, so
-    # the record and the pair-table row both change.
+    # phi_ij = pi exceeds phi_jk + phi_ki.
     key = tri[:2]
-    cx._pairs[key] = dataclasses.replace(cx.pair(*key), cos_phi=-1.0)
     cx._pair_table.cos_phi[cx.key_rows(cx._pair_keys, key)] = -1.0
     for stage in (lambda: compute_measures(balls, cx),
                   lambda: weighted_gauss(balls, cx, measures),
@@ -245,6 +262,45 @@ def test_non_realizable_corner_raises_degenerate_state_naming_it():
         with pytest.raises(DegenerateState, match="product of sines is") as info:
             stage()
         assert info.value.simplex == tri
+
+
+def arrays_only(value):
+    """Whether ``value`` is an array, or a tuple, namedtuple or frozen
+    dataclass of such values."""
+    if isinstance(value, np.ndarray):
+        return True
+    if dataclasses.is_dataclass(value):
+        return (type(value).__dataclass_params__.frozen
+                and all(arrays_only(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    return isinstance(value, tuple) and all(map(arrays_only, value))
+
+
+@pytest.mark.parametrize("name", ["g20", "g60", "lattice"])
+def test_complex_is_arrays_with_simplices_in_key_order(name):
+    # Each simplex kind is a key-ordered array or table, before and after
+    # the measures and the gradient read the complex: no dict or list of
+    # per-simplex records is left on it, only the list of degeneracy
+    # records.  alpha_simplices() lists each dimension in key order.
+    if name == "lattice":
+        centers = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+        balls = BallSet(centers, np.ones(len(centers)))
+        cxs = [build_alpha_complex(balls, strict=False)]
+    else:
+        balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
+        ev = evaluate(balls)
+        cxs = [build_alpha_complex(balls), ev.cx]
+        assert ev.gradient.flat.any()
+    for cx in cxs:
+        for attr, value in vars(cx).items():
+            table = ((hasattr(value, "_fields") or dataclasses.is_dataclass(value))
+                     and arrays_only(value))
+            assert (attr == "degeneracies" or value is balls or table
+                    or isinstance(value, (np.ndarray, float))), attr
+        simplices = cx.alpha_simplices()
+        assert all(type(s) is tuple for s in simplices)
+        for dim in range(1, 5):
+            block = [s for s in simplices if len(s) == dim]
+            assert block and block == sorted(set(block)), dim
 
 
 @pytest.mark.parametrize("name", ["g20", "g60"])
@@ -276,10 +332,10 @@ def test_face_closure_adds_lattice_triangles(shape, triangles, added, tets):
     cx = build_alpha_complex(BallSet(centers, np.ones(len(centers))), strict=False)
     tris = cx.triangle_table
     keys = triangle_keys(cx)
-    assert (len(keys), len(cx.tetrahedra)) == (triangles, tets)
+    assert (len(keys), len(cx.tet_keys)) == (triangles, tets)
     assert keys == sorted(set(keys))
     assert tris.triple.tolist() == cx.key_rows(cx._triple_table.ijk, tris.ijk).tolist()
-    for quad in cx.tetrahedra:
+    for quad in tetrahedron_keys(cx):
         for tri in itertools.combinations(quad, 3):
             assert tri in keys
     closed = tris.nu == 0.0

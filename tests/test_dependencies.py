@@ -110,7 +110,7 @@ def test_gradient_scatters_rows_only_in_its_two_kernels():
 def test_no_loop_calls_a_corner_formula_or_a_pair_record():
     # The corner formulas run once over the complex's corner table and the
     # pair records are read as table columns, so no loop or comprehension
-    # downstream of the build calls a sphtri function or cx.pair.
+    # downstream of the build calls a sphtri function or a pair lookup.
     root = Path(ballmorph.__file__).parent
     formulas = {node.name for node in ast.parse((root / "sphtri.py").read_text(encoding="utf-8"))
                 .body if isinstance(node, ast.FunctionDef)}

@@ -24,8 +24,7 @@ def triple_geometry(b_i, b_j, b_k, eps=EPS_GEO):
     scale = max(b_i.radius, b_j.radius, b_k.radius)
     collinear, center, axis, h_sq = triple_points(
         np.stack([b_i.center, b_j.center, b_k.center]),
-        np.array([b_i.radius, b_j.radius, b_k.radius]), np.array([[0, 1, 2]]),
-        (eps * scale) ** 2)
+        np.array([b_i.radius, b_j.radius, b_k.radius]), np.array([[0, 1, 2]]), eps)
     if collinear[0]:
         raise DegenerateTriple("centers are collinear")
     h_sq = float(h_sq[0])

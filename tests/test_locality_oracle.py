@@ -25,7 +25,7 @@ from ballmorph.complexes import TWO_PI, _circle_cliques, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
 from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
-from conftest import brute_cover, edge_arcs, union_measure
+from conftest import brute_cover, edge_arcs, pair, union_measure
 
 
 def brute_cliques(circle):
@@ -88,7 +88,7 @@ def sweep_arcs(cx, edge, covered):
         e_rel = (s_rel + extent) % TWO_PI
         events.append((e_rel if e_rel != 0.0 else TWO_PI, -1, end_ref))
     events.sort(key=lambda ev: (ev[0], ev[1]))
-    tol_ang = cx.tol / max(cx.pair(*edge).r, cx.tol)
+    tol_ang = cx.tol / max(pair(cx, *edge).r, cx.tol)
     records = [("II", tuple(sorted(set(edge) | {r1.occluder, r2.occluder})), a2 - a1)
                for (a1, _, r1), (a2, _, r2) in zip(events, events[1:])
                if a2 - a1 < tol_ang and r1.occluder != r2.occluder]
@@ -111,7 +111,8 @@ def sweep_arcs(cx, edge, covered):
 def check_arcs(cx, seen):
     """The corner-built arcs of every alpha circle against the cover loop."""
     built = {(c, s) for c, s, _ in cx.degeneracies}
-    for edge, data in sorted(cx.edges.items()):
+    boundary = set(cx.boundary_edges())
+    for edge in map(tuple, cx.edge_keys.tolist()):
         covered, full, records = brute_cover(cx, *edge)
         want = []
         if not full:
@@ -128,7 +129,7 @@ def check_arcs(cx, seen):
             want = want[shift:] + want[:shift]
         for g, w in zip(got, want):
             assert g[:2] == w[:2] and abs(g[2] - w[2]) <= 1e-12, edge
-        assert data.on_boundary == bool(want), edge
+        assert (edge in boundary) == bool(want), edge
         # No alpha circle lies in a single ball (that ball would win the
         # whole disk), so a covered circle is covered by several.
         seen["covered" if not got else "exposed" if got[0][0] is None else "partial"] += 1
@@ -142,10 +143,7 @@ def check_draw(balls, strict, nu_balls, seen):
     got = _circle_cliques(cx._circle)
     for w, g in zip(want, got, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    if len(want[2]):
-        assert np.array_equal(cx._quads[0], want[2])
-    else:
-        assert cx._quads is None
+    assert np.array_equal(cx._quads.ijkl, want[2])
     check_arcs(cx, seen)
     _, sigmas, _ = mc_boundary_integrals(balls, 2000, seed=3)
     for i in nu_balls:
@@ -186,7 +184,7 @@ def plant(rng, balls):
     """Move one ball to within tol/2 of an alpha circle S_ij of the diagram,
     from outside in the radical plane; None when the diagram has no alpha
     circle."""
-    pairs = sorted(build_alpha_complex(balls, strict=False).edges)
+    pairs = build_alpha_complex(balls, strict=False).edge_keys.tolist()
     if not pairs:
         return None
     i, j = pairs[rng.integers(len(pairs))]

@@ -1,23 +1,23 @@
 import math
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex, compute_measures, nu_i_mc, \
-    nu_ijk, sigma_i, sigma_ij, sigma_ijk
+    nu_ijk, sigma_i, sigma_ij, sigma_ij_prime, sigma_ijk
 from ballmorph.complexes import plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.oracles import mc_boundary_integrals
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, random_rotation, \
-    triangle_keys, two_balls, vector_sigma_i
+from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, pair, \
+    random_rotation, triangle_keys, triple, two_balls, vector_sigma_i
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
     """Dense angular sampling of the circle S_ij against all other balls."""
-    pg = cx.pair(*edge)
+    pg = pair(cx, *edge)
     e1, e2 = plane_basis(pg.u_ij)
     alphas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     pts = (pg.center[None, :]
@@ -34,7 +34,7 @@ def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
 
 def segment_sampling_fraction(balls, cx, tri, samples=1_000_000):
     """Dense sampling of the corner segment against the Voronoi condition."""
-    tg = cx.triple(*tri)
+    tg = triple(cx, *tri)
     s = np.linspace(-tg.half_length, tg.half_length, samples)
     pts = tg.center[None, :] + s[:, None] * tg.axis[None, :]
     pows = (np.einsum("pij,pij->pi", pts[:, None, :] - balls.centers[None, :, :],
@@ -109,15 +109,35 @@ def test_sigma_i_names_the_sphere_whose_circuit_does_not_close(shape, spacing, s
 @pytest.mark.parametrize("name", ["g20", "g60"])
 def test_single_simplex_measures_are_the_compute_measures_bytes(name):
     # sigma_i, sigma_ij, sigma_ijk and nu_ijk take the same path as
-    # compute_measures; a candidate triple that is no alpha triangle has 0.
+    # compute_measures; a ball off the boundary or out of range, a pair that
+    # is no alpha edge and a candidate triple that is no alpha triangle
+    # have 0, and so does sigma_ij' of a pair that is no alpha edge.
     balls = parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt"))
     cx = build_alpha_complex(balls)
     measures = compute_measures(balls, cx)
-    assert len(cx.boundary_vertices()) > 10 and len(cx.edges) > 20
-    for i in cx.boundary_vertices():
+    assert len(cx.boundary_vertices()) > 10 and len(cx.edge_keys) > 20
+    assert not measures.sigma_v.all()
+    for i in range(balls.n):
         assert np.float64(sigma_i(balls, cx, i)).tobytes() == measures.sigma_v[i].tobytes(), i
-    for row, e in enumerate(sorted(cx.edges)):
-        assert np.float64(sigma_ij(balls, cx, e)).tobytes() == measures.sigma_e[row].tobytes(), e
+    assert sigma_i(balls, cx, -1) == 0.0 and sigma_i(balls, cx, balls.n) == 0.0
+    rows = cx.edge_rows(cx._pair_keys)
+    assert sorted(rows[rows >= 0].tolist()) == list(range(len(cx.edge_keys)))
+    zero = np.float64(0.0)
+    for e, row in zip(cx._pair_keys.tolist(), rows.tolist()):
+        want = measures.sigma_e[row] if row >= 0 else zero
+        assert np.float64(sigma_ij(balls, cx, e)).tobytes() == want.tobytes(), e
+    apart = next(e for e in combinations(range(balls.n), 2)
+                 if cx.key_rows(cx._pair_keys, e)[0] < 0)
+    t = np.random.default_rng(5).normal(size=(balls.n, 3))
+    others = cx._pair_keys[rows < 0].tolist() + [list(apart)]
+    assert len(others) > 1
+    # An index out of range is no ball: (i - 1, j + n) has the key code of
+    # the alpha edge ij.
+    partial = (cx.edge_keys[:, 0] > 0) & (measures.sigma_e > 0.0) & (measures.sigma_e < 1.0)
+    i, j = cx.edge_keys[partial][0].tolist()
+    others.append([i - 1, j + balls.n])
+    for e in others:
+        assert sigma_ij(balls, cx, e) == 0.0 and sigma_ij_prime(balls, cx, e, t) == 0.0, e
     tris = triangle_keys(cx)
     assert len(tris) > 10 and measures.sigma_t.any() and measures.nu_t.any()
     for row, t in enumerate(tris):
@@ -127,6 +147,11 @@ def test_single_simplex_measures_are_the_compute_measures_bytes(name):
     assert others
     for t in others:
         assert sigma_ijk(balls, cx, t) == 0.0 and nu_ijk(balls, cx, t) == 0.0, t
+    # (i, j - 1, k + n) has the key code of the alpha triangle ijk.
+    i, j, k = next(t for row, t in enumerate(tris) if t[1] > t[0] + 1
+                   and measures.sigma_t[row] > 0.0 and measures.nu_t[row] > 0.0)
+    assert sigma_ijk(balls, cx, (i, j - 1, k + balls.n)) == 0.0
+    assert nu_ijk(balls, cx, (i, j - 1, k + balls.n)) == 0.0
 
 
 def test_sigma_ij_two_balls_full_circle():
@@ -175,7 +200,7 @@ def test_sigma_ijk_fourth_ball_over_one_corner():
                     [1.0, 1.0, 1.0, 0.35])
     cx = build_alpha_complex(balls)
     assert (0, 1, 2) in triangle_keys(cx)
-    tg = cx.triple(0, 1, 2)
+    tg = triple(cx, 0, 1, 2)
     covered_plus = np.linalg.norm(tg.p_plus - balls.centers[3]) < balls.radii[3]
     covered_minus = np.linalg.norm(tg.p_minus - balls.centers[3]) < balls.radii[3]
     assert covered_plus and not covered_minus
@@ -246,8 +271,8 @@ def test_measures_rigid_motion_invariance(rng):
     assert cx.boundary_vertices() == cx2.boundary_vertices()
     for i in cx.boundary_vertices():
         assert m0.sigma_v[i] == pytest.approx(m1.sigma_v[i], abs=1e-10)
-    assert sorted(cx.edges) == sorted(cx2.edges)
-    for e in range(len(cx.edges)):
+    assert cx.edge_keys.tolist() == cx2.edge_keys.tolist()
+    for e in range(len(cx.edge_keys)):
         assert m0.sigma_e[e] == pytest.approx(m1.sigma_e[e], abs=1e-10)
     assert triangle_keys(cx) == triangle_keys(cx2)
     for t in range(len(cx.triangle_table.ijk)):

@@ -99,12 +99,12 @@ def test_vertex_and_edge_decisions_match_brute_force_nerve():
         seen["strict" if strict else "loose"] += 1
         for i in range(balls.n):
             want, dist = oracle_vertex(balls, i)
-            assert cx.vertices[i].in_alpha == want, (draw_idx, i, dist)
+            assert cx.in_alpha[i] == want, (draw_idx, i, dist)
             if dist:
                 seen["vertex_outside_in" if want else "vertex_outside_out"] += 1
         for i, j in combinations(range(balls.n), 2):
             want, dist = oracle_edge(balls, i, j)
-            got = (i, j) in cx.edges
+            got = cx.edge_rows((i, j))[0] >= 0
             assert got == want, (draw_idx, (i, j), dist)
             if dist:
                 seen["edge_outside_in" if want else "edge_outside_out"] += 1

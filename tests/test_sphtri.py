@@ -12,7 +12,7 @@ from ballmorph.sphtri import cap_half_radius, corner_geometry, \
     corner_signs, darea_da, dcap_da, product_of_sines, \
     quad_area_gradient, quadrangle_areas, triangle_area, vertex_angle
 from ballmorph.errors import GeometryError, NonRealizableTriangle
-from conftest import random_triangle_params, spherical_triangle_excess
+from conftest import pair, random_triangle_params, spherical_triangle_excess, triple
 
 
 def four_sine_product(phi_ij, phi_jk, phi_ki):
@@ -449,7 +449,7 @@ def test_corner_table_rows_carry_the_scalar_bits(name):
     cols = split_columns(table.geo, quad_area_gradient(table.geo, *table.sides))
     negative = 0
     for m, (i, j, k) in enumerate(table.ijk.tolist()):
-        pij, pjk, pki = cx.pair(i, j), cx.pair(j, k), cx.pair(k, i)
+        pij, pjk, pki = pair(cx, i, j), pair(cx, j, k), pair(cx, k, i)
         cos = (pij.cos_phi, pjk.cos_phi, pki.cos_phi)
         geo = corner_geometry(*cos)
         ref = split_columns(geo, quad_area_gradient(geo, pij, pjk, pki))[0]
@@ -460,7 +460,7 @@ def test_corner_table_rows_carry_the_scalar_bits(name):
         assert table.u[m].tobytes() == np.array([pij.u_ij, pjk.u_ij, -pki.u_ij]).tobytes()
         assert table.sigma[m] == 0.5 * tris.exposed[cx.key_rows(tris.ijk, (i, j, k))[0]].sum()
         # Normals at a corner point: v_a . v_b is cos phi_ab.
-        point = cx.triple(i, j, k).p_plus
+        point = triple(cx, i, j, k).p_plus
         v = (point - balls.centers[[i, j, k]]) / balls.radii[[i, j, k]][:, None]
         z = circumcenter(v)
         for col, (p, q, r) in enumerate(((v[0], v[1], v[2]), (v[1], v[2], v[0]),
