@@ -1,10 +1,12 @@
 """Alpha complex of a weighted ball set, built by direct nerve tests.
 
 The alpha complex is the nerve of the clipped balls B_i cap V_i.
-Triangles and tetrahedra are accepted by checking that condition directly
-(the corner segment meets the Voronoi edge V_ijk; the orthocenter lies in
-every member ball and in no other ball's cell).  Vertices and edges come
-from a centre test plus closure under faces:
+Triangles are accepted by checking that condition directly: the corner
+segment meets the Voronoi edge V_ijk.  The same intervals decide the
+tetrahedra: the Voronoi vertex V_ijkl is the end of V_ijk where ball l
+binds, and ijkl is in the complex when that end lies strictly inside the
+corner segment of an alpha triangle ijk.  Vertices and edges come from a
+centre test plus closure under faces:
 
 * vertex i when x_i lies in V_i, edge ij when the circle centre q_ij lies
   in V_ij;
@@ -17,13 +19,11 @@ from a centre test plus closure under faces:
 
 Every test needs only the balls that meet a member ball: if B_m misses
 B_i, then pow_i <= 0 < pow_m on all of B_i, so m's halfspace is redundant
-in any test restricted to B_i.  Candidate edges, triangles and tetrahedra
-are therefore the cliques of the circle graph (pairs of spheres that meet
-in a circle), enumerated by extending each sorted clique with the common
-larger neighbours of its members.  Construction cost thus follows the
-cliques rather than all index tuples; the batched power kernel
-``_powers`` still takes a column for every ball, because
-diagnostics.general_position_check reads their all-ball records.
+in any test restricted to B_i.  Candidate edges and triangles are
+therefore the cliques of the circle graph (pairs of spheres that meet in a
+circle), enumerated by extending each sorted clique with the common larger
+neighbours of its members.  Construction cost thus follows the cliques
+rather than all index tuples.
 
 The candidate pairs and triples each get one batched pass per build
 (geometry.pair_table, geometry.triple_points), kept as tables in key
@@ -65,10 +65,6 @@ _FACES = list(combinations(range(4), 3))          # the faces of a tetrahedron
 # The candidate triples in key order with the columns of geometry.triple_points,
 # NaN where collinear.
 TripleTable = namedtuple("TripleTable", "ijk collinear center axis h_sq")
-# The candidate quads in key order with, for general_position_check, |det| /
-# row_scale, the orthocenter's power over the least power of all balls, and
-# its closest power tie |pow_m - own| with a fifth ball m.
-QuadTable = namedtuple("QuadTable", "ijkl coplanar excess tie tie_ball")
 
 
 def plane_basis(u):
@@ -170,7 +166,6 @@ class AlphaComplex:
         self._pair_table = None   # their PairTable
         self._triple_table = None   # the TripleTable of the candidate triples
         self.arcs = None          # the ArcTable, set by the build
-        self._quads = None        # the QuadTable, set by the build
 
     # -- cached elementary geometry -------------------------------------
 
@@ -257,16 +252,15 @@ def build_alpha_complex(balls, strict=True):
     """Construct the alpha complex with boundary arcs and corner exposure.
 
     With ``strict`` the construction raises DegenerateState when the state
-    is within tolerance of a general-position violation; diagnostics passes
-    strict=False to obtain the report instead.
+    is within tolerance of a general-position violation that can change the
+    complex; diagnostics passes strict=False to obtain the report instead.
     """
     cx = AlphaComplex(balls)
     dist_sq = _check_pair_degeneracies(cx)
-    pairs, triples, quads = _circle_cliques(cx._circle)
+    pairs = _extend_cliques(cx._circle, np.arange(balls.n)[:, None])
     _build_vertices(cx, dist_sq)
     _build_edges(cx, pairs)
-    _build_triangles(cx, triples)
-    _build_tetrahedra(cx, quads)
+    _build_triangles(cx, _extend_cliques(cx._circle, pairs))
     _close_faces(cx)
     _build_arcs(cx)
     _mark_boundary_vertices(cx)
@@ -292,22 +286,18 @@ def _powers(pts, balls):
     return np.einsum("...j,...j->...", d, d) - balls.radii ** 2
 
 
-def _circle_cliques(circle):
-    """Pairs, triples and quads of balls whose spheres pairwise meet in
-    circles, each as an index array in lexicographic order.
+def _extend_cliques(circle, rows):
+    """The cliques of balls whose spheres pairwise meet in circles that
+    extend the cliques ``rows`` (a (k, d) index array in lexicographic
+    order) by one ball, in lexicographic order.
 
     A sorted row is extended by every larger index adjacent to all its
     members: the AND of the members' rows of the strict upper triangle of
     ``circle``.  np.nonzero walks that row-major, which is the order of
     itertools.combinations.
     """
-    upper = np.triu(circle, 1)
-    cliques = [np.argwhere(upper)]
-    for _ in range(2):
-        rows = cliques[-1]
-        r, m = np.nonzero(upper[rows].all(axis=1))
-        cliques.append(np.column_stack([rows[r], m]))
-    return cliques
+    r, m = np.nonzero(np.triu(circle, 1)[rows].all(axis=1))
+    return np.column_stack([rows[r], m])
 
 
 def _check_pair_degeneracies(cx):
@@ -382,15 +372,26 @@ def _build_triangles(cx, idx):
     live = h_sq > band
     rows, center, axis, h_sq = rows[live], center[live], axis[live], h_sq[live]
     half = np.sqrt(h_sq)
-    lo, hi, feasible = _voronoi_intervals(cx, idx[rows], center, axis)
-    a_clip = np.maximum(lo, -half)
-    b_clip = np.minimum(hi, half)
+    ends, feasible, binding = _voronoi_intervals(cx, idx[rows], center, axis)
+    a_clip = np.maximum(ends[:, 0], -half)
+    b_clip = np.minimum(ends[:, 1], half)
     nu = np.where(feasible & (b_clip > a_clip), (b_clip - a_clip) / (2.0 * half), 0.0)
     points = cx.corner_points(rows)
     exposed = np.column_stack([_points_exposed(cx, idx[rows], points[:, s]) for s in (0, 1)])
     accept = nu > 0.0
     cx.triangle_table = TriangleTable(ijk=idx[rows[accept]], triple=rows[accept],
                                       nu=nu[accept], exposed=exposed[accept])
+    # Tetrahedron ijkl is in the complex when the end of V_ijk where ball l
+    # binds, the Voronoi vertex V_ijkl, lies strictly inside the corner
+    # segment of an alpha triangle ijk, so inside all four balls; such an l
+    # meets i, j and k in circles but for rounding at a tangency.
+    t, end = np.nonzero(accept[:, None] & (np.abs(ends) < half[:, None]))
+    t, end = (v[cx._circle[idx[rows[t]], binding[t, end, None]].all(axis=1)] for v in (t, end))
+    quads = np.sort(np.column_stack([idx[rows[t]], binding[t, end]]), axis=1)
+    codes, first = np.unique(quads @ balls.n ** np.arange(3, -1, -1), return_index=True)
+    cx.tet_keys = np.column_stack(np.unravel_index(codes, (balls.n,) * 4))
+    t, end = t[first], end[first]
+    _note_five_ball_ties(cx, center[t] + ends[t, end, None] * axis[t])
 
 
 def _note_collinear_triples(cx, tri):
@@ -407,98 +408,58 @@ def _note_collinear_triples(cx, tri):
 
 
 def _voronoi_intervals(cx, idx, center, axis):
-    """Batched parameter intervals of V_ijk on the radical lines."""
+    """The (t, 2) parameter ends [lo, hi] of V_ijk on the radical lines,
+    whether each interval is non-empty, and the ball that binds at each end."""
     balls = cx.balls
-    n = balls.n
-    m_count = idx.shape[0]
+    rows = np.arange(idx.shape[0])
     # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per (triple, ball m).
     pows = _powers(center, balls)
-    own = pows[np.arange(m_count), idx[:, 0]]
-    inter = own[:, None] - pows
+    inter = np.subtract(pows[rows, idx[:, 0], None], pows, out=pows)
     slope = 2.0 * (axis @ balls.centers.T
                    - np.einsum("tj,tj->t", axis, balls.centers[idx[:, 0]])[:, None])
-    mask = np.ones((m_count, n), dtype=bool)
-    for col in range(3):
-        mask[np.arange(m_count), idx[:, col]] = False
+    mask = np.ones(inter.shape, dtype=bool)
+    mask[rows[:, None], idx] = False
     tiny = np.abs(slope) < 1e-300
     infeasible = (mask & tiny & (inter > 0)).any(axis=1)
     bound = np.where(tiny, 0.0, -inter / np.where(tiny, 1.0, slope))
-    hi_mask = mask & ~tiny & (slope > 0)
-    lo_mask = mask & ~tiny & (slope < 0)
-    hi = np.where(hi_mask, bound, _INF).min(axis=1)
-    lo = np.where(lo_mask, bound, -_INF).max(axis=1)
-    feasible = ~infeasible & (lo <= hi)
-    return lo, hi, feasible
+    lo_all = np.where(mask & ~tiny & (slope < 0), bound, -_INF)
+    hi_all = np.where(mask & ~tiny & (slope > 0), bound, _INF)
+    binding = np.column_stack([lo_all.argmax(axis=1), hi_all.argmin(axis=1)])
+    ends = np.column_stack([lo_all[rows, binding[:, 0]], hi_all[rows, binding[:, 1]]])
+    return ends, ~infeasible & (ends[:, 0] <= ends[:, 1]), binding
 
 
 def _points_exposed(cx, idx, pts):
     """Which corner points lie outside all non-owner balls (batched)."""
     balls = cx.balls
-    m_count = idx.shape[0]
     diff = pts[:, None, :] - balls.centers[None, :, :]
     gap = np.sqrt(np.einsum("tmj,tmj->tm", diff, diff)) - balls.radii[None, :]
-    for col in range(3):
-        gap[np.arange(m_count), idx[:, col]] = _INF
+    gap[np.arange(len(idx))[:, None], idx] = _INF
     nearest = gap.min(axis=1)
     finite = np.isfinite(nearest)
     if finite.any():
         cx.condition2_margin = min(cx.condition2_margin,
                                    float(np.abs(nearest[finite]).min()))
     flag = np.abs(nearest) < cx.tol
-    for m in np.nonzero(flag)[0]:
-        other = int(np.argmin(gap[m]))
-        cx.degeneracies.append(
-            ("II", tuple(sorted(tuple(int(v) for v in idx[m]) + (other,))),
-             float(abs(nearest[m]))))
+    cx.degeneracies += [("II", tuple(sorted(key + [m])), abs(g)) for key, m, g in zip(
+        idx[flag].tolist(), gap[flag].argmin(axis=1).tolist(), nearest[flag].tolist())]
     return nearest > 0.0
 
 
-def _build_tetrahedra(cx, idx):
-    """The QuadTable of the candidate quads ``idx`` and the alpha
-    tetrahedra: those whose orthocenter lies in every member ball and in no
-    other ball's cell."""
-    balls = cx.balls
-    xi = balls.centers[idx[:, 0]]
-    rows = 2.0 * (balls.centers[idx[:, 1:]] - xi[:, None, :])
-    sq = np.einsum("ij,ij->i", balls.centers, balls.centers)
-    rhs = (sq[idx[:, 1:]] - balls.radii[idx[:, 1:]] ** 2
-           - (sq[idx[:, 0]] - balls.radii[idx[:, 0]] ** 2)[:, None])
-    det = np.linalg.det(rows)
-    row_scale = np.maximum(np.prod(np.linalg.norm(rows, axis=2), axis=1), 1e-300)
-    flat = np.abs(det) < 1e-12 * row_scale
-    for q, dt, sc in zip(idx[flat], det[flat], row_scale[flat]):
-        cx.degeneracies.append(("I", tuple(int(v) for v in q), float(abs(dt) / sc)))
-    # The excess and the tie stay inf on flat quads, and the tie stays inf
-    # when n == 4.
-    excess = np.full(idx.shape[0], _INF)
-    tie = np.full(idx.shape[0], _INF)
-    tie_ball = np.zeros(idx.shape[0], dtype=int)
-    cx._quads = QuadTable(idx, np.abs(det) / row_scale, excess, tie, tie_ball)
-    keep = ~flat
-    idx = idx[keep]
-    z = np.linalg.solve(rows[keep], rhs[keep][:, :, None])[:, :, 0]
-    pows = _powers(z, balls)
-    q_count = idx.shape[0]
-    own = pows[np.arange(q_count), idx[:, 0]]
-    masked = pows.copy()
-    for col in range(4):
-        masked[np.arange(q_count), idx[:, col]] = _INF
-    other_min = masked.min(axis=1)
-    gap = other_min - own
-    near = np.abs(gap) < cx.tol * balls.scale
-    for m in np.nonzero(near)[0]:
-        # Five balls power-equidistant from the orthocenter: the
-        # configuration sits on a flip submanifold.
-        fifth = int(np.argmin(masked[m]))
-        cx.degeneracies.append(("I", tuple(int(v) for v in idx[m]) + (fifth,),
-                                float(abs(gap[m]))))
-    accept = (own <= 0.0) & ((other_min >= own) | np.isinf(other_min))
-    cx.tet_keys = idx[accept]
-    excess[keep] = own - pows.min(axis=1)
-    masked -= own[:, None]
-    np.abs(masked, out=masked)
-    tie_ball[keep] = masked.argmin(axis=1)
-    tie[keep] = masked.min(axis=1)
+def _note_five_ball_ties(cx, z):
+    """Record a fifth ball whose power at the Voronoi vertex z of an alpha
+    tetrahedron is within the band of the members' own: the five balls are
+    power-equidistant there, so the configuration sits on a flip
+    submanifold and the set of tetrahedra is a tie-break."""
+    quads, rows = cx.tet_keys, np.arange(len(cx.tet_keys))
+    pows = _powers(z, cx.balls)
+    own = pows[rows, quads[:, 0]]
+    pows[rows[:, None], quads] = _INF
+    fifth = pows.argmin(axis=1)
+    gap = np.abs(pows[rows, fifth] - own)
+    near = gap < cx.tol * cx.balls.scale
+    cx.degeneracies += [("I", tuple(q) + (m,), g) for q, m, g in zip(
+        quads[near].tolist(), fifth[near].tolist(), gap[near].tolist())]
 
 
 def _close_faces(cx):
@@ -508,7 +469,7 @@ def _close_faces(cx):
     than the band apart.  The sides of every triangle join the edges, in
     key order, and the ends of every edge the vertices."""
     tris, ijk = cx.triangle_table, cx._triple_table.ijk
-    faces = cx.key_rows(ijk, cx.tet_keys[:, _FACES])   # a candidate quad's faces are candidates
+    faces = cx.key_rows(ijk, cx.tet_keys[:, _FACES])   # a tetrahedron's faces are candidates
     live = cx._triple_table.h_sq[faces] > cx.tol * cx.balls.scale
     new = np.unique(faces[live & ~np.isin(faces, tris.triple)])
     triple = np.concatenate([tris.triple, new])

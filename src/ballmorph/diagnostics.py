@@ -5,7 +5,8 @@ weighted Delaunay mosaic), Condition II the dimensions of sphere
 intersections (tangencies).  Violations of II at the surface are where the
 curvature gradient jumps; the probe walks a motion path and reports
 one-sided gradient limits around flagged states.  The residuals and the
-Betti numbers read the complex's tables as columns, rows found by key.
+Betti numbers read the complex's tables as columns, rows found by key; only
+the quad residuals, which no stage of the build needs, are solved here.
 """
 
 import math
@@ -14,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import build_alpha_complex
+from .complexes import _extend_cliques, _powers, build_alpha_complex
 from .errors import CoincidentCenters, DegenerateState, Unclassifiable
 from .geometry import as_momentum
 from .pipeline import evaluate
@@ -51,7 +52,8 @@ def general_position_check(balls, cx=None, tol=1e-6):
     """Residuals of the state against every general-position violation.
 
     A view over the geometry of the alpha complex ``cx`` (built with
-    strict=False when None): ``tol`` only picks the records reported as
+    strict=False when None), plus the candidate quads' orthocentres, which
+    _quad_residuals solves: ``tol`` only picks the records reported as
     violations.  Residuals are lengths (power gaps are divided by the
     diagram scale); ``min_residual`` over all records serves as the
     distance-to-degeneracy metric even when no violation is below ``tol``.
@@ -94,7 +96,7 @@ def general_position_check(balls, cx=None, tol=1e-6):
     note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]].tolist()
                                                    + [int(k % n)]))))
 
-    idx, coplanar, excess, tie, fifth = cx._quads
+    idx, coplanar, excess, tie, fifth = _quad_residuals(balls, cx)
     # Flattening tets matter only when the quad is locally Delaunay, so a
     # small determinant is reported but kept out of the metric.  Only a tie
     # in the minimal power changes the mosaic.
@@ -106,6 +108,31 @@ def general_position_check(balls, cx=None, tol=1e-6):
     min_res = min((float(r.min()) for r in (pair_res, tri_res, corner_gap, five_res)
                    if r.size), default=math.inf)
     return DegeneracyReport(violations=violations, min_residual=min_res)
+
+
+def _quad_residuals(balls, cx):
+    """The candidate quads in key order with |det| / row_scale of their
+    radical-plane system, the orthocenter's power over the least power of
+    all balls, and its closest power tie |pow_m - own| with a fifth ball m.
+    The excess and the tie stay inf on flat quads, and the tie stays inf
+    when n == 4."""
+    idx = _extend_cliques(cx._circle, cx._triple_table.ijk)
+    rows = 2.0 * (balls.centers[idx[:, 1:]] - balls.centers[idx[:, :1]])
+    sq = np.einsum("ij,ij->i", balls.centers, balls.centers) - balls.radii ** 2
+    rhs = sq[idx[:, 1:]] - sq[idx[:, :1]]
+    det = np.linalg.det(rows)
+    row_scale = np.maximum(np.prod(np.linalg.norm(rows, axis=2), axis=1), 1e-300)
+    keep = np.abs(det) >= 1e-12 * row_scale
+    excess, tie = np.full((2, len(idx)), math.inf)
+    tie_ball = np.zeros(len(idx), dtype=int)
+    z = np.linalg.solve(rows[keep], rhs[keep][:, :, None])[:, :, 0]
+    pows = _powers(z, balls)
+    own = pows[np.arange(len(z)), idx[keep, 0]]
+    excess[keep] = own - pows.min(axis=1)
+    pows[np.arange(len(z))[:, None], idx[keep]] = math.inf
+    gaps = np.abs(pows - own[:, None])
+    tie_ball[keep], tie[keep] = gaps.argmin(axis=1), gaps.min(axis=1)
+    return idx, np.abs(det) / row_scale, excess, tie, tie_ball
 
 
 # -- simplicial homology over GF(2) ---------------------------------------

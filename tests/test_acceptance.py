@@ -292,25 +292,27 @@ def test_acceptance_7_measure_consistency():
     print(f"ACCEPTANCE 7 measures vs MC and arc sums: PASS (edge gap {worst_edges:.2e})")
 
 
-def test_acceptance_8_continuity_behavior():
-    """Flip crossings keep the gradient continuous; surface tangencies jump
-    the unweighted curvature by multiples of 2*pi and are flagged."""
-    # Scripted flip path: two tets sharing a triangle swap to three around
-    # the new edge as apex 3 moves through the shared circumsphere wall.
+def flip_state(tau):
+    """Scripted flip path: two tets sharing a triangle swap to three around
+    the new edge as apex 3 moves through the shared circumsphere wall
+    between tau = 0.85 and 0.9."""
     centers = np.array([
         [0.0, 0.0, 0.0], [1.3, 0.0, 0.0], [0.6, 1.2, 0.0],
         [0.65, 0.45, 1.1], [0.6, 0.38, -1.05]])
-    radii = np.array([1.6, 1.7, 1.65, 1.6, 1.75])
-    weights = np.array([0.5, -1.0, 1.5, 0.7, -0.3])
     t = np.zeros((5, 3))
     t[3] = [0.05, -0.1, -0.6]
+    return BallSet(centers + tau * t, [1.6, 1.7, 1.65, 1.6, 1.75],
+                   [0.5, -1.0, 1.5, 0.7, -0.3])
 
+
+def test_acceptance_8_continuity_behavior():
+    """Flip crossings keep the gradient continuous; surface tangencies jump
+    the unweighted curvature by multiples of 2*pi and are flagged."""
     def tets_at(tau):
-        bs = BallSet(centers + tau * t, radii, weights)
-        return tuple(sorted(map(tuple, build_alpha_complex(bs).tet_keys.tolist())))
+        return tuple(sorted(map(tuple, build_alpha_complex(flip_state(tau)).tet_keys.tolist())))
 
     def grad_at(tau):
-        bs = BallSet(centers + tau * t, radii, weights)
+        bs = flip_state(tau)
         cx = build_alpha_complex(bs)
         return gauss_gradient(bs, cx, compute_measures(bs, cx)).per_ball
 
@@ -349,6 +351,37 @@ def test_acceptance_8_continuity_behavior():
     assert round(jump / TWO_PI) != 0
     print(f"ACCEPTANCE 8 continuity: PASS (flip limit gap {flip_gap:.2e}, "
           f"tangency jump {jump / TWO_PI:.0f} * 2pi, crossing flagged)")
+
+
+def test_flip_band_raises_or_keeps_chi():
+    """Within 5e-11 of acceptance 8's flip, a strict build either names the
+    five-ball tie or keeps the Euler characteristic of both sides."""
+    def tets_at(tau):
+        return build_alpha_complex(flip_state(tau), strict=False).tet_keys.tolist()
+
+    before = tets_at(0.85)
+    lo, hi = 0.85, 0.9
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tets_at(mid) == before else (lo, mid)
+    tau_star = 0.5 * (lo + hi)
+    chi = set()
+    for side in (-1, 1):
+        ev = evaluate(flip_state(tau_star + side * 1e-6))
+        assert np.isfinite(ev.gradient.flat).all()
+        chi.add(euler(ev.cx).chi_alpha)
+    assert len(chi) == 1
+    outcomes = {"raised": 0, "built": 0}
+    for tau in tau_star + np.linspace(-5e-11, 5e-11, 101):
+        try:
+            cx = build_alpha_complex(flip_state(tau))
+        except DegenerateState as exc:
+            assert len(exc.simplex) == 5 and "Condition I " in str(exc), tau
+            outcomes["raised"] += 1
+            continue
+        assert {euler(cx).chi_alpha} == chi, tau
+        outcomes["built"] += 1
+    print(f"FLIP BAND: {outcomes} within 5e-11 of tau* = {tau_star!r}")
 
 
 def test_acceptance_9_reproducibility(tmp_path):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, \
-    compute_measures, euler, pair_geometry, term_h, weighted_gauss
+    compute_measures, complexes, diagnostics, euler, pair_geometry, term_h, weighted_gauss
 from ballmorph.complexes import plane_basis
+from ballmorph.diagnostics import general_position_check
 from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
 from ballmorph.geometry import PairTable, pair_table
+from ballmorph.oracles import fd_gradient
 from ballmorph.pipeline import evaluate
 from ballmorph.serial import parse_diagram
 from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, pair, \
@@ -321,8 +323,77 @@ def test_pipeline_makes_no_pair_record(name, monkeypatch):
     assert triples == []
 
 
-@pytest.mark.parametrize("shape, triangles, added, tets", [((2, 2, 2), 56, 27, 58),
-                                                          ((3, 3, 3), 400, 197, 464)])
+@pytest.mark.parametrize("name", ["g20", "g60"])
+def test_pipeline_makes_no_quad(name, monkeypatch):
+    # The build reads the tetrahedra off the triangles' Voronoi intervals:
+    # it extends the circle-graph cliques to triples only, and the quad
+    # residuals are general_position_check's alone.
+    sizes = []
+    extend = complexes._extend_cliques
+    monkeypatch.setattr(complexes, "_extend_cliques",
+                        lambda circle, rows: sizes.append(rows.shape[1]) or extend(circle, rows))
+
+    def refuse(*args):
+        raise AssertionError("the pipeline solved the candidate quads")
+
+    monkeypatch.setattr(diagnostics, "_quad_residuals", refuse)
+    ev = evaluate(parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt")))
+    assert ev.volumes.gauss and ev.gradient.flat.any()
+    assert sizes == [1, 2]
+
+
+def flat_quad_draw(rng, weights):
+    """A planar rhombus of four pairwise-overlapping balls and a fifth ball
+    off its plane, with random radii, rotated and shifted."""
+    a, b = rng.uniform(0.5, 0.8, size=2)
+    centers = np.array([[a, 0, 0], [0, b, 0], [-a, 0, 0], [0, -b, 0],
+                        [*rng.uniform(-0.3, 0.3, size=2), rng.uniform(0.7, 1.1)]])
+    centers = centers @ random_rotation(rng).T + rng.uniform(-3.0, 3.0, size=3)
+    return BallSet(centers, rng.uniform(0.9, 1.3, size=5), weights)
+
+
+def test_flat_quads_evaluate():
+    # Balls 0-3 have coplanar centres, so their radical-plane system is
+    # singular and they have no orthocentre: no tetrahedron, and nothing
+    # for the build to refuse.  The check still reports the coplanarity.
+    rng = np.random.default_rng(23)
+    for draw in range(40):
+        weights = np.ones(5) if draw % 2 else rng.uniform(-2.0, 2.0, size=5)
+        balls = flat_quad_draw(rng, weights)
+        ev = evaluate(balls)
+        assert all(math.isfinite(v) for v in (ev.volumes.volume, ev.volumes.area,
+                                              ev.volumes.mean, ev.volumes.gauss)), draw
+        fd = fd_gradient(lambda bs: evaluate(bs).gauss, balls)
+        gap = np.abs(ev.gradient.flat - fd).max()
+        assert gap / max(1.0, float(np.abs(fd).max())) <= 1e-5, draw
+        if draw % 2:
+            assert ev.gauss == pytest.approx(2.0 * math.pi * euler(ev.cx).chi_surface,
+                                             abs=1e-8), draw
+        report = general_position_check(balls, ev.cx)
+        assert ("I", (0, 1, 2, 3)) in [(v.condition, v.simplex) for v in report.violations]
+
+
+def test_tetrahedra_are_circle_cliques_at_a_tangency():
+    # Balls 0 and 1 touch at T, and spheres 2 and 3 pass through T, so a
+    # corner of triangle 023 is where ball 1 binds, within rounding of the
+    # corner segment's end.  The loose build still makes no tetrahedron
+    # whose spheres do not pairwise meet in circles: every face is a
+    # candidate triple.
+    rng = np.random.default_rng(31)
+    for draw in range(200):
+        touch = np.array([1.0, 0.0, 0.0])
+        centers = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0],
+                            *(touch + 0.8 * rng.normal(size=(2, 3)))])
+        radii = np.append([1.0, 1.0], np.linalg.norm(centers[2:] - touch, axis=1))
+        centers = centers @ random_rotation(rng).T + rng.uniform(-2.0, 2.0, size=3)
+        cx = build_alpha_complex(BallSet(centers, radii), strict=False)
+        faces = cx.key_rows(cx._triple_table.ijk, cx.tet_keys[:, list(itertools.combinations(
+            range(4), 3))])
+        assert (faces >= 0).all(), draw
+
+
+@pytest.mark.parametrize("shape, triangles, added, tets", [((2, 2, 2), 47, 18, 29),
+                                                          ((3, 3, 3), 347, 144, 256)])
 def test_face_closure_adds_lattice_triangles(shape, triangles, added, tets):
     # Unit balls on a cubic lattice at spacing 1: four or more spheres meet
     # at each corner point, and the loose build accepts tetrahedra whose

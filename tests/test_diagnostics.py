@@ -21,6 +21,14 @@ def tetra_through_origin(scale=1.0):
     return BallSet(v, np.full(4, scale))
 
 
+def five_spheres_through_origin():
+    # A fifth unit sphere through the origin: every quad ties with the
+    # remaining ball.
+    tet = tetra_through_origin(1.0)
+    fifth = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    return BallSet(np.vstack([tet.centers, fifth]), np.ones(5))
+
+
 def test_report_tangent_pair():
     report = general_position_check(two_balls(d=2.0), tol=1e-6)
     assert any(v.condition == "II" and v.simplex == (0, 1)

@@ -18,7 +18,8 @@ from ballmorph import BallSet, build_alpha_complex
 from ballmorph.diagnostics import general_position_check
 from ballmorph.geometry import EPS_GEO
 from conftest import two_balls
-from test_diagnostics import hexagon_ring, tetra_through_origin
+from test_diagnostics import five_spheres_through_origin, hexagon_ring, \
+    tetra_through_origin
 
 
 def radical_center(centers, radii, tri):
@@ -123,11 +124,9 @@ def shapes():
     yield tetra_through_origin(1.0)
     yield hexagon_ring(np.full(6, 0.55))
     yield hexagon_ring(np.array([0.5, 0.55, 0.55, 0.55, 0.55, 0.5]))
-    # A fifth unit sphere through the origin: every quad ties with the
-    # remaining ball, so the build records its five-ball degeneracies.
-    tet = tetra_through_origin(1.0)
-    fifth = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
-    yield BallSet(np.vstack([tet.centers, fifth]), np.ones(5))
+    # Every quad ties with the remaining ball, so the check reports its
+    # five-ball degeneracies.
+    yield five_spheres_through_origin()
     rng = np.random.default_rng(20261017)
     for _ in range(24):
         yield draw(rng, int(rng.integers(4, 31)))

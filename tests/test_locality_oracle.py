@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex, mc_boundary_integrals, nu_i_mc
-from ballmorph.complexes import TWO_PI, _circle_cliques, plane_basis
+from ballmorph.complexes import TWO_PI, _extend_cliques, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
 from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
@@ -140,10 +140,14 @@ def check_draw(balls, strict, nu_balls, seen):
     """Compare every local path with its reference on one diagram."""
     cx = build_alpha_complex(balls, strict=strict)
     want = brute_cliques(cx._circle)
-    got = _circle_cliques(cx._circle)
-    for w, g in zip(want, got, strict=True):
+    got = [np.arange(balls.n)[:, None]]
+    for _ in want:
+        got.append(_extend_cliques(cx._circle, got[-1]))
+    for w, g in zip(want, got[1:], strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert np.array_equal(cx._quads.ijkl, want[2])
+    # The build's candidate pairs and triples are the first two levels.
+    assert np.array_equal(cx._pair_keys, want[0])
+    assert np.array_equal(cx._triple_table.ijk, want[1])
     check_arcs(cx, seen)
     _, sigmas, _ = mc_boundary_integrals(balls, 2000, seed=3)
     for i in nu_balls:

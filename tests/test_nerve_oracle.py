@@ -1,13 +1,17 @@
-"""Brute-force nerve oracle for the vertex and edge decisions of the complex.
+"""Brute-force nerve oracles for the vertex, edge and tetrahedron decisions.
 
 Vertex i is in the alpha complex iff B_i meets the power cell V_i, and edge
 ij iff the disk of S_ij meets the Voronoi facet V_ij.  The oracle measures
 both distances by projecting onto the cell; the construction decides them
 from the centre tests plus closure under faces, so agreement here checks
 that closure supplies exactly the vertices and edges whose centres lie
-outside their cells.
+outside their cells.  Tetrahedron ijkl is in the complex iff its
+orthocentre, the point of equal power to the four balls, lies in them and
+in no other ball's cell; the construction reads it off the ends of the
+triangles' Voronoi intervals instead.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +19,7 @@ import numpy as np
 from ballmorph import BallSet, build_alpha_complex
 from ballmorph.complexes import plane_basis
 from ballmorph.errors import DegenerateState
+from test_diagnostics import five_spheres_through_origin
 
 
 def distance_to_polyhedron(a_mat, b_vec):
@@ -109,4 +114,40 @@ def test_vertex_and_edge_decisions_match_brute_force_nerve():
             if dist:
                 seen["edge_outside_in" if want else "edge_outside_out"] += 1
     # Both builds ran, and both sides of each closure decision occurred.
+    assert min(seen.values()) > 0, seen
+
+
+def oracle_tetrahedra(balls):
+    """The 4-tuples whose orthocentre, solved from the three radical-plane
+    equations, has own power <= 0 and no larger than any other ball's."""
+    centers, radii = balls.centers, balls.radii
+    quads = np.array(list(combinations(range(balls.n), 4)), dtype=int).reshape(-1, 4)
+    rows = 2.0 * (centers[quads[:, 1:]] - centers[quads[:, :1]])
+    sq = np.einsum("ij,ij->i", centers, centers) - radii ** 2
+    rhs = sq[quads[:, 1:]] - sq[quads[:, :1]]
+    solid = (np.abs(np.linalg.det(rows))
+             >= 1e-12 * np.prod(np.linalg.norm(rows, axis=2), axis=1))
+    quads = quads[solid]
+    z = np.linalg.solve(rows[solid], rhs[solid][:, :, None])[:, :, 0]
+    diff = z[:, None, :] - centers
+    pows = np.einsum("qmj,qmj->qm", diff, diff) - radii ** 2
+    own = pows[np.arange(len(quads)), quads[:, 0]]
+    pows[np.arange(len(quads))[:, None], quads] = math.inf
+    return [tuple(q) for q in quads[(own <= 0.0) & (pows.min(axis=1) >= own)].tolist()]
+
+
+def test_tetrahedra_match_brute_force_orthocentres():
+    rng = np.random.default_rng(19950602)
+    cases = [(five_spheres_through_origin(), False)]
+    cases += [(draw(rng, int(rng.integers(4, 31))), k % 2 == 0) for k in range(24)]
+    seen = {"strict": 0, "loose": 0, "tets": 0}
+    for case, (balls, strict) in enumerate(cases):
+        try:
+            cx = build_alpha_complex(balls, strict=strict)
+        except DegenerateState:
+            continue
+        want = oracle_tetrahedra(balls)
+        assert [tuple(key) for key in cx.tet_keys.tolist()] == want, case
+        seen["strict" if strict else "loose"] += 1
+        seen["tets"] += len(want)
     assert min(seen.values()) > 0, seen
