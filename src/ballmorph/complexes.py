@@ -240,9 +240,10 @@ class AlphaComplex:
         """The alpha edges with exposed arcs, in key order."""
         return [tuple(key) for key in self.edge_keys[np.unique(self.arcs.edge)].tolist()]
 
-    def require_generic(self):
-        if self.degeneracies:
-            cond, simplex, residual = min(self.degeneracies, key=lambda r: r[2])
+    def require_generic(self, conditions=("I", "II")):
+        records = [record for record in self.degeneracies if record[0] in conditions]
+        if records:
+            cond, simplex, residual = min(records, key=lambda r: r[2])
             raise DegenerateState(
                 f"state violates Condition {cond} at simplex {simplex} "
                 f"(residual {residual:.3e})", simplex=simplex, residual=residual)
@@ -415,8 +416,8 @@ def _voronoi_intervals(cx, idx, center, axis):
     # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per (triple, ball m).
     pows = _powers(center, balls)
     inter = np.subtract(pows[rows, idx[:, 0], None], pows, out=pows)
-    slope = 2.0 * (axis @ balls.centers.T
-                   - np.einsum("tj,tj->t", axis, balls.centers[idx[:, 0]])[:, None])
+    along = axis @ (balls.centers - balls.centers[0]).T    # <axis, x_m - x_0>: differences only
+    slope = 2.0 * (along - along[rows, idx[:, 0], None])
     mask = np.ones(inter.shape, dtype=bool)
     mask[rows[:, None], idx] = False
     tiny = np.abs(slope) < 1e-300

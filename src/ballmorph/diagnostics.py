@@ -4,9 +4,9 @@ Condition I concerns the dimensions of Voronoi intersections (flips in the
 weighted Delaunay mosaic), Condition II the dimensions of sphere
 intersections (tangencies).  Violations of II at the surface are where the
 curvature gradient jumps; the probe walks a motion path and reports
-one-sided gradient limits around flagged states.  The residuals and the
-Betti numbers read the complex's tables as columns, rows found by key; only
-the quad residuals, which no stage of the build needs, are solved here.
+one-sided gradient limits around flagged states.  The residuals, the quad
+orthocentres (off the triple table's radical lines) and the Betti numbers
+read the complex's tables as columns, rows found by key.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from .complexes import _extend_cliques, _powers, build_alpha_complex
 from .errors import CoincidentCenters, DegenerateState, Unclassifiable
-from .geometry import as_momentum
+from .geometry import as_momentum, cross_rows, row_dots, row_norms
 from .pipeline import evaluate
 
 EVENT_CLASSES = (
@@ -52,13 +52,13 @@ def general_position_check(balls, cx=None, tol=1e-6):
     """Residuals of the state against every general-position violation.
 
     A view over the geometry of the alpha complex ``cx`` (built with
-    strict=False when None), plus the candidate quads' orthocentres, which
-    _quad_residuals solves: ``tol`` only picks the records reported as
-    violations.  Residuals are lengths (power gaps are divided by the
-    diagram scale); ``min_residual`` over all records serves as the
-    distance-to-degeneracy metric even when no violation is below ``tol``.
-    Records come in the order pairs, circle triples, the corners of each
-    triple against every fourth sphere, then candidate quads.
+    strict=False when None), plus the candidate quads' orthocentres, read
+    off the radical lines of its triple table: ``tol`` only picks the
+    records reported as violations.  Residuals are lengths (power gaps are
+    divided by the diagram scale); ``min_residual`` over all records serves
+    as the distance-to-degeneracy metric even when no violation is below
+    ``tol``.  Records come in the order pairs, circle triples, the corners
+    of each triple against every fourth sphere, then candidate quads.
     """
     if cx is None:
         cx = build_alpha_complex(balls, strict=False)
@@ -116,18 +116,25 @@ def _quad_residuals(balls, cx):
     all balls, and its closest power tie |pow_m - own| with a fifth ball m.
     The excess and the tie stay inf on flat quads, and the tie stays inf
     when n == 4."""
-    idx = _extend_cliques(cx._circle, cx._triple_table.ijk)
-    rows = 2.0 * (balls.centers[idx[:, 1:]] - balls.centers[idx[:, :1]])
-    sq = np.einsum("ij,ij->i", balls.centers, balls.centers) - balls.radii ** 2
-    rhs = sq[idx[:, 1:]] - sq[idx[:, :1]]
+    triples, x, r = cx._triple_table, balls.centers, balls.radii
+    idx = _extend_cliques(cx._circle, triples.ijk)
+    rows = 2.0 * (x[idx[:, 1:]] - x[idx[:, :1]])
     det = np.linalg.det(rows)
     row_scale = np.maximum(np.prod(np.linalg.norm(rows, axis=2), axis=1), 1e-300)
     keep = np.abs(det) >= 1e-12 * row_scale
     excess, tie = np.full((2, len(idx)), math.inf)
     tie_ball = np.zeros(len(idx), dtype=int)
-    z = np.linalg.solve(rows[keep], rhs[keep][:, :, None])[:, :, 0]
+    # Read off the radical line c + s n of the face ijk with the largest sine at x_i.
+    unit = rows[keep] / np.linalg.norm(rows[keep], axis=2, keepdims=True)
+    sine = [row_norms(cross_rows(unit[:, p], unit[:, q])) for p, q in ((0, 1), (0, 2), (1, 2))]
+    order = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 3, 1]])[np.argmax(sine, axis=0)]
+    quad = np.take_along_axis(idx[keep], order, 1)
+    row = cx.key_rows(triples.ijk, quad[:, :3])
+    c, n, i, l = triples.center[row], triples.axis[row], quad[:, 0], quad[:, 3]
+    pow_i, pow_l = (row_dots(c - x[b], c - x[b]) - r[b] ** 2 for b in (i, l))
+    z = c + ((pow_l - pow_i) / (2.0 * row_dots(n, x[l] - x[i])))[:, None] * n
     pows = _powers(z, balls)
-    own = pows[np.arange(len(z)), idx[keep, 0]]
+    own = pows[np.arange(len(z)), i]
     excess[keep] = own - pows.min(axis=1)
     pows[np.arange(len(z))[:, None], idx[keep]] = math.inf
     gaps = np.abs(pows - own[:, None])

@@ -4,9 +4,9 @@ Pairwise and triple sphere intersections and signed distances to radical
 planes.  ``pair_table`` is the one pair kernel: one batched pass over many
 pairs, with the normal projection length lambda_ij and its distance
 derivative; ``pair_geometry`` is its one-row view.  ``triple_points`` is
-the one triple kernel: the batched radical-centre solve that gives the two
-points where three spheres meet.  All functions are pure and operate on
-immutable inputs.
+the one triple kernel and the program's one radical-centre solve, relative
+to each triple's first centre; it gives the two points where three spheres
+meet.  All functions are pure and operate on immutable inputs.
 """
 
 from dataclasses import dataclass, fields
@@ -282,10 +282,10 @@ def triple_points(centers, radii, idx, eps):
     whose sine of the angle at x_i, |a1 x a2| / (|a1| |a2|) with a1 =
     x_j - x_i and a2 = x_k - x_i, is at most the dimensionless ``eps``
     (rounding passes any bound on the area itself); the other three arrays
-    hold, for the remaining rows in order, the point of equal power in the
-    plane of the centers, the unit normal of that plane and the squared
-    half-distance h^2 from the centre to the two points where the spheres
-    meet (negative when they miss).
+    hold, for the remaining rows in order, the point x_i + y of equal power
+    in the plane of the centers, with y solved from a1 and a2 alone, the
+    unit normal of that plane and h^2 = r_i^2 - |y|^2, the squared
+    half-distance to the two points where the spheres meet (< 0: they miss).
     """
     xi = centers[idx[:, 0]]
     a1 = centers[idx[:, 1]] - xi
@@ -297,21 +297,14 @@ def triple_points(centers, radii, idx, eps):
     idx = idx[keep]
     xi, a1, a2, nrm, area2 = xi[keep], a1[keep], a2[keep], nrm[keep], area2[keep]
     axis = nrm / area2[:, None]
-    # pi_i(p) = pi_j(p)  <=>  2 <p, x_j - x_i> = |x_j|^2 - r_j^2 - |x_i|^2 + r_i^2,
-    # solved within the plane as p = x_i + s a1 + t a2.
-    sq = np.einsum("ij,ij->i", centers, centers)
-    b1 = 0.5 * (sq[idx[:, 1]] - radii[idx[:, 1]] ** 2
-                - sq[idx[:, 0]] + radii[idx[:, 0]] ** 2)
-    b2 = 0.5 * (sq[idx[:, 2]] - radii[idx[:, 2]] ** 2
-                - sq[idx[:, 0]] + radii[idx[:, 0]] ** 2)
-    g11 = np.einsum("ij,ij->i", a1, a1)
-    g12 = np.einsum("ij,ij->i", a1, a2)
-    g22 = np.einsum("ij,ij->i", a2, a2)
+    # pi_i(x_i + y) = pi_l(x_i + y)  <=>  <y, a_l> = b_l = (|a_l|^2 - r_l^2 + r_i^2) / 2,
+    # solved within the plane as y = s a1 + t a2.
+    g11, g12, g22 = (np.einsum("ij,ij->i", u, v) for u, v in ((a1, a1), (a1, a2), (a2, a2)))
+    ri2 = radii[idx[:, 0]] ** 2
+    b1 = 0.5 * (g11 - radii[idx[:, 1]] ** 2 + ri2)
+    b2 = 0.5 * (g22 - radii[idx[:, 2]] ** 2 + ri2)
     det = g11 * g22 - g12 ** 2
-    r1 = b1 - np.einsum("ij,ij->i", a1, xi)
-    r2 = b2 - np.einsum("ij,ij->i", a2, xi)
-    s = (g22 * r1 - g12 * r2) / det
-    t = (g11 * r2 - g12 * r1) / det
-    center = xi + s[:, None] * a1 + t[:, None] * a2
-    h_sq = radii[idx[:, 0]] ** 2 - np.einsum("ij,ij->i", center - xi, center - xi)
-    return collinear, center, axis, h_sq
+    s = (g22 * b1 - g12 * b2) / det
+    t = (g11 * b2 - g12 * b1) / det
+    y = s[:, None] * a1 + t[:, None] * a2
+    return collinear, xi + y, axis, ri2 - np.einsum("ij,ij->i", y, y)

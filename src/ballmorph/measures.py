@@ -74,8 +74,9 @@ def _sphere_sigmas(balls, cx, spheres):
     the corner it enters to the corner it leaves, with extent * cos_cap on
     a cap of signed depth cos_cap = xi / r.  A circuit encloses 2 pi plus
     its links minus its turns, a whole circle 2 pi (1 + cos_cap), and the
-    modulus by the sphere area resolves nesting.
+    modulus by the sphere area resolves nesting; a Condition II record raises.
     """
+    cx.require_generic(("II",))
     arcs, n = cx.arcs, balls.n
     # One entry per arc and sphere, the arc's first sphere first.
     sphere = cx.edge_keys[arcs.edge].ravel()

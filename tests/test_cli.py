@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ballmorph import BallSet
 from ballmorph.cli import main
 from ballmorph.serial import parse_diagram, parse_diagram_text, parse_momentum, to_json
 from ballmorph.errors import ParseError, ValidationError
@@ -115,6 +118,19 @@ def test_fdcheck_generic_and_strict_tol(tmp_path, capsys, rng):
     assert main(["fdcheck", "--input", path, "--tol", "1e-16"]) == 1
     out = capsys.readouterr()
     assert out.out.startswith("max abs gap") and out.err == ""
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e5])
+def test_fdcheck_passes_far_from_the_origin(tmp_path, capsys, shift):
+    # The radical centres are solved relative to a member centre, so the
+    # analytic gradient keeps its agreement with FD (rel 1e-5) on g08 moved
+    # far from the origin.
+    balls = parse_diagram(str(Path(__file__).parent / "data" / "g08.txt"))
+    moved = BallSet(balls.centers + shift * np.array([1.0, 0.7, 0.3]), balls.radii,
+                    balls.weights)
+    path = write(tmp_path, "g08_far.txt", serialize_diagram(moved))
+    assert main(["fdcheck", "--input", path]) == 0
+    assert capsys.readouterr().out.startswith("max abs gap")
 
 
 def test_json_reproducibility(tmp_path, capsys, rng):

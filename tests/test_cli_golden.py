@@ -28,6 +28,12 @@ pair row per arc endpoint: V, A, M and K kept every byte, the corner part
 of K moved by 5.8e-16 relative, the gradient entries by at most 1.1e-16
 of max|G|, the probe's grad_norm column by at most 3.8e-16 relative, and
 the fdcheck gap from 1.190e-9 to 1.101e-9.
+``g20_grad.*``, ``g20_compute.*`` and ``g08_fdcheck.out`` were regenerated
+when the radical centres came to be solved relative to each triple's first
+centre: V, A and K moved by at most 2.2e-15 relative (M kept every byte),
+the gradient entries by at most 1.5e-14 of max|G|, the degeneracy report's
+min_residual by 6.8e-14 relative, and the fdcheck gap from 1.101e-9 to
+7.70e-10.
 ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.

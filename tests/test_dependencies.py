@@ -4,8 +4,9 @@ downstream modules read geometry from the complex and call no corner
 formula or pair record in a loop, the measures, the volumes and the
 gradient read the arc, corner and triangle tables as columns with no walk
 over arcs, corners, triangles or boundary edges, only the gradient's two
-scatter kernels add into per-ball rows, and the CLI and the diagnostics
-reach the pipeline stages only through evaluate."""
+scatter kernels add into per-ball rows, the CLI and the diagnostics
+reach the pipeline stages only through evaluate, and no module solves a
+linear system besides the candidate-triple table's radical centres."""
 
 import ast
 import os
@@ -33,6 +34,21 @@ def test_library_imports_only_stdlib_and_numpy():
             foreign += [(path.name, name) for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_no_module_calls_a_linear_solver():
+    # geometry.triple_points is the one radical-centre solve: each triple's
+    # centre relative to its first member, by Cramer's rule in the plane of
+    # the centres.  The quad orthocentres are read off its radical lines, so
+    # no module calls np.linalg.solve, inv or lstsq, or imports them.
+    calls = []
+    for path in sorted(Path(ballmorph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in {"solve", "inv", "lstsq"}:
+                calls.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                calls.append((path.name, node.lineno, node.module))
+    assert calls == []
 
 
 # The alpha complex's pair and triple records are the one source of pair

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex
-from ballmorph.diagnostics import betti_numbers, classify_event, \
+from ballmorph.diagnostics import _quad_residuals, betti_numbers, classify_event, \
     general_position_check, gradient_jump_probe
 from conftest import make_config, random_rotation, two_balls
 
@@ -49,6 +50,46 @@ def test_report_four_spheres_through_point():
     quads = [v for v in report.violations
              if v.condition == "II" and len(v.simplex) == 4]
     assert quads and quads[0].simplex == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("offset", [4e-10, 1e-7, 1e-5])
+def test_quad_orthocentre_off_a_nearly_collinear_first_triple(offset):
+    # Balls 0, 1 and 2 are collinear but for ``offset`` (a Condition I
+    # triple at 4e-10), so the radical line of 012 is far away or missing;
+    # each quad's orthocentre still comes off a well-conditioned face.  Its
+    # excess and five-ball tie match the exact rational orthocentre to 1e-6
+    # relative, the quads' own conditioning: a quad through 0, 1 and 2 has a
+    # determinant of about ``offset``, so a float solve of it is off by 3e-7
+    # at 4e-10.  Read off the radical line of 012, they are NaN at 4e-10 and
+    # off by 2e-2 at 1e-7.
+    centers = np.array([[0, 0, 0], [1, 0, 0], [2, offset, 0], [1, 1, 0.8], [1.1, 0.4, -0.7]])
+    balls = BallSet(centers, [1.2, 1.2, 1.2, 1.2, 1.1])
+    cx = build_alpha_complex(balls, strict=False)
+    assert cx._triple_table.collinear[0] == (offset < 1e-9)
+    quads, _, excess, tie, _ = _quad_residuals(balls, cx)
+    assert len(quads) == 5
+    for quad, got_excess, got_tie in zip(quads.tolist(), excess, tie):
+        x = [[Fraction(v) for v in row] for row in centers.tolist()]
+        pw = [float(r) ** 2 for r in balls.radii]
+        rows = [[2 * (a - b) for a, b in zip(x[m], x[quad[0]])] for m in quad[1:]]
+        rhs = [sum(v * v for v in x[m]) - pw[m] - sum(v * v for v in x[quad[0]]) + pw[quad[0]]
+               for m in quad[1:]]
+        z = solve_exact(rows, rhs)
+        pows = [sum((a - b) ** 2 for a, b in zip(x[m], z)) - Fraction(pw[m]) for m in range(5)]
+        fifth = next(m for m in range(5) if m not in quad)
+        want_excess, want_tie = pows[quad[0]] - min(pows), abs(pows[fifth] - pows[quad[0]])
+        assert abs(got_excess - want_excess) <= 1e-6 * max(want_excess, 1), (quad, got_excess)
+        assert abs(got_tie - want_tie) <= 1e-6 * max(want_tie, 1), (quad, got_tie)
+
+
+def solve_exact(rows, rhs):
+    """The solution of a 3x3 system of Fractions by Cramer's rule."""
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return [det([row[:d] + [b] + row[d + 1:] for row, b in zip(rows, rhs)]) / det(rows)
+            for d in range(3)]
 
 
 def test_min_residual_rigid_invariance(rng):

@@ -7,6 +7,7 @@ from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, 
     directional_derivative, evaluate, fd_directional, gauss_gradient, lambda_derivative, \
     lambda_pair, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h, \
     weighted_gauss
+from ballmorph.diagnostics import general_position_check
 from ballmorph.errors import DimensionMismatch, NoIntersection
 from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
@@ -307,6 +308,33 @@ def test_gradient_terms_are_equivariant(rng):
             rows = getattr(g, name)
             assert np.abs(getattr(g_moved, name) - rows @ q.T).max() <= tol * scale, name
             assert np.abs(getattr(g_perm, name) - rows[perm]).max() <= tol * scale, name
+
+
+def test_outputs_do_not_move_under_large_translations():
+    """Shifting the diagram by s (1, 0.7, 0.3) changes no simplex and moves
+    V, A, M and K by at most 1e-10 relative and G by at most 1e-8 of max|G|:
+    every radical centre is solved relative to a member centre.  The centres
+    and the shifts lie on a grid of 2^-24, so each shifted state is the exact
+    translate.  min_residual holds 1e-8 relative up to s = 1e4; at 1e5 it
+    carries one rounding of an absolute corner point (about 2e-11 at
+    |x| = 1.2e5) on a residual of about 1e-4, so it holds 1e-7 there."""
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        balls, _ = make_config(rng, 30, margin=1e-3)
+        balls = BallSet(np.round(balls.centers * 2.0 ** 24) / 2.0 ** 24, balls.radii,
+                        balls.weights)
+        ev, residual = evaluate(balls), general_position_check(balls).min_residual
+        g = ev.gradient.per_ball
+        for s, res_tol in ((1e3, 1e-8), (1e4, 1e-8), (1e5, 1e-7)):
+            shift = np.round(s * np.array([1.0, 0.7, 0.3]) * 2.0 ** 24) / 2.0 ** 24
+            moved = evaluate(BallSet(balls.centers + shift, balls.radii, balls.weights))
+            assert moved.cx.alpha_simplices() == ev.cx.alpha_simplices()
+            for name in ("volume", "area", "mean", "gauss"):
+                want = getattr(ev.volumes, name)
+                assert abs(getattr(moved.volumes, name) - want) <= 1e-10 * abs(want), (s, name)
+            assert np.abs(moved.gradient.per_ball - g).max() <= 1e-8 * np.abs(g).max(), s
+            moved_res = general_position_check(moved.balls).min_residual
+            assert abs(moved_res - residual) <= res_tol * residual, s
 
 
 def test_gauss_gradient_matches_fd(rng):

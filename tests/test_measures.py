@@ -91,19 +91,69 @@ def test_sigma_i_matches_vector_turns():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("shape, spacing, sphere", [((2, 2, 2), 1.2, 3), ((3, 3, 3), 1.2, 4),
-                                                    ((3, 3, 3), 1.4, 1)])
-def test_sigma_i_names_the_sphere_whose_circuit_does_not_close(shape, spacing, sphere):
-    # Unit balls on a cubic lattice meet four or more at a corner point.  The
-    # loose build keeps their arcs, whose links on some sphere form no
-    # permutation of its corners; the measures name the first such sphere.
-    balls = BallSet(np.array(list(product(*map(range, shape))), dtype=float) * spacing,
-                    np.ones(math.prod(shape)))
+def lattice(shape, spacing, shift=0.0):
+    """Unit balls on a cubic lattice: four or more meet at each corner point."""
+    centers = np.array(list(product(*map(range, shape))), dtype=float) * spacing + shift
+    return BallSet(centers, np.ones(len(centers)))
+
+
+@pytest.mark.parametrize("shape, spacing, simplex", [((2, 2, 2), 1.2, (0, 1, 2, 3)),
+                                                     ((3, 3, 3), 1.2, (0, 1, 3, 4)),
+                                                     ((3, 3, 3), 1.4, (0, 1, 3, 4))])
+def test_measures_name_the_least_condition_ii_record(shape, spacing, simplex):
+    # The loose build keeps the arcs of a lattice, whose corners tie; which
+    # corners are exposed is a tie-break of rounding, so the measures and
+    # sigma_i of a boundary sphere name the least Condition II record
+    # instead of returning a number.
+    balls = lattice(shape, spacing)
     cx = build_alpha_complex(balls, strict=False)
+    for measure in (lambda: compute_measures(balls, cx),
+                    lambda: sigma_i(balls, cx, cx.boundary_vertices()[0])):
+        with pytest.raises(DegenerateState) as info:
+            measure()
+        assert str(info.value) == (f"state violates Condition II at simplex {simplex} "
+                                   "(residual 0.000e+00)")
+        assert info.value.simplex == simplex
+
+
+@pytest.mark.parametrize("shape, spacing, sphere", [((3, 3, 3), 1.2, 13),
+                                                    ((3, 3, 3), 1.4, 5)])
+def test_sigma_i_names_the_sphere_whose_circuit_does_not_close(shape, spacing, sphere):
+    # With the lattice's records cleared, the links of its arcs on some
+    # sphere form no permutation of its corners; the measures name the
+    # first such sphere.
+    balls = lattice(shape, spacing)
+    cx = build_alpha_complex(balls, strict=False)
+    cx.degeneracies = []
     with pytest.raises(DegenerateState) as info:
         compute_measures(balls, cx)
     assert str(info.value) == "boundary circuit on sphere does not close"
     assert info.value.simplex == (sphere,)
+
+
+def test_lattice_measures_raise_or_match_monte_carlo():
+    # 180 loose lattices (6 shapes, spacings 1.0 to 1.5, 5 shifts): the
+    # measures raise DegenerateState or give every sigma_i within 5 standard
+    # errors (plus 2e-3) of Monte Carlo at 4,000 samples per sphere.  Without
+    # the refusal of Condition II records, dozens of them return a wrong
+    # sigma_i in silence.
+    outcomes = {"raised": 0, "matched": 0}
+    shifts = [np.zeros(3), np.array([0.3, -1.7, 2.9]), np.array([10.1, 3.3, -7.7]),
+              np.array([123.4, -56.7, 8.9]), 1e3 * np.array([1.0, 0.7, 0.3])]
+    for shape, spacing, shift in product([(1, 2, 2), (2, 2, 2), (1, 2, 3), (2, 2, 3),
+                                          (2, 3, 3), (3, 3, 3)],
+                                         [1.0, 1.1, 1.2, 1.3, 1.4, 1.5], shifts):
+        balls = lattice(shape, spacing, shift)
+        cx = build_alpha_complex(balls, strict=False)
+        try:
+            sigma = compute_measures(balls, cx).sigma_v
+        except DegenerateState:
+            outcomes["raised"] += 1
+            continue
+        _, mc, err = mc_boundary_integrals(balls, 4000, seed=1)
+        assert np.all(np.abs(sigma - mc) <= 5.0 * err + 2e-3), (shape, spacing, shift)
+        outcomes["matched"] += 1
+    assert outcomes == {"raised": 150, "matched": 30}
 
 
 @pytest.mark.parametrize("name", ["g20", "g60"])
