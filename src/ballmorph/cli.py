@@ -14,7 +14,7 @@ from .complexes import build_alpha_complex
 from .diagnostics import classify_event, general_position_check, gradient_jump_probe
 from .errors import DegenerateState, GeometryError, ParseError, Unclassifiable, \
     ValidationError
-from .oracles import FDConfig, fd_gradient, mc_weighted_volume
+from .oracles import fd_gradient, mc_weighted_volume
 from .pipeline import evaluate
 from .serial import fmt, input_digest, parse_diagram, parse_momentum, \
     result_document, to_json
@@ -134,7 +134,7 @@ def cmd_grad(args):
 def cmd_fdcheck(args):
     balls = parse_diagram(args.input)
     grad = evaluate(balls).gradient
-    fd = fd_gradient(lambda bs: evaluate(bs).gauss, balls, FDConfig(step=args.step))
+    fd = fd_gradient(lambda bs: evaluate(bs).gauss, balls, step=args.step)
     gap = np.abs(grad.flat - fd)
     rel = float(gap.max() / max(1.0, float(np.abs(fd).max())))
     print(f"max abs gap = {fmt(float(gap.max()))}, rel = {fmt(rel)}, tol = {fmt(args.tol)}")

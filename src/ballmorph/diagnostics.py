@@ -20,16 +20,6 @@ from .errors import CoincidentCenters, DegenerateState, Unclassifiable
 from .geometry import as_momentum, cross_rows, row_dots, row_norms
 from .pipeline import evaluate
 
-EVENT_CLASSES = (
-    "merge_split_components",
-    "close_break_loop",
-    "fill_open_tunnel",
-    "complete_puncture_shell",
-    "start_drown_void",
-    "interior_nongeneric",
-)
-
-
 @dataclass(frozen=True)
 class Violation:
     condition: str          # "I" or "II"

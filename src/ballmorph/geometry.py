@@ -3,37 +3,21 @@
 Pairwise and triple sphere intersections and signed distances to radical
 planes.  ``pair_table`` is the one pair kernel: one batched pass over many
 pairs, with the normal projection length lambda_ij and its distance
-derivative; ``pair_geometry`` is its one-row view.  ``triple_points`` is
-the one triple kernel and the program's one radical-centre solve, relative
-to each triple's first centre; it gives the two points where three spheres
-meet.  All functions are pure and operate on immutable inputs.
+derivative.  ``triple_points`` is the one triple kernel and the
+program's one radical-centre solve, relative to each triple's first
+centre; it gives the two points where three spheres meet.  All functions
+are pure and operate on immutable inputs.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CoincidentCenters, DimensionMismatch, NoIntersection
+from .errors import CoincidentCenters, DimensionMismatch
 
 # Single relative geometric tolerance; scaled by the largest radius of the
 # ball set wherever a length is compared against it.
 EPS_GEO = 1e-9
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball with a real weight."""
-
-    center: np.ndarray
-    radius: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.shape != (3,):
-            raise DimensionMismatch("ball center must be a 3-vector")
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
 
 
 class BallSet:
@@ -64,9 +48,6 @@ class BallSet:
 
     def __len__(self):
         return self.n
-
-    def ball(self, i):
-        return Ball(self.centers[i], float(self.radii[i]), float(self.weights[i]))
 
     @property
     def scale(self):
@@ -109,61 +90,31 @@ def as_momentum(t, n):
 
 
 @dataclass(frozen=True)
-class PairGeometry:
-    """Intersection data of two spheres.
+class PairTable:
+    """Intersection data of sphere pairs, one array row per pair.
 
     ``u_ij`` points from x_j to x_i.  ``xi_i`` and ``xi_j`` are the signed
     distances of the centers from the radical plane (xi_i + xi_j = d), and
     ``lam`` = xi_i / r_i + xi_j / r_j is the combined projected normal
-    length.  The circle fields are meaningful only when ``has_circle`` is
-    true.
+    length.  The circle fields are meaningful only where ``has_circle``.
     """
 
-    i: int
-    j: int
-    d: float
-    u_ij: np.ndarray
-    xi_i: float
-    xi_j: float
-    has_circle: bool
-    center: np.ndarray = None        # circle center x_ij on the radical plane
-    r_sq: float = None               # signed: r_i^2 - xi_i^2 (negative if no circle)
-    r: float = None                  # circle radius r_ij, 0 when tangent
-    cos_phi: float = None            # cosine of the normal angle phi_ij
-    phi: float = None                # normal angle in (0, pi)
-    lam: float = None                # xi_i / r_i + xi_j / r_j
-    dlam_dd: float = None            # derivative of lam in the center distance
-
-
-@dataclass(frozen=True)
-class PairTable:
-    """PairGeometry of many index pairs, one array row per pair in the
-    fields of the same name (``u_ij`` and ``center`` of shape (k, 3))."""
-
     d: np.ndarray
-    u_ij: np.ndarray
+    u_ij: np.ndarray                 # (k, 3)
     xi_i: np.ndarray
     xi_j: np.ndarray
     has_circle: np.ndarray
-    center: np.ndarray
-    r_sq: np.ndarray
-    r: np.ndarray
-    cos_phi: np.ndarray
-    phi: np.ndarray
-    lam: np.ndarray
-    dlam_dd: np.ndarray
+    center: np.ndarray               # (k, 3): circle center x_ij on the radical plane
+    r_sq: np.ndarray                 # signed: r_i^2 - xi_i^2 (negative if no circle)
+    r: np.ndarray                    # circle radius r_ij, 0 when tangent
+    cos_phi: np.ndarray              # cosine of the normal angle phi_ij
+    phi: np.ndarray                  # normal angle in (0, pi)
+    lam: np.ndarray                  # xi_i / r_i + xi_j / r_j
+    dlam_dd: np.ndarray              # derivative of lam in the center distance
 
     def take(self, rows):
         """The PairTable of the given rows, in their order."""
         return PairTable(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    def record(self, k, i, j):
-        """Row k as the PairGeometry of the balls labelled i and j."""
-        row = {f.name: getattr(self, f.name)[k] for f in fields(self)}
-        row = {name: v if v.ndim else v.item() for name, v in row.items()}
-        if not row["has_circle"]:
-            row["phi"] = None
-        return PairGeometry(i=i, j=j, **row)
 
 
 def row_dots(a, b):
@@ -221,58 +172,11 @@ def pow_squares(a):
 
     Python squares a float with the C library's pow, which is not always
     correctly rounded: glibc's differs from numpy's a * a in the last bit
-    on about one uniform double in 1,400.  The pair records and the
+    on about one uniform double in 1,400.  The pair table and the
     gradient's cap rows keep pow's rounding, which the CLI goldens were
     made with.
     """
     return np.array([v ** 2 for v in a.tolist()])
-
-
-def pair_geometry(b_i, b_j, i=0, j=1):
-    """Radical-plane and intersection-circle data for two balls: the one
-    row of ``pair_table`` for the pair.
-
-    Raises CoincidentCenters when the centers are closer than EPS_GEO times
-    the larger radius.  A missing intersection circle is reported through
-    the ``has_circle`` flag, not an error.
-    """
-    table = pair_table(np.stack([b_i.center, b_j.center]),
-                       np.array([b_i.radius, b_j.radius]), np.array([[0, 1]]))
-    return table.record(0, i, j)
-
-
-def lambda_pair(b_i, b_j):
-    """Pair geometry of two spheres; raises NoIntersection unless they meet
-    in a circle."""
-    pg = pair_geometry(b_i, b_j)
-    if not pg.has_circle:
-        raise NoIntersection("spheres do not intersect in a circle")
-    return pg
-
-
-@dataclass(frozen=True)
-class TripleGeometry:
-    """The two points where three spheres meet.
-
-    ``p_plus`` lies on the positive side of the plane of centers: the triple
-    product of (x_j - x_i, x_k - x_i, P - x_i) is positive there.  ``axis``
-    is the corresponding unit normal of the plane of centers.
-    """
-
-    i: int
-    j: int
-    k: int
-    center: np.ndarray               # x_ijk: radical center in the plane of centers
-    half_length: float               # r_ijk: half the distance between the two points
-    axis: np.ndarray                 # unit normal of the center plane (orientation rule)
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-
-    @classmethod
-    def from_center(cls, key, center, axis, h):
-        """The points center +/- h * axis of the triple with indices ``key``."""
-        return cls(i=key[0], j=key[1], k=key[2], center=center, half_length=h,
-                   axis=axis, p_plus=center + h * axis, p_minus=center - h * axis)
 
 
 def triple_points(centers, radii, idx, eps):

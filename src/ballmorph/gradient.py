@@ -5,7 +5,7 @@ fraction change (e), arc angle change (f), and corner quadrangle change
 (h), each rows of coefficients fed to one of two scatters into per-ball
 vectors.  What depends on the state only through a centre distance d_ab
 has equal and opposite rows, since dd_ab/dx_a = u_ab = -dd_ab/dx_b
-(``_pair_forces``: d, f, h and lambda'); the arc fractions move with the
+(``_pair_forces``: d, f and h); the arc fractions move with the
 arc endpoints, read from the arc table (``_sigma_ij_forces``: e and sigma_ij').
 """
 
@@ -32,19 +32,11 @@ def _pair_forces(n, a, b, force):
     return vec
 
 
-def lambda_derivative(pair, t_i, t_j):
-    """Directional derivative of lambda under velocities of the two centers
-    of the PairGeometry ``pair``."""
-    rows = _pair_forces(2, [0], [1], pair.dlam_dd * pair.u_ij)
-    # Summing over the two balls first keeps equal velocities at exactly 0.
-    return float(np.sum(rows * np.stack([t_i, t_j]), axis=0).sum())
-
-
 @dataclass(frozen=True)
 class ArcEndpoints:
     """Motion data of the corners that end exposed arcs, one row per corner.
 
-    Corner P of circle S_ij (row ``edge`` of the edge list) lies on the
+    Corner P of circle S_ij (row ``edge`` of cx.edge_keys) lies on the
     sphere of the occluding ball k, and ``ijk`` holds i, j, k.  The inner
     products of ``vec[:, 0]``, ``vec[:, 1]``, ``vec[:, 2]`` with the
     velocities of balls i, j, k sum to P's normal speed against that
@@ -61,18 +53,19 @@ class ArcEndpoints:
     vec: np.ndarray
 
 
-def arc_endpoint_data(balls, cx, edges):
-    """ArcEndpoints of the arc-table rows of the alpha edges ``edges`` (in
-    key order), each start then end.  Raises DegenerateState at the first
-    corner that moves tangentially to its sphere."""
-    arcs, at = cx.arcs, cx.edge_rows(edges)
-    rows = np.repeat(np.flatnonzero(np.isin(arcs.edge, at) & ~arcs.full), 2)
+def arc_endpoint_data(balls, cx):
+    """ArcEndpoints of the arc-table rows that end at corners, each start
+    then end.  Raises DegenerateState at the least Condition II record and
+    at the first corner that moves tangentially to its sphere."""
+    cx.require_generic(("II",))
+    arcs = cx.arcs
+    rows = np.repeat(np.flatnonzero(~arcs.full), 2)
     end = np.arange(len(rows)) % 2
-    edge = np.searchsorted(at, arcs.edge[rows])
+    edge = arcs.edge[rows]
     k, p = arcs.occluder[rows, end], arcs.point[rows, end]
     sign = 2.0 * end - 1.0
-    ijk = np.column_stack([cx.edge_keys[arcs.edge[rows]], k])
-    pairs = cx.edge_pairs.take(arcs.edge[rows])
+    ijk = np.column_stack([cx.edge_keys[edge], k])
+    pairs = cx.edge_pairs.take(edge)
     u, q, d, rho = pairs.u_ij, pairs.center, pairs.d, pairs.r
     depth = pairs.xi_j / d
     g = balls.centers[k] - p
@@ -105,11 +98,13 @@ def _sigma_ij_forces(n, ends, coeff):
 
 def sigma_ij_prime(balls, cx, edge, t):
     """Directional derivative of the arc fraction sigma_ij along momentum t:
-    the arc-fraction rows of term_e with coefficient one."""
-    key = sorted(edge)
-    if cx.edge_rows(key)[0] < 0:
+    the arc-fraction rows of term_e with coefficient one on the edge's
+    endpoints and zero on the others."""
+    row = cx.edge_rows(sorted(edge))[0]
+    if row < 0:
         return 0.0
-    vec = _sigma_ij_forces(balls.n, arc_endpoint_data(balls, cx, [key]), 1.0)
+    ends = arc_endpoint_data(balls, cx)
+    vec = _sigma_ij_forces(balls.n, ends, (ends.edge == row).astype(float))
     return float(np.sum(vec * as_momentum(t, balls.n)))
 
 
@@ -129,11 +124,10 @@ def term_d(balls, cx, measures, ends=None):
     of either sphere (zero when sigma_ij = 0), and each endpoint of its
     exposed arcs one swing row, (w_i/r_i - w_j/r_j) rho/d <T, t_j - t_i>
     with T the endpoint's tangent, as the cap axes tilt.  ``ends`` holds
-    arc_endpoint_data of the alpha edges in key order when the caller has
-    it already.
+    arc_endpoint_data of the complex when the caller has it already.
     """
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, cx.edge_keys)
+        ends = arc_endpoint_data(balls, cx)
     i, j = cx.edge_keys.T
     pairs = cx.edge_pairs
     w, r, r2 = balls.weights, balls.radii, pow_squares(balls.radii)
@@ -152,7 +146,7 @@ def term_e(balls, cx, ends=None):
     """Arc-fraction term: -pi sum of (w_i + w_j) lambda_ij sigma_ij'.
     ``ends`` is as for term_d."""
     if ends is None:
-        ends = arc_endpoint_data(balls, cx, cx.edge_keys)
+        ends = arc_endpoint_data(balls, cx)
     w_i, w_j = balls.weights[ends.ijk[:, 0]], balls.weights[ends.ijk[:, 1]]
     return _sigma_ij_forces(balls.n, ends,
                             -math.pi * (w_i + w_j) * cx.edge_pairs.lam[ends.edge])
@@ -207,7 +201,7 @@ class GaussGradient:
 def gauss_gradient(balls, cx, measures):
     """Assemble the full gradient G with G_i = d_i + e_i + f_i + h_i.  The
     arc-endpoint rows are built once and read by both terms d and e."""
-    ends = arc_endpoint_data(balls, cx, cx.edge_keys)
+    ends = arc_endpoint_data(balls, cx)
     return GaussGradient(d=term_d(balls, cx, measures, ends), e=term_e(balls, cx, ends),
                          f=term_f(balls, cx, measures), h=term_h(balls, cx, measures))
 

@@ -42,7 +42,9 @@ def sigma_ij(balls, cx, edge):
 
 
 def _arc_sums(cx):
-    """Each alpha edge's arc extents, added in the arc table's row order."""
+    """Each alpha edge's arc extents, added in the arc table's row order;
+    a Condition II record raises."""
+    cx.require_generic(("II",))
     return np.bincount(cx.arcs.edge, cx.arcs.extent, minlength=len(cx.edge_keys))
 
 
@@ -59,14 +61,14 @@ def nu_ijk(balls, cx, tri):
 
 
 def sigma_i(balls, cx, i):
-    """Exposed area fraction of sphere i by spherical Gauss-Bonnet."""
+    """Exposed area fraction of sphere i: its entry of compute_measures."""
     if not 0 <= i < balls.n or not cx.on_boundary[i]:
         return 0.0
-    return float(_sphere_sigmas(balls, cx, np.array([i]))[0])
+    return float(compute_measures(balls, cx).sigma_v[i])
 
 
-def _sphere_sigmas(balls, cx, spheres):
-    """sigma_i of the boundary vertices ``spheres``, in ascending order.
+def _sphere_sigmas(balls, cx):
+    """sigma_i of every ball, meaningful on the boundary (1 with no arc).
 
     Arcs run ccw around u_ij: clockwise around the cap axis -u_ij of the
     first sphere, so with its exposed region on the left, and the second
@@ -83,9 +85,9 @@ def _sphere_sigmas(balls, cx, spheres):
     row = np.arange(2 * len(arcs.edge)) // 2
     xi = np.column_stack([cx.edge_pairs.xi_i, cx.edge_pairs.xi_j])
     cos_cap = xi[arcs.edge].ravel() / balls.radii[sphere]
-    full, pick = arcs.full[row], np.bincount(spheres, minlength=n).astype(bool)[sphere]
-    whole = np.flatnonzero(pick & full)
-    link = np.flatnonzero(pick & ~full)
+    full = arcs.full[row]
+    whole = np.flatnonzero(full)
+    link = np.flatnonzero(~full)
     link = link[np.argsort(sphere[link], kind="stable")]
     owner, area = _circuits(cx, sphere[link], row[link], link % 2,
                             arcs.extent[row[link]] * cos_cap[link])
@@ -93,7 +95,7 @@ def _sphere_sigmas(balls, cx, spheres):
     # order, then its circuits from the least corner key up.
     total = np.bincount(np.concatenate([sphere[whole], owner]),
                         np.concatenate([TWO_PI * (1.0 + cos_cap[whole]), area]), minlength=n)
-    return np.where(np.bincount(sphere, minlength=n) > 0, total % FOUR_PI / FOUR_PI, 1.0)[spheres]
+    return np.where(np.bincount(sphere, minlength=n) > 0, total % FOUR_PI / FOUR_PI, 1.0)
 
 
 def _circuits(cx, sphere, row, side, arc_term):
@@ -142,9 +144,7 @@ def _circuits(cx, sphere, row, side, arc_term):
 
 def compute_measures(balls, cx):
     """All fractional measures of the boundary simplices of the complex."""
-    sigma_v = np.zeros(balls.n)
-    spheres = np.flatnonzero(cx.on_boundary)
-    sigma_v[spheres] = _sphere_sigmas(balls, cx, spheres)
     tris = cx.triangle_table
-    return FractionalMeasures(sigma_v=sigma_v, sigma_e=_arc_sums(cx) / TWO_PI,
+    return FractionalMeasures(sigma_v=np.where(cx.on_boundary, _sphere_sigmas(balls, cx), 0.0),
+                              sigma_e=_arc_sums(cx) / TWO_PI,
                               sigma_t=0.5 * tris.exposed.sum(axis=1), nu_t=tris.nu)

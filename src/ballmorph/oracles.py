@@ -18,8 +18,6 @@ block-sized vectors whatever their number.
 """
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateState, OracleDegenerate
@@ -29,36 +27,29 @@ _MC_BLOCK = 1 << 16
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("finite-difference step must be positive")
-
-
-def fd_directional(fn, balls, t, cfg=FDConfig()):
-    """Central difference of fn along momentum t: (f(x+ht) - f(x-ht)) / 2h."""
+def fd_directional(fn, balls, t, step=1e-5):
+    """Central difference of fn along momentum t: (f(x+ht) - f(x-ht)) / 2h
+    with h = ``step``."""
+    if not step > 0:
+        raise ValueError("finite-difference step must be positive")
     t = as_momentum(t, balls.n)
     x = balls.state
-    h = cfg.step
     try:
-        f_plus = fn(balls.with_state(x + h * t.ravel()))
-        f_minus = fn(balls.with_state(x - h * t.ravel()))
+        f_plus = fn(balls.with_state(x + step * t.ravel()))
+        f_minus = fn(balls.with_state(x - step * t.ravel()))
     except DegenerateState as exc:
         raise OracleDegenerate(
             f"finite-difference probe crossed a degenerate state: {exc}") from exc
-    return (f_plus - f_minus) / (2.0 * h)
+    return (f_plus - f_minus) / (2.0 * step)
 
 
-def fd_gradient(fn, balls, cfg=FDConfig()):
+def fd_gradient(fn, balls, step=1e-5):
     """Central differences of fn along each of the 3n unit momenta."""
     grad = np.zeros(3 * balls.n)
     e_m = np.zeros_like(grad)
     for m in range(grad.size):
         e_m[m] = 1.0
-        grad[m] = fd_directional(fn, balls, e_m, cfg)
+        grad[m] = fd_directional(fn, balls, e_m, step)
         e_m[m] = 0.0
     return grad
 

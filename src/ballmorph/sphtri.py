@@ -183,8 +183,8 @@ def quad_area_gradient(corner, pair_ij, pair_jk, pair_ki):
     """Coefficients of the quadrangle-area derivatives under ball motion.
 
     For the corner of balls (i, j, k) with pair data for its three edges
-    (PairGeometry records, or PairTable rows for a table of corners),
-    returns three triples (p, q, s), each = (c_ij, c_jk, c_ki), such that
+    (PairTable rows: one row's values for one corner, or one row per corner
+    of a table), returns three triples (p, q, s), each = (c_ij, c_jk, c_ki), such that
 
         quad_i' = p[0] <u_ij, t_i - t_j> + p[1] <u_jk, t_j - t_k>
                   + p[2] <u_ki, t_k - t_i>

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, TripleGeometry
+from ballmorph import BallSet
 from ballmorph.complexes import TWO_PI, build_alpha_complex, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.serial import fmt
@@ -85,24 +85,23 @@ class Arc:
 
 
 def pair(cx, i, j):
-    """Row ij of the complex's candidate pair table as a PairGeometry;
-    KeyError unless the spheres of i and j meet in a circle."""
+    """Row ij of the complex's candidate pair table, each field one row's
+    value; KeyError unless the spheres of i and j meet in a circle."""
     key = (i, j) if i < j else (j, i)
     row = cx.key_rows(cx._pair_keys, key)[0]
     if row < 0:
         raise KeyError(key)
-    return cx._pair_table.record(row, *key)
+    return cx._pair_table.take(row)
 
 
-def triple(cx, i, j, k):
-    """Row ijk of the complex's candidate triple table as a TripleGeometry;
-    None unless the spheres meet in two points more than the band apart."""
-    ijk, _, center, axis, h_sq = cx._triple_table
-    row = cx.key_rows(ijk, sorted((i, j, k)))[0]
-    if row < 0 or not h_sq[row] > cx.tol * cx.balls.scale:
+def corners(cx, i, j, k):
+    """The points p_plus and p_minus of row ijk of the complex's candidate
+    triple table, as a (2, 3) array; None unless the spheres meet in two
+    points more than the band apart."""
+    row = cx.key_rows(cx._triple_table.ijk, sorted((i, j, k)))[0]
+    if row < 0 or not cx._triple_table.h_sq[row] > cx.tol * cx.balls.scale:
         return None
-    return TripleGeometry.from_center(tuple(ijk[row].tolist()), center[row], axis[row],
-                                      math.sqrt(h_sq[row]))
+    return cx.corner_points([row])[0]
 
 
 def triangle_keys(cx):
@@ -167,13 +166,13 @@ def brute_cover(cx, i, j):
             continue
         if dmax <= rm:
             return [], True, records
-        tg = triple(cx, i, j, m)
-        if tg is None:
+        points = corners(cx, i, j, m)
+        if points is None:
             records.append(("II", tuple(sorted((i, j, m))), cx.tol))
             continue
         key = tuple(sorted((i, j, m)))
         angles = {}
-        for tag, p in ((1, tg.p_plus), (-1, tg.p_minus)):
+        for tag, p in zip((1, -1), points):
             rel = p - q
             angles[tag] = (math.atan2(rel @ e2, rel @ e1) % TWO_PI, p)
         # The covered interval is centred on the in-plane azimuth of x_m.
@@ -244,12 +243,12 @@ def vector_sigma_i(balls, cx, i):
     by_entry = {}   # corner key -> (next corner key, its point, arc data)
     for key in edges:
         pg = pair(cx, *key)
-        axis, xi = (-pg.u_ij, pg.xi_i) if i == pg.i else (pg.u_ij, pg.xi_j)
+        axis, xi = (-pg.u_ij, pg.xi_i) if i == key[0] else (pg.u_ij, pg.xi_j)
         for arc in edge_arcs(cx, key):
             if arc.full_circle:
                 total += TWO_PI * (1.0 + xi / r_i)
                 continue
-            enter, leave = (arc.start, arc.end) if i == pg.i else (arc.end, arc.start)
+            enter, leave = (arc.start, arc.end) if i == key[0] else (arc.end, arc.start)
             by_entry[enter.key] = (leave.key, leave.point, arc.extent, xi / r_i,
                                    pg.center, axis)
     unused = set(by_entry)

@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
+from ballmorph import BallSet, build_alpha_complex, compute_measures, \
     directional_derivative, euler, evaluate, fd_directional, gauss_gradient, \
-    lambda_pair, mc_boundary_integrals, pair_geometry, sigma_i_prime, sigma_ij_prime, \
-    weighted_gauss
+    mc_boundary_integrals, sigma_i_prime, sigma_ij_prime, weighted_gauss
 from ballmorph.cli import main
 from ballmorph.diagnostics import gradient_jump_probe
+from ballmorph.geometry import pair_table
 from ballmorph.errors import DegenerateState, NonRealizableTriangle, OracleDegenerate
 from ballmorph.measures import sigma_i, sigma_ij
 from ballmorph.sphtri import cap_half_radius, corner_geometry, darea_da, dcap_da, \
@@ -66,7 +66,6 @@ def test_acceptance_2_four_sine_identity():
 def test_acceptance_3_gradient_matches_fd():
     """<G, t> matches central differences on 50 configs x 20 momenta."""
     rng = np.random.default_rng(103)
-    cfg = FDConfig(step=1e-5)
     worst = 0.0
     checked = 0
     for trial in range(50):
@@ -84,7 +83,7 @@ def test_acceptance_3_gradient_matches_fd():
             t = rng.normal(size=(balls.n, 3))
             t /= np.linalg.norm(t)
             try:
-                fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t, cfg)
+                fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t, step=1e-5)
             except OracleDegenerate:
                 continue
             an = directional_derivative(grad, t)
@@ -149,13 +148,15 @@ def test_acceptance_5_sub_derivatives():
         def phi(x):
             return math.acos((r_i ** 2 + r_j ** 2 - x * x) / (2 * r_i * r_j))
 
-        def lam(x):
+        def pair_at(x):
             bb = two_balls(d=x, r0=r_i, r1=r_j)
-            return lambda_pair(bb.ball(0), bb.ball(1)).lam
+            return pair_table(bb.centers, bb.radii, np.array([[0, 1]])).take(0)
+
+        def lam(x):
+            return pair_at(x).lam
 
         # quad_area_gradient takes d phi_ij / d|x_i - x_j| as 1 / r_ij.
-        bb = two_balls(d=d, r0=r_i, r1=r_j)
-        pair = lambda_pair(bb.ball(0), bb.ball(1))
+        pair = pair_at(d)
         check(1.0 / pair.r, _fd_scalar(phi, d), "dangle")
         check(pair.dlam_dd, _fd_scalar(lam, d), "dlam")
         done += 1
@@ -172,7 +173,7 @@ def test_acceptance_5_sub_derivatives():
             return sigma_i(bs, build_alpha_complex(bs), i)
 
         try:
-            fd = fd_directional(f_sigma_i, balls, t, FDConfig(step=1e-6))
+            fd = fd_directional(f_sigma_i, balls, t, step=1e-6)
         except OracleDegenerate:
             continue
         check(sigma_i_prime(balls, cx, m, i, t), fd, "sigma_i'")
@@ -186,7 +187,7 @@ def test_acceptance_5_sub_derivatives():
                 return sigma_ij(bs, build_alpha_complex(bs), e)
 
             try:
-                fd = fd_directional(f_sigma_ij, balls, t, FDConfig(step=1e-6))
+                fd = fd_directional(f_sigma_ij, balls, t, step=1e-6)
             except OracleDegenerate:
                 continue
             check(sigma_ij_prime(balls, cx, e, t), fd, "sigma_ij'")
@@ -204,9 +205,8 @@ def test_acceptance_5_sub_derivatives():
             continue
         pgs = {}
         try:
-            pgs = {(a, b): pair_geometry(balls.ball(i), balls.ball(j), i, j)
-                   for (a, b), (i, j) in (((0, 1), (0, 1)), ((1, 2), (1, 2)),
-                                          ((2, 0), (0, 2)))}
+            rows = pair_table(balls.centers, balls.radii, np.array([[0, 1], [1, 2], [0, 2]]))
+            pgs = {side: rows.take(m) for m, side in enumerate(((0, 1), (1, 2), (2, 0)))}
             if not all(p.has_circle for p in pgs.values()):
                 continue
             geo = corner_geometry(pgs[(0, 1)].cos_phi, pgs[(1, 2)].cos_phi,

@@ -7,17 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, PairGeometry, TripleGeometry, build_alpha_complex, \
-    compute_measures, complexes, diagnostics, euler, pair_geometry, term_h, weighted_gauss
+from ballmorph import BallSet, build_alpha_complex, compute_measures, complexes, \
+    diagnostics, euler, term_h, weighted_gauss
 from ballmorph.complexes import plane_basis
 from ballmorph.diagnostics import general_position_check
 from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
-from ballmorph.geometry import PairTable, pair_table
+from ballmorph.geometry import EPS_GEO, PairTable, pair_table, triple_points
 from ballmorph.oracles import fd_gradient
 from ballmorph.pipeline import evaluate
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, pair, \
-    random_rotation, tetrahedron_keys, triangle_keys, triple, two_balls
+from conftest import brute_sigma_ij, corners, edge_arcs, make_config, octant_balls, pair, \
+    random_rotation, tetrahedron_keys, triangle_keys, two_balls
 from test_near_tangency import planted_draw
 
 
@@ -65,8 +65,7 @@ def test_octant_arcs_end_at_triple_corners():
     assert arc.end.triangle == (0, 1, 2)
     assert {arc.start.tag, arc.end.tag} == {1, -1}
     # Endpoint positions are the two triple points.
-    tg = triple(cx, 0, 1, 2)
-    pts = {1: tg.p_plus, -1: tg.p_minus}
+    pts = dict(zip((1, -1), corners(cx, 0, 1, 2)))
     assert np.allclose(arc.start.point, pts[arc.start.tag], atol=1e-12)
     assert np.allclose(arc.end.point, pts[arc.end.tag], atol=1e-12)
 
@@ -160,8 +159,7 @@ def test_boundary_triangle_exposure_counts(rng):
             if any(exposed):
                 assert sum(exposed) in (1, 2)
                 # Exposure matches a direct point-in-ball test.
-                tg = triple(cx, *tri)
-                for point, flag in ((tg.p_plus, exposed[0]), (tg.p_minus, exposed[1])):
+                for point, flag in zip(corners(cx, *tri), exposed):
                     gaps = (np.linalg.norm(balls.centers - point, axis=1)
                             - balls.radii)
                     gaps[list(tri)] = np.inf
@@ -196,8 +194,8 @@ def same_bits(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def record_mismatches(a, b, cls):
-    return [f.name for f in dataclasses.fields(cls)
+def row_mismatches(a, b):
+    return [f.name for f in dataclasses.fields(PairTable)
             if not same_bits(getattr(a, f.name), getattr(b, f.name))]
 
 
@@ -213,8 +211,8 @@ def table_draws(rng):
 
 
 def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
-    # The build's one batched pass gives every candidate pair the bits of
-    # the one-row call.
+    # The build's one batched pass gives every candidate pair, and every
+    # alpha triangle's triple, the bits of the one-row call.
     pairs = 0
     for balls in table_draws(rng):
         try:
@@ -223,17 +221,19 @@ def test_pair_table_rows_are_pair_geometry_bit_for_bit(rng):
             continue
         for i, j in cx._pair_keys.tolist():
             pg = pair(cx, i, j)
-            ref = pair_geometry(balls.ball(i), balls.ball(j), i, j)
-            assert record_mismatches(pg, ref, PairGeometry) == [], (i, j)
-            assert record_mismatches(pair(cx, j, i), pg, PairGeometry) == [], (i, j)
+            ref = pair_table(balls.centers, balls.radii, np.array([[i, j]])).take(0)
+            assert row_mismatches(pg, ref) == [], (i, j)
+            assert row_mismatches(pair(cx, j, i), pg) == [], (i, j)
             pairs += 1
-        _, _, center, axis, h_sq = cx._triple_table
+        table = cx._triple_table
         for key, row in zip(triangle_keys(cx), cx.triangle_table.triple.tolist()):
-            ref = TripleGeometry.from_center(key, center[row], axis[row], math.sqrt(h_sq[row]))
-            assert record_mismatches(triple(cx, *key), ref, TripleGeometry) == [], key
-            # The arcs' corner points are the record's points, bit for bit.
-            points = np.array([ref.p_plus, ref.p_minus])
-            assert cx.corner_points([row]).tobytes() == points.tobytes(), key
+            _, center, axis, h_sq = triple_points(balls.centers, balls.radii,
+                                                  np.array([key]), EPS_GEO)
+            for name, ref in (("center", center), ("axis", axis), ("h_sq", h_sq)):
+                assert getattr(table, name)[[row]].tobytes() == ref.tobytes(), (key, name)
+            # The arcs' corner points are center +/- sqrt(h_sq) axis, bit for bit.
+            points = center + np.sqrt(h_sq) * np.array([[1.0], [-1.0]]) * axis
+            assert cx.corner_points([row]).tobytes() == points[None].tobytes(), key
     assert pairs > 1000
 
 
@@ -303,24 +303,6 @@ def test_complex_is_arrays_with_simplices_in_key_order(name):
         for dim in range(1, 5):
             block = [s for s in simplices if len(s) == dim]
             assert block and block == sorted(set(block)), dim
-
-
-@pytest.mark.parametrize("name", ["g20", "g60"])
-def test_pipeline_makes_no_pair_record(name, monkeypatch):
-    # The build, the volumes and the gradient read pair-table and triple-
-    # table columns; no PairGeometry or TripleGeometry record is made on
-    # the way.
-    calls, triples = [], []
-    record = PairTable.record
-    monkeypatch.setattr(PairTable, "record",
-                        lambda table, *args: calls.append(args) or record(table, *args))
-    init = TripleGeometry.__init__
-    monkeypatch.setattr(TripleGeometry, "__init__",
-                        lambda tg, *args, **kw: triples.append(args) or init(tg, *args, **kw))
-    ev = evaluate(parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt")))
-    assert ev.volumes.gauss and ev.gradient.flat.any()
-    assert calls == []
-    assert triples == []
 
 
 @pytest.mark.parametrize("name", ["g20", "g60"])

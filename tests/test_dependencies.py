@@ -1,7 +1,8 @@
 """Static checks of the library source: numpy is the only declared
-dependency, the alpha complex takes pair geometry from its batched table,
-downstream modules read geometry from the complex and call no corner
-formula or pair record in a loop, the measures, the volumes and the
+dependency, the alpha complex takes pair and triple geometry from its
+batched tables, downstream modules read geometry from the complex and
+call no corner formula or pair lookup in a loop, every module-level name
+is read somewhere, the measures, the volumes and the
 gradient read the arc, corner and triangle tables as columns with no walk
 over arcs, corners, triangles or boundary edges, only the gradient's two
 scatter kernels add into per-ball rows, the CLI and the diagnostics
@@ -51,34 +52,65 @@ def test_no_module_calls_a_linear_solver():
     assert calls == []
 
 
-# The alpha complex's pair and triple records are the one source of pair
-# and triple geometry downstream of the build.
-REBUILDERS = {"pair_geometry", "lambda_pair", "triple_geometry", "ball"}
+# geometry.pair_table and geometry.triple_points are the one pair and the
+# one triple kernel: the build calls each once, outside any loop, and the
+# stages downstream read the complex's tables.
+KERNELS = {"pair_table", "triple_points"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def rebuilder_calls(*names):
+def kernel_calls(*names):
+    """(module, kernel, whether in a loop) of every kernel call."""
     root = Path(ballmorph.__file__).parent
     calls = []
     for name in names:
-        for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in REBUILDERS - {"ball"}:
-                calls.append((name, node.lineno, func.id))
-            elif isinstance(func, ast.Attribute) and func.attr in REBUILDERS:
-                calls.append((name, node.lineno, func.attr))
-    return calls
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        looped = {id(node) for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+                  for node in ast.walk(loop)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if called in KERNELS:
+                calls.append((name, called, id(node) in looped))
+    return sorted(calls)
 
 
 def test_downstream_modules_read_complex_records():
-    assert rebuilder_calls("gradient.py", "intrinsic.py", "measures.py") == []
+    assert kernel_calls("gradient.py", "intrinsic.py", "measures.py") == []
 
 
 def test_complex_takes_pairs_from_its_batched_table():
-    # The build computes the pair records in one pass of geometry.pair_table;
-    # no per-pair scalar kernel call and no Ball is made on the way.
-    assert rebuilder_calls("complexes.py") == []
+    # The build computes the pair and triple tables in one pass each; no
+    # per-pair or per-triple kernel call is made on the way.
+    assert kernel_calls("complexes.py") == [("complexes.py", "pair_table", False),
+                                            ("complexes.py", "triple_points", False)]
+
+
+def test_every_module_level_name_is_read():
+    # Each function, class and constant defined at module level in the
+    # library is loaded (read as a name or an attribute, or imported)
+    # somewhere in the library, the tests or the benchmark, not counting
+    # the package's re-exports: a name that nothing reads is dead.
+    root = Path(ballmorph.__file__).parent
+    here = Path(__file__).resolve().parent
+    library = [path for path in sorted(root.glob("*.py")) if path.name != "__init__.py"]
+    defined = set()
+    for path in library:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {(path.name, sub.id) for target in targets
+                            for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+    loaded = set()
+    for path in library + sorted(here.glob("*.py")) + sorted(here.parent.glob("perfbench/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(getattr(node, "id", getattr(node, "attr", None)))
+            elif isinstance(node, ast.alias):
+                loaded.update(node.name.split("."))
+    assert sorted(item for item in defined if item[1] not in loaded) == []
 
 
 # Names of the boundary's parts that the measures, the volumes and the

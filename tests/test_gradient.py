@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, FDConfig, build_alpha_complex, compute_measures, \
-    directional_derivative, evaluate, fd_directional, gauss_gradient, lambda_derivative, \
-    lambda_pair, sigma_i_prime, sigma_ij_prime, term_d, term_e, term_f, term_h, \
-    weighted_gauss
+from ballmorph import BallSet, build_alpha_complex, compute_measures, \
+    directional_derivative, evaluate, fd_directional, gauss_gradient, sigma_i_prime, \
+    sigma_ij_prime, term_d, term_e, term_f, term_h, weighted_gauss
 from ballmorph.diagnostics import general_position_check
-from ballmorph.errors import DimensionMismatch, NoIntersection
+from ballmorph.errors import DimensionMismatch
+from ballmorph.geometry import pair_table
 from ballmorph.gradient import arc_endpoint_data
 from ballmorph.measures import sigma_i, sigma_ij
 from conftest import edge_arcs, make_config, octant_balls, rigid_generators, two_balls
@@ -19,48 +19,33 @@ def along(vec, t):
     return float(np.sum(vec * t))
 
 
+def two_ball_pair(**kwargs):
+    """The pair-table row of the two balls of two_balls(**kwargs)."""
+    balls = two_balls(**kwargs)
+    return pair_table(balls.centers, balls.radii, np.array([[0, 1]])).take(0)
+
+
 def test_lambda_pair_values():
-    balls = two_balls(d=1.0)
-    pair = lambda_pair(balls.ball(0), balls.ball(1))
+    pair = two_ball_pair(d=1.0)
     assert pair.lam == pytest.approx(1.0, abs=1e-14)
     assert pair.dlam_dd == pytest.approx(1.0, abs=1e-14)
 
     # Equal radii r: lambda = d / r for every admissible distance.
     r = 1.3
     for d in (0.5, 1.0, 2.0):
-        b = two_balls(d=d, r0=r, r1=r)
-        pair = lambda_pair(b.ball(0), b.ball(1))
+        pair = two_ball_pair(d=d, r0=r, r1=r)
         assert pair.lam == pytest.approx(d / r, rel=1e-14)
         assert pair.dlam_dd == pytest.approx(1 / r, rel=1e-14)
 
-    b = two_balls(d=2.0, r0=2.0, r1=1.0)
-    pair = lambda_pair(b.ball(0), b.ball(1))
+    pair = two_ball_pair(d=2.0, r0=2.0, r1=1.0)
     assert pair.lam == pytest.approx(1.75 / 2.0 + 0.25, abs=1e-14)
     h = 1e-6
 
     def lam_at(d):
-        bb = two_balls(d=d, r0=2.0, r1=1.0)
-        return lambda_pair(bb.ball(0), bb.ball(1)).lam
+        return two_ball_pair(d=d, r0=2.0, r1=1.0).lam
 
     fd = (lam_at(2 + h) - lam_at(2 - h)) / (2 * h)
     assert pair.dlam_dd == pytest.approx(fd, abs=1e-8)
-
-
-def test_lambda_pair_requires_intersection():
-    b = two_balls(d=3.0)
-    with pytest.raises(NoIntersection):
-        lambda_pair(b.ball(0), b.ball(1))
-
-
-def test_lambda_derivative_motions():
-    balls = two_balls(d=1.0)
-    pair = lambda_pair(balls.ball(0), balls.ball(1))
-    t = np.array([0.3, -0.2, 0.9])
-    assert lambda_derivative(pair, t, t) == 0.0
-    perp = np.array([0.0, 1.0, 0.0])
-    assert lambda_derivative(pair, perp, -perp) == pytest.approx(0.0, abs=1e-14)
-    u = pair.u_ij
-    assert lambda_derivative(pair, u, np.zeros(3)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_i_prime_two_balls_separating():
@@ -75,7 +60,7 @@ def test_sigma_i_prime_two_balls_separating():
     def f(bs):
         return sigma_i(bs, build_alpha_complex(bs), 0)
 
-    fd = fd_directional(f, balls, t, FDConfig(step=1e-6))
+    fd = fd_directional(f, balls, t, step=1e-6)
     assert val == pytest.approx(fd, abs=1e-8)
 
 
@@ -102,7 +87,7 @@ def test_sigma_i_prime_matches_fd(rng):
         def f(bs):
             return sigma_i(bs, build_alpha_complex(bs), i)
 
-        fd = fd_directional(f, balls, t, FDConfig(step=1e-6))
+        fd = fd_directional(f, balls, t, step=1e-6)
         an = sigma_i_prime(balls, cx, m, i, t)
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
@@ -111,7 +96,7 @@ def test_sigma_i_prime_matches_fd(rng):
 def test_sigma_ij_prime_full_circle_and_rotation(rng):
     balls = two_balls(d=1.0)
     cx = build_alpha_complex(balls)
-    assert arc_endpoint_data(balls, cx, [(0, 1)]).edge.size == 0
+    assert arc_endpoint_data(balls, cx).edge.size == 0
     t = rng.normal(size=(2, 3))
     assert sigma_ij_prime(balls, cx, (0, 1), t) == 0.0
 
@@ -136,7 +121,7 @@ def test_sigma_ij_prime_matches_fd(rng):
         def f(bs):
             return sigma_ij(bs, build_alpha_complex(bs), e)
 
-        fd = fd_directional(f, balls, t, FDConfig(step=1e-6))
+        fd = fd_directional(f, balls, t, step=1e-6)
         an = sigma_ij_prime(balls, cx, e, t)
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
@@ -167,7 +152,7 @@ def test_term_d_two_balls_fd():
         return 4 * math.pi * sum(
             bs.weights[i] * sigma_i(bs, c2, i) for i in range(bs.n))
 
-    fd = fd_directional(patch_term, balls, t, FDConfig(step=1e-6))
+    fd = fd_directional(patch_term, balls, t, step=1e-6)
     assert s == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -188,13 +173,13 @@ def test_term_e_basics_and_fd(rng):
     # normal lengths held fixed.
     total = 0.0
     for e in cx.boundary_edges():
-        lam = lambda_pair(balls.ball(e[0]), balls.ball(e[1])).lam
+        lam = pair_table(balls.centers, balls.radii, np.array([e])).lam[0]
         w = balls.weights[e[0]] + balls.weights[e[1]]
 
         def f(bs, e=e):
             return sigma_ij(bs, build_alpha_complex(bs), e)
 
-        fd = fd_directional(f, balls, t, FDConfig(step=1e-6))
+        fd = fd_directional(f, balls, t, step=1e-6)
         total += -math.pi * w * lam * fd
     assert s == pytest.approx(total, rel=1e-5, abs=1e-8)
 
@@ -239,7 +224,7 @@ def test_term_h_octant_fd(rng):
         m2 = compute_measures(bs, c2)
         return weighted_gauss(bs, c2, m2)[1][2]
 
-    fd = fd_directional(corner_term, balls, t, FDConfig(step=1e-6))
+    fd = fd_directional(corner_term, balls, t, step=1e-6)
     assert s == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -259,7 +244,7 @@ def test_gradient_parts_match_fd_of_breakdown(rng):
         g = gauss_gradient(balls, cx, compute_measures(balls, cx))
         t = rng.normal(size=(balls.n, 3))
         t /= np.linalg.norm(t)
-        fd = fd_directional(parts, balls, t, FDConfig(step=1e-5))
+        fd = fd_directional(parts, balls, t, step=1e-5)
         for an, f in zip((along(g.d, t), along(g.e + g.f, t), along(g.h, t)), fd):
             assert abs(an - f) <= 1e-5 * max(1.0, abs(f))
         checked += 1
@@ -345,7 +330,7 @@ def test_gauss_gradient_matches_fd(rng):
         for _ in range(4):
             t = rng.normal(size=(balls.n, 3))
             fd = fd_directional(lambda bs: evaluate(bs).gauss, balls, t,
-                                FDConfig(step=1e-5))
+                                step=1e-5)
             an = directional_derivative(g, t)
             assert abs(an - fd) <= 1e-5 * max(1.0, abs(fd))
 

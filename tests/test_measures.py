@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex, compute_measures, nu_i_mc, \
-    nu_ijk, sigma_i, sigma_ij, sigma_ij_prime, sigma_ijk
+    nu_ijk, sigma_i, sigma_ij, sigma_ij_prime, sigma_ijk, term_e
 from ballmorph.complexes import plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.oracles import mc_boundary_integrals
 from ballmorph.serial import parse_diagram
-from conftest import brute_sigma_ij, edge_arcs, make_config, octant_balls, pair, \
-    random_rotation, triangle_keys, triple, two_balls, vector_sigma_i
+from conftest import brute_sigma_ij, corners, edge_arcs, make_config, octant_balls, pair, \
+    random_rotation, triangle_keys, two_balls, vector_sigma_i
 
 
 def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
@@ -34,9 +34,11 @@ def circle_sampling_fraction(balls, cx, edge, samples=1_000_000):
 
 def segment_sampling_fraction(balls, cx, tri, samples=1_000_000):
     """Dense sampling of the corner segment against the Voronoi condition."""
-    tg = triple(cx, *tri)
-    s = np.linspace(-tg.half_length, tg.half_length, samples)
-    pts = tg.center[None, :] + s[:, None] * tg.axis[None, :]
+    table = cx._triple_table
+    row = cx.key_rows(table.ijk, sorted(tri))[0]
+    half = math.sqrt(table.h_sq[row])
+    s = np.linspace(-half, half, samples)
+    pts = table.center[row][None, :] + s[:, None] * table.axis[row][None, :]
     pows = (np.einsum("pij,pij->pi", pts[:, None, :] - balls.centers[None, :, :],
                       pts[:, None, :] - balls.centers[None, :, :])
             - balls.radii[None, :] ** 2)
@@ -102,13 +104,19 @@ def lattice(shape, spacing, shift=0.0):
                                                      ((3, 3, 3), 1.4, (0, 1, 3, 4))])
 def test_measures_name_the_least_condition_ii_record(shape, spacing, simplex):
     # The loose build keeps the arcs of a lattice, whose corners tie; which
-    # corners are exposed is a tie-break of rounding, so the measures and
-    # sigma_i of a boundary sphere name the least Condition II record
-    # instead of returning a number.
+    # corners are exposed is a tie-break of rounding, so the measures,
+    # sigma_i of a boundary sphere, and the readers of the arc table
+    # (sigma_ij, sigma_ij' and term e of an alpha edge) name the least
+    # Condition II record instead of returning a number.
     balls = lattice(shape, spacing)
     cx = build_alpha_complex(balls, strict=False)
+    edge = tuple(cx.edge_keys[0].tolist())
+    t = np.ones((balls.n, 3))
     for measure in (lambda: compute_measures(balls, cx),
-                    lambda: sigma_i(balls, cx, cx.boundary_vertices()[0])):
+                    lambda: sigma_i(balls, cx, cx.boundary_vertices()[0]),
+                    lambda: sigma_ij(balls, cx, edge),
+                    lambda: sigma_ij_prime(balls, cx, edge, t),
+                    lambda: term_e(balls, cx)):
         with pytest.raises(DegenerateState) as info:
             measure()
         assert str(info.value) == (f"state violates Condition II at simplex {simplex} "
@@ -250,9 +258,9 @@ def test_sigma_ijk_fourth_ball_over_one_corner():
                     [1.0, 1.0, 1.0, 0.35])
     cx = build_alpha_complex(balls)
     assert (0, 1, 2) in triangle_keys(cx)
-    tg = triple(cx, 0, 1, 2)
-    covered_plus = np.linalg.norm(tg.p_plus - balls.centers[3]) < balls.radii[3]
-    covered_minus = np.linalg.norm(tg.p_minus - balls.centers[3]) < balls.radii[3]
+    p_plus, p_minus = corners(cx, 0, 1, 2)
+    covered_plus = np.linalg.norm(p_plus - balls.centers[3]) < balls.radii[3]
+    covered_minus = np.linalg.norm(p_minus - balls.centers[3]) < balls.radii[3]
     assert covered_plus and not covered_minus
     assert sigma_ijk(balls, cx, (0, 1, 2)) == 0.5
 

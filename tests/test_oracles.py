@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, FDConfig, evaluate, fd_directional, fd_gradient, \
-    lambda_pair, mc_boundary_integrals
+from ballmorph import BallSet, evaluate, fd_directional, fd_gradient, mc_boundary_integrals
+from ballmorph.geometry import pair_table
 from ballmorph.errors import OracleDegenerate
 from conftest import make_config, two_balls
 
@@ -19,7 +19,7 @@ def test_fd_directional_lambda_oracle():
     t = np.array([[-1.0, 0, 0], [0.0, 0, 0]])   # separates at unit rate
 
     def lam(bs):
-        return lambda_pair(bs.ball(0), bs.ball(1)).lam
+        return pair_table(bs.centers, bs.radii, np.array([[0, 1]])).lam[0]
 
     # For equal unit radii lambda(d) = d.
     assert fd_directional(lam, balls, t) == pytest.approx(1.0, abs=1e-8)
@@ -37,7 +37,16 @@ def test_fd_directional_degenerate_crossing():
     balls = two_balls(d=2.0)
     t = np.array([[0.0, 0, 0], [0.0, 1e-3, 0]])
     with pytest.raises(OracleDegenerate):
-        fd_directional(lambda bs: evaluate(bs).gauss, balls, t, FDConfig(step=1e-5))
+        fd_directional(lambda bs: evaluate(bs).gauss, balls, t, step=1e-5)
+
+
+def test_fd_step_must_be_positive():
+    balls = two_balls(d=1.0)
+    for step in (0.0, -1e-5):
+        with pytest.raises(ValueError):
+            fd_directional(lambda bs: 0.0, balls, np.zeros((2, 3)), step=step)
+        with pytest.raises(ValueError):
+            fd_gradient(lambda bs: 0.0, balls, step=step)
 
 
 def test_fd_gradient_single_ball():

@@ -5,14 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmorph import build_alpha_complex, lambda_pair, pair_geometry
-from ballmorph.geometry import Ball, pair_table
+from ballmorph import build_alpha_complex
+from ballmorph.geometry import pair_table
 from ballmorph.serial import parse_diagram
 from ballmorph.sphtri import cap_half_radius, corner_geometry, \
     corner_signs, darea_da, dcap_da, product_of_sines, \
     quad_area_gradient, quadrangle_areas, triangle_area, vertex_angle
-from ballmorph.errors import GeometryError, NonRealizableTriangle
-from conftest import pair, random_triangle_params, spherical_triangle_excess, triple
+from ballmorph.errors import GeometryError, NoIntersection, NonRealizableTriangle
+from conftest import corners, pair, random_triangle_params, spherical_triangle_excess
 
 
 def four_sine_product(phi_ij, phi_jk, phi_ki):
@@ -306,7 +306,8 @@ def test_dcap_symmetric_in_trailing_arguments(rng):
 def test_dangle_ddist_values():
     # quad_area_gradient takes d phi_ij / d|x_i - x_j| as 1 / r_ij.
     def dangle_ddist(r_i, r_j, d):
-        return 1.0 / lambda_pair(Ball([0.0, 0.0, 0.0], r_i), Ball([d, 0.0, 0.0], r_j)).r
+        return 1.0 / pair_table(np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]]),
+                                np.array([r_i, r_j]), np.array([[0, 1]])).r[0]
 
     # Normal angle of two unit spheres: phi(d) = arccos(1 - d^2/2).
     h = 1e-7
@@ -325,10 +326,9 @@ def test_dangle_ddist_values():
 
 
 def _corner_from_centers(centers, radii):
-    pgs = {}
-    for (a, b) in ((0, 1), (1, 2), (2, 0)):
-        pgs[(a, b)] = pair_geometry(Ball(centers[a], radii[a]),
-                                    Ball(centers[b], radii[b]))
+    sides = ((0, 1), (1, 2), (2, 0))
+    rows = pair_table(np.asarray(centers), np.asarray(radii), np.array(sides))
+    pgs = {side: rows.take(m) for m, side in enumerate(sides)}
     geo = corner_geometry(pgs[(0, 1)].cos_phi, pgs[(1, 2)].cos_phi,
                           pgs[(2, 0)].cos_phi)
     return geo, pgs
@@ -402,6 +402,16 @@ def test_quad_area_gradient_partition_and_translation(rng):
     assert fd0 == pytest.approx(0.0, abs=1e-8)
 
 
+def test_quad_area_gradient_requires_intersection_circles():
+    # A side whose spheres meet in no circle has no normal angle to move.
+    geo, pgs = _corner_from_centers(np.eye(3), np.ones(3))
+    apart = pair_table(np.array([[0.0, 0, 0], [3.0, 0, 0]]), np.ones(2),
+                       np.array([[0, 1]])).take(0)
+    assert not apart.has_circle
+    with pytest.raises(NoIntersection):
+        quad_area_gradient(geo, pgs[(0, 1)], apart, pgs[(2, 0)])
+
+
 def split_columns(geo, grads):
     """Every number of a corner split and its quadrangle derivatives, one
     row per corner: (1, 20) for a scalar call, (corners, 20) for arrays."""
@@ -460,7 +470,7 @@ def test_corner_table_rows_carry_the_scalar_bits(name):
         assert table.u[m].tobytes() == np.array([pij.u_ij, pjk.u_ij, -pki.u_ij]).tobytes()
         assert table.sigma[m] == 0.5 * tris.exposed[cx.key_rows(tris.ijk, (i, j, k))[0]].sum()
         # Normals at a corner point: v_a . v_b is cos phi_ab.
-        point = triple(cx, i, j, k).p_plus
+        point = corners(cx, i, j, k)[0]
         v = (point - balls.centers[[i, j, k]]) / balls.radii[[i, j, k]][:, None]
         z = circumcenter(v)
         for col, (p, q, r) in enumerate(((v[0], v[1], v[2]), (v[1], v[2], v[0]),
