@@ -42,6 +42,17 @@ one sort by angle around their circles, with no further pass over the
 balls, and make one array table per complex, ``cx.arcs``: a row per arc
 with its circle, extent and two endpoint corners.  No record is made per
 simplex or per arc.
+
+Each decision keeps its residual, the distance to the state where it
+would go the other way, as a column: the pair gaps, one per candidate
+triple (|h^2| / scale, or the gap between the radical planes of collinear
+centres), each live corner's gap to its nearest other sphere, each alpha
+tetrahedron's five-ball tie, each alpha circle's gap to its nearest
+tangent sphere, and a flag on the circles whose corners do not alternate.
+Every residual is a length.  ``cx.records(tol)`` reads the records below
+``tol`` off these columns; the strict refusal and
+``diagnostics.general_position_check`` are that one view at cx.tol and at
+the caller's tol.
 """
 
 import math
@@ -63,8 +74,8 @@ _SIDE_OF = np.array([[1, 2], [0, 2], [0, 1]])   # the side of a triangle opposit
 _FACES = list(combinations(range(4), 3))          # the faces of a tetrahedron
 
 # The candidate triples in key order with the columns of geometry.triple_points,
-# NaN where collinear.
-TripleTable = namedtuple("TripleTable", "ijk collinear center axis h_sq")
+# NaN where collinear, and ``gap``, the residual of each triple's decision.
+TripleTable = namedtuple("TripleTable", "ijk collinear center axis h_sq gap")
 
 
 def plane_basis(u):
@@ -148,8 +159,10 @@ class AlphaComplex:
     ``in_alpha`` and ``on_boundary`` flag the balls that are vertices of
     the complex and of its boundary; ``edge_keys``, ``triangle_table`` and
     ``tet_keys`` hold the alpha edges, triangles and tetrahedra in key
-    order.  ``degeneracies`` lists (condition, simplex, residual) records
-    for near-violations of general position found during construction.
+    order.  The build keeps one residual column per family of decisions;
+    ``records(tol)`` lists the (condition, simplex, residual) records below
+    ``tol``, and ``degeneracies`` are those below cx.tol, the records the
+    strict build refuses.
     """
 
     def __init__(self, balls):
@@ -160,8 +173,13 @@ class AlphaComplex:
         self.edge_keys = None     # the alpha edges in key order, (edges, 2)
         self.triangle_table = None   # the TriangleTable, set by the build
         self.tet_keys = None      # the alpha tetrahedra in key order, (tets, 4)
-        self.degeneracies = []
-        self.condition2_margin = _INF   # cheapest distance-to-tangency seen
+        # The residual columns; the triple table holds the triples' own.
+        self._pair_gap = None     # (n, n) tangency gaps, inf off the upper triangle
+        self._corner_gap = None   # (triples, 2) live corners' |nearest gap|, else inf
+        self._tet_vertex = None   # (tets, 3) the Voronoi vertex of each tetrahedron
+        self._tie_gap = None      # (tets,) the least five-ball tie there
+        self._circle_gap = None   # (edges,) the least tangency gap to an alpha circle
+        self._arc_gap = None      # (edges,) 0 where the corners do not alternate, else inf
         self._pair_keys = None    # the candidate pairs in key order, (k, 2)
         self._pair_table = None   # their PairTable
         self._triple_table = None   # the TripleTable of the candidate triples
@@ -240,6 +258,53 @@ class AlphaComplex:
         """The alpha edges with exposed arcs, in key order."""
         return [tuple(key) for key in self.edge_keys[np.unique(self.arcs.edge)].tolist()]
 
+    # -- residuals -------------------------------------------------------
+
+    def records(self, tol):
+        """The (condition, simplex, residual) records of the decisions whose
+        residual is below ``tol``, family by family and each in key order:
+        pairs, triples, corners, five-ball ties, circle tangencies and
+        circles whose arcs are undecided.  A corner, tetrahedron or circle
+        below ``tol`` gives a record for every sphere within ``tol`` of it,
+        from the gap function the build used on that family."""
+        if self.min_residual >= tol:     # the usual case, kept off the row scans
+            return []
+        tri = self._triple_table
+        out = _within("II", np.arange(self.balls.n)[:, None], self._pair_gap, tol)
+        t = np.flatnonzero(tri.gap < tol)
+        out += [("I" if c else "II", tuple(key), g) for key, c, g in zip(
+            tri.ijk[t].tolist(), tri.collinear[t].tolist(), tri.gap[t].tolist())]
+        t, s = np.nonzero(self._corner_gap < tol)
+        points = self.corner_points(t)[np.arange(len(t)), s]
+        out += _within("II", tri.ijk[t], np.abs(_corner_gaps(self, tri.ijk[t], points)), tol)
+        t = np.flatnonzero(self._tie_gap < tol)
+        out += _within("I", self.tet_keys[t], _tie_gaps(self, self._tet_vertex[t],
+                                                          self.tet_keys[t]), tol)
+        e = np.flatnonzero(self._circle_gap < tol)
+        out += _within("II", self.edge_keys[e], _circle_gaps(self, e), tol)
+        e = np.flatnonzero(self._arc_gap < tol)
+        return out + [("II", tuple(key), 0.0) for key in self.edge_keys[e].tolist()]
+
+    @property
+    def min_residual(self):
+        """The least residual of every decision of the build."""
+        return float(min(column.min(initial=_INF) for column in (
+            self._pair_gap, self._triple_table.gap, self._corner_gap, self._tie_gap,
+            self._circle_gap, self._arc_gap)))
+
+    @property
+    def condition2_margin(self):
+        """The least residual of the pair, h^2 and corner decisions."""
+        tri = self._triple_table
+        return float(min(self._pair_gap.min(initial=_INF),
+                         tri.gap[~tri.collinear].min(initial=_INF),
+                         self._corner_gap.min(initial=_INF)))
+
+    @cached_property
+    def degeneracies(self):
+        """The records below cx.tol, which the strict build refuses."""
+        return self.records(self.tol)
+
     def require_generic(self, conditions=("I", "II")):
         records = [record for record in self.degeneracies if record[0] in conditions]
         if records:
@@ -257,7 +322,7 @@ def build_alpha_complex(balls, strict=True):
     complex; diagnostics passes strict=False to obtain the report instead.
     """
     cx = AlphaComplex(balls)
-    dist_sq = _check_pair_degeneracies(cx)
+    dist_sq = _check_pairs(cx)
     pairs = _extend_cliques(cx._circle, np.arange(balls.n)[:, None])
     _build_vertices(cx, dist_sq)
     _build_edges(cx, pairs)
@@ -301,10 +366,17 @@ def _extend_cliques(circle, rows):
     return np.column_stack([rows[r], m])
 
 
-def _check_pair_degeneracies(cx):
-    """Tangency residuals, kept as ``cx._pair_gap`` in pair order (the
-    upper triangle row by row), and the circle-pair mask; returns the
-    squared centre distances."""
+def _within(condition, keys, gaps, tol):
+    """A record for each row and sphere m with gaps[row, m] below tol, its
+    simplex the row's key with m added, sorted; row by row, m ascending."""
+    r, m = np.nonzero(gaps < tol)
+    simplices = np.sort(np.column_stack([keys[r], m]), axis=1)
+    return [(condition, tuple(s), g) for s, g in zip(simplices.tolist(), gaps[r, m].tolist())]
+
+
+def _check_pairs(cx):
+    """The tangency gaps ``cx._pair_gap`` and the circle-pair mask; returns
+    the squared centre distances."""
     balls = cx.balls
     n = balls.n
     diff = balls.centers[:, None, :] - balls.centers[None, :, :]
@@ -314,14 +386,11 @@ def _check_pair_degeneracies(cx):
     r_dif = np.abs(balls.radii[:, None] - balls.radii[None, :])
     gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
     upper = np.arange(n)[:, None] < np.arange(n)
-    cx._pair_gap = gap[upper]
-    cx.condition2_margin = min(cx.condition2_margin, float(cx._pair_gap.min(initial=_INF)))
+    cx._pair_gap = np.where(upper, gap, _INF)
     close = upper & (dist <= EPS_GEO * np.maximum(balls.radii[:, None], balls.radii))
     if close.any():
         a, b = np.argwhere(close)[0].tolist()
         raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
-    for i, j in np.argwhere(upper & (gap < cx.tol)).tolist():
-        cx.degeneracies.append(("II", (i, j), float(gap[i, j])))
     cx._circle = (r_dif < dist) & (dist < r_sum)
     return dist_sq
 
@@ -359,26 +428,24 @@ def _build_triangles(cx, idx):
                np.full(len(idx), np.nan))
     for column, part in zip(columns, (center, axis, h_sq)):
         column[~collinear] = part
-    cx._triple_table = TripleTable(idx, collinear, *columns)
-    _note_collinear_triples(cx, idx[collinear])
     # The discriminant h^2 is the smooth residual of the corner pair
-    # degenerating; the tolerance band is EPS_GEO * scale^2.
-    band = cx.tol * balls.scale
-    cx.condition2_margin = min(cx.condition2_margin,
-                               float(np.abs(h_sq).min(initial=_INF) / balls.scale))
-    rows = np.flatnonzero(~collinear)
-    near = np.abs(h_sq) <= band
-    for key, h2 in zip(idx[rows[near]].tolist(), h_sq[near]):
-        cx.degeneracies.append(("II", tuple(key), float(abs(h2) / balls.scale)))
-    live = h_sq > band
-    rows, center, axis, h_sq = rows[live], center[live], axis[live], h_sq[live]
-    half = np.sqrt(h_sq)
+    # degenerating; divided by the scale it is a length, like every residual.
+    gap = np.abs(columns[2]) / balls.scale
+    gap[collinear] = _collinear_gaps(cx, idx[collinear])
+    cx._triple_table = TripleTable(idx, collinear, *columns, gap)
+    rows = np.flatnonzero(columns[2] > cx.tol * balls.scale)     # the live triples
+    center, axis, half = columns[0][rows], columns[1][rows], np.sqrt(columns[2][rows])
     ends, feasible, binding = _voronoi_intervals(cx, idx[rows], center, axis)
     a_clip = np.maximum(ends[:, 0], -half)
     b_clip = np.minimum(ends[:, 1], half)
     nu = np.where(feasible & (b_clip > a_clip), (b_clip - a_clip) / (2.0 * half), 0.0)
+    # A corner is exposed when it lies outside every other ball.
     points = cx.corner_points(rows)
-    exposed = np.column_stack([_points_exposed(cx, idx[rows], points[:, s]) for s in (0, 1)])
+    nearest = np.column_stack([_corner_gaps(cx, idx[rows], points[:, s]).min(axis=1)
+                               for s in (0, 1)])
+    exposed = nearest > 0.0
+    cx._corner_gap = np.full((len(idx), 2), _INF)
+    cx._corner_gap[rows] = np.abs(nearest)
     accept = nu > 0.0
     cx.triangle_table = TriangleTable(ijk=idx[rows[accept]], triple=rows[accept],
                                       nu=nu[accept], exposed=exposed[accept])
@@ -392,20 +459,20 @@ def _build_triangles(cx, idx):
     codes, first = np.unique(quads @ balls.n ** np.arange(3, -1, -1), return_index=True)
     cx.tet_keys = np.column_stack(np.unravel_index(codes, (balls.n,) * 4))
     t, end = t[first], end[first]
-    _note_five_ball_ties(cx, center[t] + ends[t, end, None] * axis[t])
+    cx._tet_vertex = center[t] + ends[t, end, None] * axis[t]
+    cx._tie_gap = _tie_gaps(cx, cx._tet_vertex, cx.tet_keys).min(axis=1, initial=_INF)
 
 
-def _note_collinear_triples(cx, tri):
-    """Collinear centers: parallel radical planes, degenerate only if two
-    of them coincide (the Voronoi intersection would gain a dimension)."""
+def _collinear_gaps(cx, tri):
+    """The least gap between the radical planes of collinear centers: they
+    are parallel, and degenerate only where two of them coincide (the
+    Voronoi intersection would gain a dimension)."""
     centers = cx.balls.centers
     u = centers[tri[:, 1]] - centers[tri[:, 0]]
     u = u / row_norms(u)[:, None]
     sides = cx.key_rows(cx._pair_keys, tri[:, [0, 1, 0, 2, 1, 2]]).reshape(-1, 3)
     pos = row_dots(cx._pair_table.center[sides], u[:, None, :])
-    gap = np.abs(pos[:, [0, 0, 1]] - pos[:, [1, 2, 2]]).min(axis=1)
-    cx.degeneracies += [("I", tuple(key), g) for key, g in zip(tri.tolist(), gap.tolist())
-                        if g < cx.tol]
+    return np.abs(pos[:, [0, 0, 1]] - pos[:, [1, 2, 2]]).min(axis=1)
 
 
 def _voronoi_intervals(cx, idx, center, axis):
@@ -430,37 +497,27 @@ def _voronoi_intervals(cx, idx, center, axis):
     return ends, ~infeasible & (ends[:, 0] <= ends[:, 1]), binding
 
 
-def _points_exposed(cx, idx, pts):
-    """Which corner points lie outside all non-owner balls (batched)."""
+def _corner_gaps(cx, idx, pts):
+    """The signed gap |p - x_m| - r_m of each corner point p in ``pts`` (a
+    corner of the triple in ``idx``) to every sphere m, inf at the triple."""
     balls = cx.balls
     diff = pts[:, None, :] - balls.centers[None, :, :]
     gap = np.sqrt(np.einsum("tmj,tmj->tm", diff, diff)) - balls.radii[None, :]
     gap[np.arange(len(idx))[:, None], idx] = _INF
-    nearest = gap.min(axis=1)
-    finite = np.isfinite(nearest)
-    if finite.any():
-        cx.condition2_margin = min(cx.condition2_margin,
-                                   float(np.abs(nearest[finite]).min()))
-    flag = np.abs(nearest) < cx.tol
-    cx.degeneracies += [("II", tuple(sorted(key + [m])), abs(g)) for key, m, g in zip(
-        idx[flag].tolist(), gap[flag].argmin(axis=1).tolist(), nearest[flag].tolist())]
-    return nearest > 0.0
+    return gap
 
 
-def _note_five_ball_ties(cx, z):
-    """Record a fifth ball whose power at the Voronoi vertex z of an alpha
-    tetrahedron is within the band of the members' own: the five balls are
-    power-equidistant there, so the configuration sits on a flip
-    submanifold and the set of tetrahedra is a tie-break."""
-    quads, rows = cx.tet_keys, np.arange(len(cx.tet_keys))
+def _tie_gaps(cx, z, quads):
+    """The five-ball tie |pow_m(z) - pow_i(z)| / scale of every ball m at the
+    Voronoi vertex z of each tetrahedron in ``quads``, inf at its members.
+    Where it vanishes the five balls are power-equidistant at z, so the
+    configuration sits on a flip submanifold and the set of tetrahedra is a
+    tie-break."""
     pows = _powers(z, cx.balls)
-    own = pows[rows, quads[:, 0]]
-    pows[rows[:, None], quads] = _INF
-    fifth = pows.argmin(axis=1)
-    gap = np.abs(pows[rows, fifth] - own)
-    near = gap < cx.tol * cx.balls.scale
-    cx.degeneracies += [("I", tuple(q) + (m,), g) for q, m, g in zip(
-        quads[near].tolist(), fifth[near].tolist(), gap[near].tolist())]
+    rows = np.arange(len(quads))
+    gap = np.abs(pows - pows[rows, quads[:, 0], None]) / cx.balls.scale
+    gap[rows[:, None], quads] = _INF
+    return gap
 
 
 def _close_faces(cx):
@@ -492,14 +549,13 @@ def _build_arcs(cx):
     corner key).  Walking ccw around u_ij from a corner p enters B_m exactly
     when (x_m - p) . (u_ij x (p - q_ij)) > 0; such a corner ends an arc and
     every other corner starts one.  Starts and ends alternate unless a
-    corner lies within tol of a fourth sphere, which _points_exposed has
-    recorded; such a circle is flagged and left without arcs.  One point
+    corner lies within tol of a fourth sphere, which its corner gap
+    records; such a circle gets an arc gap of 0 and no arcs.  One point
     decides a circle with no exposed corner.
     """
     balls = cx.balls
     keys = cx.edge_keys
-    edges = [tuple(key) for key in keys.tolist()]
-    _record_circle_tangencies(cx, edges)
+    cx._circle_gap = _circle_gaps(cx, np.arange(len(keys))).min(axis=1, initial=_INF)
     pairs = cx.edge_pairs
     e1, e2 = plane_basis(pairs.u_ij)
     # Each exposed corner of triangle t lies on its three sides' circles;
@@ -519,12 +575,12 @@ def _build_arcs(cx):
     tag = 1 - 2 * s
     order = np.lexsort((tag, t, angle, edge))
     edge, t, tag, occ, p, angle, ends = (v[order] for v in (edge, t, tag, occ, p, angle, ends))
-    count = np.bincount(edge, minlength=len(edges))
+    count = np.bincount(edge, minlength=len(keys))
     stop = np.cumsum(count)[edge]
     nxt = np.arange(1, len(edge) + 1)
     nxt = np.where(nxt == stop, stop - count[edge], nxt)      # the next corner ccw
-    broken = np.bincount(edge[ends == ends[nxt]], minlength=len(edges)) > 0
-    cx.degeneracies += [("II", edges[e], cx.tol) for e in np.flatnonzero(broken).tolist()]
+    broken = np.bincount(edge[ends == ends[nxt]], minlength=len(keys)) > 0
+    cx._arc_gap = np.where(broken, 0.0, _INF)
     # On an intact circle each start is followed by an end.
     a = np.flatnonzero(~broken[edge] & ~ends)
     # The circles without corners: exposed when their point on e1 is.
@@ -543,8 +599,9 @@ def _build_arcs(cx):
                        occluder=occ[at], point=p[at], angle=angle[at])
 
 
-def _record_circle_tangencies(cx, edges):
-    """Record each sphere m within tol of touching a circle S_ij.
+def _circle_gaps(cx, rows):
+    """The gap of every sphere m to touching the alpha circle S_ij of each
+    edge in ``rows``, inf at i and j.
 
     The points of S_ij nearest to and farthest from x_m lie at distances
     dmin and dmax; sphere m touches the circle when either equals r_m.  The
@@ -553,16 +610,14 @@ def _record_circle_tangencies(cx, edges):
     """
     balls = cx.balls
     pairs = cx.edge_pairs
-    u, rho = pairs.u_ij, pairs.r[:, None]
-    g = balls.centers[None, :, :] - pairs.center[:, None, :]
+    u, rho = pairs.u_ij[rows], pairs.r[rows, None]
+    g = balls.centers[None, :, :] - pairs.center[rows, None, :]
     g_u = np.einsum("emk,ek->em", g, u)
     b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
     gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),
                      np.abs(np.hypot(g_u, b + rho) - balls.radii))
-    gap[np.arange(len(edges))[:, None], cx.edge_keys] = _INF
-    for e, m in zip(*np.nonzero(gap < cx.tol)):
-        cx.degeneracies.append(("II", tuple(sorted(edges[e] + (int(m),))),
-                                float(gap[e, m])))
+    gap[np.arange(len(rows))[:, None], cx.edge_keys[rows]] = _INF
+    return gap
 
 
 def _mark_boundary_vertices(cx):

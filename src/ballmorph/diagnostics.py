@@ -4,20 +4,19 @@ Condition I concerns the dimensions of Voronoi intersections (flips in the
 weighted Delaunay mosaic), Condition II the dimensions of sphere
 intersections (tangencies).  Violations of II at the surface are where the
 curvature gradient jumps; the probe walks a motion path and reports
-one-sided gradient limits around flagged states.  The residuals, the quad
-orthocentres (off the triple table's radical lines) and the Betti numbers
-read the complex's tables as columns, rows found by key.
+one-sided gradient limits around flagged states.  The report is a view of
+the residual columns the build keeps, one per decision, and the Betti
+numbers read the complex's tables as columns, rows found by key.
 """
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .complexes import _extend_cliques, _powers, build_alpha_complex
+from .complexes import build_alpha_complex
 from .errors import CoincidentCenters, DegenerateState, Unclassifiable
-from .geometry import as_momentum, cross_rows, row_dots, row_norms
+from .geometry import EPS_GEO, as_momentum, triple_points
 from .pipeline import evaluate
 
 @dataclass(frozen=True)
@@ -39,97 +38,20 @@ class DegeneracyReport:
 
 
 def general_position_check(balls, cx=None, tol=1e-6):
-    """Residuals of the state against every general-position violation.
+    """Residuals of the state against every general-position violation that
+    can change the complex, its boundary or the measures.
 
-    A view over the geometry of the alpha complex ``cx`` (built with
-    strict=False when None), plus the candidate quads' orthocentres, read
-    off the radical lines of its triple table: ``tol`` only picks the
-    records reported as violations.  Residuals are lengths (power gaps are
-    divided by the diagram scale); ``min_residual`` over all records serves
-    as the distance-to-degeneracy metric even when no violation is below
-    ``tol``.  Records come in the order pairs, circle triples, the corners
-    of each triple against every fourth sphere, then candidate quads.
+    A view of the residual columns the build of ``cx`` keeps (built with
+    strict=False when None): the violations are ``cx.records(tol)``, which
+    at tol = cx.tol are the records the strict build refuses.  Residuals
+    are lengths; ``min_residual``, the least over every column, serves as
+    the distance-to-degeneracy metric even when no violation is below
+    ``tol``.
     """
     if cx is None:
         cx = build_alpha_complex(balls, strict=False)
-    n, radii, scale = balls.n, balls.radii, balls.scale
-    violations = []
-
-    def note(residuals, record):
-        """Report each record below tol; record(k) is the (condition,
-        simplex) of residuals.flat[k], which is in record order."""
-        for k in np.flatnonzero(residuals < tol):
-            violations.append(Violation(*record(k), float(residuals.flat[k])))
-
-    # Pair k of the upper triangle, row by row, is (i, j) with i the last
-    # ball whose pairs start at or before k.
-    first = np.cumsum(np.arange(n)[::-1]) - np.arange(n)[::-1]
-
-    def pair(k):
-        i = int(np.searchsorted(first, k, side="right")) - 1
-        return "II", (i, int(k - first[i]) + i + 1)
-
-    pair_res = cx._pair_gap
-    note(pair_res, pair)
-
-    # The discriminant h^2 is the smooth residual of the two-point
-    # intersection folding away; state-space distance scales with it.
-    # Collinear centres (no radical center) are a Condition I record at 0.
-    tris, collinear, _, _, h_sq = cx._triple_table
-    tri_res = np.where(collinear, 0.0, np.abs(h_sq) / scale)
-    note(tri_res, lambda k: ("I" if collinear[k] else "II", tuple(tris[k].tolist())))
-
-    live = np.flatnonzero(h_sq > 0.0)
-    diff = cx.corner_points(live)[:, :, None, :] - balls.centers
-    corner_gap = np.abs(np.sqrt(np.einsum("tsmj,tsmj->tsm", diff, diff)) - radii)
-    corner_gap[np.arange(len(live))[:, None], :, tris[live]] = math.inf
-    note(corner_gap, lambda k: ("II", tuple(sorted(tris[live[k // (2 * n)]].tolist()
-                                                   + [int(k % n)]))))
-
-    idx, coplanar, excess, tie, fifth = _quad_residuals(balls, cx)
-    # Flattening tets matter only when the quad is locally Delaunay, so a
-    # small determinant is reported but kept out of the metric.  Only a tie
-    # in the minimal power changes the mosaic.
-    five_res = np.where(excess <= 2.0 * tol * scale, tie / (2.0 * scale), math.inf)
-    note(np.stack([coplanar * scale, five_res], axis=1),
-         lambda k: ("I", tuple(int(v) for v in idx[k // 2])
-                    + ((int(fifth[k // 2]),) if k % 2 else ())))
-
-    min_res = min((float(r.min()) for r in (pair_res, tri_res, corner_gap, five_res)
-                   if r.size), default=math.inf)
-    return DegeneracyReport(violations=violations, min_residual=min_res)
-
-
-def _quad_residuals(balls, cx):
-    """The candidate quads in key order with |det| / row_scale of their
-    radical-plane system, the orthocenter's power over the least power of
-    all balls, and its closest power tie |pow_m - own| with a fifth ball m.
-    The excess and the tie stay inf on flat quads, and the tie stays inf
-    when n == 4."""
-    triples, x, r = cx._triple_table, balls.centers, balls.radii
-    idx = _extend_cliques(cx._circle, triples.ijk)
-    rows = 2.0 * (x[idx[:, 1:]] - x[idx[:, :1]])
-    det = np.linalg.det(rows)
-    row_scale = np.maximum(np.prod(np.linalg.norm(rows, axis=2), axis=1), 1e-300)
-    keep = np.abs(det) >= 1e-12 * row_scale
-    excess, tie = np.full((2, len(idx)), math.inf)
-    tie_ball = np.zeros(len(idx), dtype=int)
-    # Read off the radical line c + s n of the face ijk with the largest sine at x_i.
-    unit = rows[keep] / np.linalg.norm(rows[keep], axis=2, keepdims=True)
-    sine = [row_norms(cross_rows(unit[:, p], unit[:, q])) for p, q in ((0, 1), (0, 2), (1, 2))]
-    order = np.array([[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 3, 1]])[np.argmax(sine, axis=0)]
-    quad = np.take_along_axis(idx[keep], order, 1)
-    row = cx.key_rows(triples.ijk, quad[:, :3])
-    c, n, i, l = triples.center[row], triples.axis[row], quad[:, 0], quad[:, 3]
-    pow_i, pow_l = (row_dots(c - x[b], c - x[b]) - r[b] ** 2 for b in (i, l))
-    z = c + ((pow_l - pow_i) / (2.0 * row_dots(n, x[l] - x[i])))[:, None] * n
-    pows = _powers(z, balls)
-    own = pows[np.arange(len(z)), i]
-    excess[keep] = own - pows.min(axis=1)
-    pows[np.arange(len(z))[:, None], idx[keep]] = math.inf
-    gaps = np.abs(pows - own[:, None])
-    tie_ball[keep], tie[keep] = gaps.argmin(axis=1), gaps.min(axis=1)
-    return idx, np.abs(det) / row_scale, excess, tie, tie_ball
+    return DegeneracyReport(violations=[Violation(*record) for record in cx.records(tol)],
+                            min_residual=cx.min_residual)
 
 
 # -- simplicial homology over GF(2) ---------------------------------------
@@ -177,17 +99,23 @@ def classify_event(balls, cx, violation, delta=None):
 
     if len(simplex) == 2:
         i, j = simplex
+        # A pair record's residual is the pair's gap; a smaller one marks an
+        # alpha circle whose arcs are undecided, with no tangency to cross.
+        if cx._pair_gap[i, j] > violation.residual:
+            raise Unclassifiable(f"the arcs of circle {simplex} are undecided")
         u = centers[j] - centers[i]
         d = np.linalg.norm(u)
         u = u / d
         point = centers[i] + radii[i] * u
         mover, direction = j, u
     elif len(simplex) == 3:
-        triples = cx._triple_table
-        row = cx.key_rows(triples.ijk, sorted(simplex))[0]
-        if row < 0 or triples.collinear[row]:
+        # A sphere touching an alpha circle need not meet both its spheres
+        # in circles, so the triple is solved here, not read off the table.
+        collinear, center, _, _ = triple_points(centers, radii, np.array([sorted(simplex)]),
+                                                EPS_GEO)
+        if collinear[0]:
             raise Unclassifiable(f"no radical center for triple {simplex}")
-        point = triples.center[row]
+        point = center[0]
         mover = simplex[2]
         direction = centers[mover] - point
         nd = np.linalg.norm(direction)

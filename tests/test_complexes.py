@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, build_alpha_complex, compute_measures, complexes, \
-    diagnostics, euler, term_h, weighted_gauss
+from ballmorph import BallSet, build_alpha_complex, compute_measures, complexes, euler, \
+    term_h, weighted_gauss
+from ballmorph.cli import main
 from ballmorph.complexes import plane_basis
 from ballmorph.diagnostics import general_position_check
 from ballmorph.errors import CoincidentCenters, DegenerateState, GeometryError
@@ -306,22 +307,22 @@ def test_complex_is_arrays_with_simplices_in_key_order(name):
 
 
 @pytest.mark.parametrize("name", ["g20", "g60"])
-def test_pipeline_makes_no_quad(name, monkeypatch):
-    # The build reads the tetrahedra off the triangles' Voronoi intervals:
-    # it extends the circle-graph cliques to triples only, and the quad
-    # residuals are general_position_check's alone.
+def test_pipeline_makes_no_quad(name, monkeypatch, capsys):
+    # The build reads the tetrahedra off the triangles' Voronoi intervals,
+    # and the general-position report reads the build's residual columns:
+    # the pipeline, the check and ``degeneracy`` extend the circle-graph
+    # cliques to triples only, and solve no candidate quad.
     sizes = []
     extend = complexes._extend_cliques
     monkeypatch.setattr(complexes, "_extend_cliques",
                         lambda circle, rows: sizes.append(rows.shape[1]) or extend(circle, rows))
-
-    def refuse(*args):
-        raise AssertionError("the pipeline solved the candidate quads")
-
-    monkeypatch.setattr(diagnostics, "_quad_residuals", refuse)
-    ev = evaluate(parse_diagram(str(Path(__file__).parent / "data" / f"{name}.txt")))
+    path = str(Path(__file__).parent / "data" / f"{name}.txt")
+    ev = evaluate(parse_diagram(path))
     assert ev.volumes.gauss and ev.gradient.flat.any()
-    assert sizes == [1, 2]
+    assert general_position_check(ev.balls, ev.cx).generic
+    assert main(["degeneracy", "--input", path]) == 0
+    assert capsys.readouterr().out.endswith("no violations\n")
+    assert sizes == [1, 2, 1, 2]
 
 
 def flat_quad_draw(rng, weights):
@@ -337,7 +338,8 @@ def flat_quad_draw(rng, weights):
 def test_flat_quads_evaluate():
     # Balls 0-3 have coplanar centres, so their radical-plane system is
     # singular and they have no orthocentre: no tetrahedron, and nothing
-    # for the build to refuse.  The check still reports the coplanarity.
+    # for the build to refuse.  Nor does the check report the coplanarity,
+    # which is no decision of the build.
     rng = np.random.default_rng(23)
     for draw in range(40):
         weights = np.ones(5) if draw % 2 else rng.uniform(-2.0, 2.0, size=5)
@@ -352,7 +354,7 @@ def test_flat_quads_evaluate():
             assert ev.gauss == pytest.approx(2.0 * math.pi * euler(ev.cx).chi_surface,
                                              abs=1e-8), draw
         report = general_position_check(balls, ev.cx)
-        assert ("I", (0, 1, 2, 3)) in [(v.condition, v.simplex) for v in report.violations]
+        assert ("I", (0, 1, 2, 3)) not in [(v.condition, v.simplex) for v in report.violations]
 
 
 def test_tetrahedra_are_circle_cliques_at_a_tangency():

@@ -1,13 +1,17 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ballmorph import BallSet, build_alpha_complex
-from ballmorph.diagnostics import _quad_residuals, betti_numbers, classify_event, \
-    general_position_check, gradient_jump_probe
-from conftest import make_config, random_rotation, two_balls
+from ballmorph.cli import main
+from ballmorph.diagnostics import betti_numbers, classify_event, general_position_check, \
+    gradient_jump_probe
+from ballmorph.errors import DegenerateState, Unclassifiable
+from ballmorph.pipeline import evaluate
+from conftest import make_config, random_rotation, serialize_diagram, two_balls
+from test_complexes import flat_quad_draw
+from test_near_tangency import planted_draw
 
 
 def hexagon_ring(radii):
@@ -52,44 +56,92 @@ def test_report_four_spheres_through_point():
     assert quads and quads[0].simplex == (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("offset", [4e-10, 1e-7, 1e-5])
-def test_quad_orthocentre_off_a_nearly_collinear_first_triple(offset):
-    # Balls 0, 1 and 2 are collinear but for ``offset`` (a Condition I
-    # triple at 4e-10), so the radical line of 012 is far away or missing;
-    # each quad's orthocentre still comes off a well-conditioned face.  Its
-    # excess and five-ball tie match the exact rational orthocentre to 1e-6
-    # relative, the quads' own conditioning: a quad through 0, 1 and 2 has a
-    # determinant of about ``offset``, so a float solve of it is off by 3e-7
-    # at 4e-10.  Read off the radical line of 012, they are NaN at 4e-10 and
-    # off by 2e-2 at 1e-7.
-    centers = np.array([[0, 0, 0], [1, 0, 0], [2, offset, 0], [1, 1, 0.8], [1.1, 0.4, -0.7]])
-    balls = BallSet(centers, [1.2, 1.2, 1.2, 1.2, 1.1])
+def test_five_ball_ties_are_lengths():
+    # Every record is a length, so scaling the shape by s scales every
+    # residual by s and names the same simplices; the refusal names the
+    # same least record.  A power of two scales each float operation
+    # exactly; a five-ball tie kept as a power would scale by s^2.
+    base = five_spheres_through_origin()
+
+    def build(s):
+        balls = BallSet(base.centers * s, base.radii * s)
+        with pytest.raises(DegenerateState) as info:
+            build_alpha_complex(balls)
+        return build_alpha_complex(balls, strict=False).degeneracies, info.value
+
+    want, refusal = build(1.0)
+    assert any(cond == "I" and len(simplex) == 5 for cond, simplex, _ in want)
+    for s in (2.0 ** -10, 2.0 ** 10):
+        got, exc = build(s)
+        assert [record[:2] for record in got] == [record[:2] for record in want], s
+        assert [r for _, _, r in got] == pytest.approx([s * r for _, _, r in want],
+                                                       rel=1e-12, abs=0.0), s
+        assert (exc.simplex, exc.residual) == (refusal.simplex, s * refusal.residual), s
+
+
+def agreement_cases():
+    """Flat quads, a collinear triple with distinct radical planes, the
+    planted pair tangencies and unfiltered draws at test density."""
+    rng = np.random.default_rng(23)
+    for draw in range(40):
+        yield flat_quad_draw(rng, np.ones(5) if draw % 2 else rng.uniform(-2.0, 2.0, size=5))
+    yield BallSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.2, 1.2, 1.2])
+    rng = np.random.default_rng(4)
+    for _ in range(600):
+        yield planted_draw(rng)[0]
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        n = int(rng.integers(6, 40))
+        yield BallSet(rng.uniform(0.0, 1.1 * n ** (1.0 / 3.0), size=(n, 3)),
+                      rng.uniform(0.7, 1.3, size=n), rng.uniform(-2.0, 2.0, size=n))
+
+
+def test_report_at_the_build_tolerance_is_the_refusal():
+    # At tol = cx.tol the report lists exactly the loose build's records,
+    # and it is generic exactly when the strict evaluation succeeds;
+    # otherwise the evaluation names the report's least record.
+    outcomes = {"generic": 0, "refused": 0}
+    for case, balls in enumerate(agreement_cases()):
+        cx = build_alpha_complex(balls, strict=False)
+        report = general_position_check(balls, cx, tol=cx.tol)
+        records = [(v.condition, v.simplex, v.residual) for v in report.violations]
+        assert records == cx.degeneracies, case
+        try:
+            evaluate(balls)
+        except DegenerateState as exc:
+            assert not report.generic, case
+            least = min(records, key=lambda record: record[2])
+            assert (exc.simplex, exc.residual) == least[1:], case
+            outcomes["refused"] += 1
+        else:
+            assert report.generic, case
+            outcomes["generic"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("draw, simplex", [(4, (1, 3, 7)), (158, (1, 3, 4)), (190, (0, 2, 3)),
+                                           (321, (0, 4, 6)), (513, (1, 2, 3))])
+def test_circle_tangencies_reach_the_report(draw, simplex, tmp_path, capsys):
+    # In these planted draws a sphere lies within 1e-6 of an alpha circle
+    # while the triple's h^2 residual, a power band, does not: the circle
+    # family lists the tangency, and ``degeneracy`` classifies it.
+    rng = np.random.default_rng(4)
+    for _ in range(draw + 1):
+        balls, _ = planted_draw(rng)
     cx = build_alpha_complex(balls, strict=False)
-    assert cx._triple_table.collinear[0] == (offset < 1e-9)
-    quads, _, excess, tie, _ = _quad_residuals(balls, cx)
-    assert len(quads) == 5
-    for quad, got_excess, got_tie in zip(quads.tolist(), excess, tie):
-        x = [[Fraction(v) for v in row] for row in centers.tolist()]
-        pw = [float(r) ** 2 for r in balls.radii]
-        rows = [[2 * (a - b) for a, b in zip(x[m], x[quad[0]])] for m in quad[1:]]
-        rhs = [sum(v * v for v in x[m]) - pw[m] - sum(v * v for v in x[quad[0]]) + pw[quad[0]]
-               for m in quad[1:]]
-        z = solve_exact(rows, rhs)
-        pows = [sum((a - b) ** 2 for a, b in zip(x[m], z)) - Fraction(pw[m]) for m in range(5)]
-        fifth = next(m for m in range(5) if m not in quad)
-        want_excess, want_tie = pows[quad[0]] - min(pows), abs(pows[fifth] - pows[quad[0]])
-        assert abs(got_excess - want_excess) <= 1e-6 * max(want_excess, 1), (quad, got_excess)
-        assert abs(got_tie - want_tie) <= 1e-6 * max(want_tie, 1), (quad, got_tie)
-
-
-def solve_exact(rows, rhs):
-    """The solution of a 3x3 system of Fractions by Cramer's rule."""
-    def det(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return [det([row[:d] + [b] + row[d + 1:] for row, b in zip(rows, rhs)]) / det(rows)
-            for d in range(3)]
+    triples = cx._triple_table
+    row = cx.key_rows(triples.ijk, simplex)[0]
+    assert row < 0 or triples.gap[row] >= 1e-6
+    gaps = [v.residual for v in general_position_check(balls, cx).violations
+            if v.simplex == simplex]
+    assert len(gaps) == 1 and gaps[0] < 1e-6
+    path = tmp_path / "draw.txt"
+    path.write_text(serialize_diagram(balls))
+    assert main(["degeneracy", "--input", str(path)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if f"simplex {simplex}" in line)
+    assert line.startswith("condition II") and " event " in line
+    assert "unclassifiable" not in line
 
 
 def test_min_residual_rigid_invariance(rng):
@@ -147,6 +199,12 @@ def test_classify_start_drown_void():
     v = next(v for v in report.violations
              if v.condition == "II" and len(v.simplex) == 4)
     assert classify_event(balls, cx, v) == "start_drown_void"
+    # The corners tie, so the arcs of circle S_02 are undecided: a record
+    # of the pair, 0.37 from tangency, with no event to name.
+    v = next(v for v in report.violations if v.simplex == (0, 2))
+    assert v.residual == 0.0
+    with pytest.raises(Unclassifiable, match="undecided"):
+        classify_event(balls, cx, v)
 
 
 def test_probe_smooth_chamber(rng):
