@@ -23,7 +23,14 @@ in any test restricted to B_i.  Candidate edges and triangles are
 therefore the cliques of the circle graph (pairs of spheres that meet in a
 circle), enumerated by extending each sorted clique with the common larger
 neighbours of its members.  Construction cost thus follows the cliques
-rather than all index tuples.
+rather than all index tuples.  Each test then runs over flat (row, m)
+pairs, m a ball that meets every member ball of the row (d_im < r_i + r_m
++ tol, ``cx._meet``), with a reduction per row: the power at q_ij, the
+Voronoi bounds and binding ball, the corner and circle gaps, and the
+bare-circle and sphere test points.  A ball m that misses member a has
+pow_m > 0 >= pow_a at all of these points, so it never binds, covers or
+decides, and its gap from a corner or circle on sphere a is at least the
+pair gap (a, m).  Only the five-ball tie runs over every ball.
 
 The candidate pairs and triples each get one batched pass per build
 (geometry.pair_table, geometry.triple_points), kept as tables in key
@@ -50,16 +57,20 @@ centres), each live corner's gap to its nearest other sphere, each alpha
 tetrahedron's five-ball tie, each alpha circle's gap to its nearest
 tangent sphere, and a flag on the circles whose corners do not alternate.
 Every residual is a length.  ``cx.records(tol)`` reads the records below
-``tol`` off these columns; the strict refusal and
+``tol`` off these columns.  The corner and circle columns hold gaps to
+the meeting balls only, so ``cx._near_miss`` keeps each ball's least gap
+to a ball it misses (at least tol), and the records re-check a row against
+every sphere when its gap or a member's near miss is below ``tol``; at
+cx.tol no row is added.  The strict refusal and
 ``diagnostics.general_position_check`` are that one view at cx.tol and at
 the caller's tol.
 """
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +100,7 @@ def plane_basis(u):
     return (e1, e2) if u.ndim == 2 else (e1[0], e2[0])
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(NamedTuple):
     """One row per alpha triangle, in key order: ``ijk``, its ``triple`` row
     in the candidate triple table, ``nu``, the fraction of its corner
     segment inside V_ijk, and ``exposed``, whether p_plus and p_minus lie
@@ -104,8 +114,7 @@ class TriangleTable:
     exposed: np.ndarray      # (t, 2)
 
 
-@dataclass(frozen=True)
-class CornerTable:
+class CornerTable(NamedTuple):
     """One row per alpha triangle with an exposed corner, in key order:
     ``ijk``, sigma_ijk, the pair-table rows of the sides
     ij, jk and ki, and ``u`` with per side ab the u_ab along which d_ab
@@ -122,8 +131,7 @@ class CornerTable:
     angles: np.ndarray
 
 
-@dataclass(frozen=True)
-class ArcTable:
+class ArcTable(NamedTuple):
     """One row per exposed arc, the alpha edges in key order and each circle
     S_ij's arcs ccw around u_ij from its first start: the ``edge`` row in
     cx.edge_keys, the ``extent``, and per endpoint (start, then end) the
@@ -147,8 +155,7 @@ class ArcTable:
         return self.corner[:, 0] < 0
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(NamedTuple):
     chi_alpha: int
     chi_surface: int
 
@@ -175,6 +182,8 @@ class AlphaComplex:
         self.tet_keys = None      # the alpha tetrahedra in key order, (tets, 4)
         # The residual columns; the triple table holds the triples' own.
         self._pair_gap = None     # (n, n) tangency gaps, inf off the upper triangle
+        self._meet = None         # (n, n) the balls that meet, False on the diagonal
+        self._near_miss = None    # (n,) each ball's least gap to a ball it does not meet
         self._corner_gap = None   # (triples, 2) live corners' |nearest gap|, else inf
         self._tet_vertex = None   # (tets, 3) the Voronoi vertex of each tetrahedron
         self._tie_gap = None      # (tets,) the least five-ball tie there
@@ -266,22 +275,35 @@ class AlphaComplex:
         pairs, triples, corners, five-ball ties, circle tangencies and
         circles whose arcs are undecided.  A corner, tetrahedron or circle
         below ``tol`` gives a record for every sphere within ``tol`` of it,
-        from the gap function the build used on that family."""
+        from the gap function the build used on that family.  The build's
+        corner and circle gaps are over the balls that meet a member ball,
+        so a row is re-checked against every sphere when its gap is below
+        ``tol`` or a member's near miss is."""
         if self.min_residual >= tol:     # the usual case, kept off the row scans
             return []
-        tri = self._triple_table
-        out = _within("II", np.arange(self.balls.n)[:, None], self._pair_gap, tol)
+        tri, n = self._triple_table, self.balls.n
+        other = ~np.eye(n, dtype=bool)        # every sphere but the row's members
+        near = self._near_miss < tol
+        r, m = np.nonzero(self._pair_gap < tol)
+        out = _within("II", np.arange(n)[:, None], r, m, self._pair_gap[r, m], tol)
         t = np.flatnonzero(tri.gap < tol)
         out += [("I" if c else "II", tuple(key), g) for key, c, g in zip(
             tri.ijk[t].tolist(), tri.collinear[t].tolist(), tri.gap[t].tolist())]
-        t, s = np.nonzero(self._corner_gap < tol)
-        points = self.corner_points(t)[np.arange(len(t)), s]
-        out += _within("II", tri.ijk[t], np.abs(_corner_gaps(self, tri.ijk[t], points)), tol)
+        live = tri.h_sq > self.tol * self.balls.scale
+        t, s = np.nonzero((self._corner_gap < tol) | (live & near[tri.ijk].any(axis=1))[:, None])
+        r, m = _incident(other, tri.ijk[t])
+        gaps = _corner_gaps(self, self.corner_points(t)[r, s[r]], m)
+        # A corner more than tol inside a ball has no record: its residual,
+        # the nearest signed gap, is not below tol.
+        keep = ~(np.bincount(r[gaps <= -tol], minlength=len(t)) > 0)[r]
+        out += _within("II", tri.ijk[t], r[keep], m[keep], np.abs(gaps[keep]), tol)
         t = np.flatnonzero(self._tie_gap < tol)
-        out += _within("I", self.tet_keys[t], _tie_gaps(self, self._tet_vertex[t],
-                                                          self.tet_keys[t]), tol)
-        e = np.flatnonzero(self._circle_gap < tol)
-        out += _within("II", self.edge_keys[e], _circle_gaps(self, e), tol)
+        gaps = _tie_gaps(self, self._tet_vertex[t], self.tet_keys[t])
+        r, m = np.nonzero(gaps < tol)
+        out += _within("I", self.tet_keys[t], r, m, gaps[r, m], tol)
+        e = np.flatnonzero((self._circle_gap < tol) | near[self.edge_keys].any(axis=1))
+        r, m = _incident(other, self.edge_keys[e])
+        out += _within("II", self.edge_keys[e], r, m, _circle_gaps(self, e[r], m), tol)
         e = np.flatnonzero(self._arc_gap < tol)
         return out + [("II", tuple(key), 0.0) for key in self.edge_keys[e].tolist()]
 
@@ -345,11 +367,30 @@ def euler(cx):
 
 # -- construction helpers ------------------------------------------------
 
-def _powers(pts, balls):
-    """Power distance of every point in ``pts`` (shape (..., 3)) to every
-    ball, with shape (..., n)."""
-    d = pts[..., None, :] - balls.centers
-    return np.einsum("...j,...j->...", d, d) - balls.radii ** 2
+def _powers(pts, balls, m):
+    """Power distance of the points ``pts`` (shape (..., 3)) to the balls
+    ``m``, an index array or slice broadcast against their leading axes."""
+    d = pts - balls.centers[m]
+    return np.einsum("...j,...j->...", d, d) - balls.radii[m] ** 2
+
+
+def _incident(mask, rows):
+    """The flat pairs (r, m), r ascending and m ascending within a row, of
+    each row of ``rows`` (a (k, d) index array) and every m with mask[a, m]
+    for all its members a.  With ``cx._meet`` these are the balls that meet
+    every member ball; the members drop out through its False diagonal."""
+    hit = mask[rows[:, 0]]
+    for column in rows.T[1:]:
+        hit &= mask[column]
+    return np.nonzero(hit)
+
+
+def _row_min(r, values, rows):
+    """The least of ``values`` over the flat pairs of each of ``rows`` rows,
+    given their row indices ``r``; inf for a row without pairs."""
+    least = np.full(rows, _INF)
+    np.minimum.at(least, r, values)
+    return least
 
 
 def _extend_cliques(circle, rows):
@@ -362,21 +403,23 @@ def _extend_cliques(circle, rows):
     ``circle``.  np.nonzero walks that row-major, which is the order of
     itertools.combinations.
     """
-    r, m = np.nonzero(np.triu(circle, 1)[rows].all(axis=1))
+    r, m = _incident(np.triu(circle, 1), rows)
     return np.column_stack([rows[r], m])
 
 
-def _within(condition, keys, gaps, tol):
-    """A record for each row and sphere m with gaps[row, m] below tol, its
-    simplex the row's key with m added, sorted; row by row, m ascending."""
-    r, m = np.nonzero(gaps < tol)
-    simplices = np.sort(np.column_stack([keys[r], m]), axis=1)
-    return [(condition, tuple(s), g) for s, g in zip(simplices.tolist(), gaps[r, m].tolist())]
+def _within(condition, keys, r, m, gaps, tol):
+    """A record for each pair (row r, sphere m) whose gap is below tol, its
+    simplex the row's key with m added, sorted; in pair order."""
+    hit = gaps < tol
+    simplices = np.sort(np.column_stack([keys[r[hit]], m[hit]]), axis=1)
+    return [(condition, tuple(s), g) for s, g in zip(simplices.tolist(), gaps[hit].tolist())]
 
 
 def _check_pairs(cx):
-    """The tangency gaps ``cx._pair_gap`` and the circle-pair mask; returns
-    the squared centre distances."""
+    """The tangency gaps ``cx._pair_gap``, the circle-pair mask, the
+    incidence ``cx._meet`` (d_im < r_i + r_m + tol, off the diagonal) and
+    each ball's least gap ``cx._near_miss`` to a ball it does not meet;
+    returns the squared centre distances."""
     balls = cx.balls
     n = balls.n
     diff = balls.centers[:, None, :] - balls.centers[None, :, :]
@@ -392,6 +435,9 @@ def _check_pairs(cx):
         a, b = np.argwhere(close)[0].tolist()
         raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
     cx._circle = (r_dif < dist) & (dist < r_sum)
+    cx._meet = dist < r_sum + cx.tol
+    cx._near_miss = np.where(cx._meet, _INF, gap).min(axis=1)
+    np.fill_diagonal(cx._meet, False)
     return dist_sq
 
 
@@ -410,12 +456,10 @@ def _build_edges(cx, pairs):
     balls = cx.balls
     table = pair_table(balls.centers, balls.radii, pairs)
     cx._pair_keys, cx._pair_table = pairs, table
-    pows = _powers(table.center, balls)
-    rows = np.arange(len(pairs))
-    own = pows[rows, pairs[:, 0]]
-    pows[rows, pairs[:, 0]] = _INF
-    pows[rows, pairs[:, 1]] = _INF
-    accept = table.has_circle & (own <= pows.min(axis=1) + cx.tol ** 2)
+    r, m = _incident(cx._meet, pairs)
+    least = _row_min(r, _powers(table.center[r], balls, m), len(pairs))
+    accept = table.has_circle & (_powers(table.center, balls, pairs[:, 0])
+                                 <= least + cx.tol ** 2)
     cx.edge_keys = pairs[accept]
 
 
@@ -435,14 +479,15 @@ def _build_triangles(cx, idx):
     cx._triple_table = TripleTable(idx, collinear, *columns, gap)
     rows = np.flatnonzero(columns[2] > cx.tol * balls.scale)     # the live triples
     center, axis, half = columns[0][rows], columns[1][rows], np.sqrt(columns[2][rows])
-    ends, feasible, binding = _voronoi_intervals(cx, idx[rows], center, axis)
+    r, m = _incident(cx._meet, idx[rows])      # the balls that meet all three
+    ends, feasible, binding = _voronoi_intervals(cx, idx[rows], center, axis, r, m)
     a_clip = np.maximum(ends[:, 0], -half)
     b_clip = np.minimum(ends[:, 1], half)
     nu = np.where(feasible & (b_clip > a_clip), (b_clip - a_clip) / (2.0 * half), 0.0)
     # A corner is exposed when it lies outside every other ball.
-    points = cx.corner_points(rows)
-    nearest = np.column_stack([_corner_gaps(cx, idx[rows], points[:, s]).min(axis=1)
-                               for s in (0, 1)])
+    gaps = _corner_gaps(cx, cx.corner_points(rows)[r], m[:, None])
+    k = len(rows)
+    nearest = _row_min(np.concatenate([r, r + k]), gaps.T.ravel(), 2 * k).reshape(2, k).T
     exposed = nearest > 0.0
     cx._corner_gap = np.full((len(idx), 2), _INF)
     cx._corner_gap[rows] = np.abs(nearest)
@@ -475,36 +520,39 @@ def _collinear_gaps(cx, tri):
     return np.abs(pos[:, [0, 0, 1]] - pos[:, [1, 2, 2]]).min(axis=1)
 
 
-def _voronoi_intervals(cx, idx, center, axis):
+def _voronoi_intervals(cx, idx, center, axis, r, m):
     """The (t, 2) parameter ends [lo, hi] of V_ijk on the radical lines,
-    whether each interval is non-empty, and the ball that binds at each end."""
+    whether each interval is non-empty, and the ball that binds at each end,
+    over the flat pairs (r, m) of the triples ``idx`` and the balls that meet
+    their balls."""
     balls = cx.balls
-    rows = np.arange(idx.shape[0])
-    # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per (triple, ball m).
-    pows = _powers(center, balls)
-    inter = np.subtract(pows[rows, idx[:, 0], None], pows, out=pows)
-    along = axis @ (balls.centers - balls.centers[0]).T    # <axis, x_m - x_0>: differences only
-    slope = 2.0 * (along - along[rows, idx[:, 0], None])
-    mask = np.ones(inter.shape, dtype=bool)
-    mask[rows[:, None], idx] = False
+    i = idx[:, 0]
+    # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per pair (triple, ball m).
+    inter = _powers(center, balls, i)[r] - _powers(center[r], balls, m)
+    rel = balls.centers - balls.centers[0]    # <axis, x_m - x_0>: differences only
+    slope = 2.0 * (row_dots(axis[r], rel[m]) - row_dots(axis, rel[i])[r])
     tiny = np.abs(slope) < 1e-300
-    infeasible = (mask & tiny & (inter > 0)).any(axis=1)
+    infeasible = np.bincount(r[tiny & (inter > 0)], minlength=len(idx)) > 0
     bound = np.where(tiny, 0.0, -inter / np.where(tiny, 1.0, slope))
-    lo_all = np.where(mask & ~tiny & (slope < 0), bound, -_INF)
-    hi_all = np.where(mask & ~tiny & (slope > 0), bound, _INF)
-    binding = np.column_stack([lo_all.argmax(axis=1), hi_all.argmin(axis=1)])
-    ends = np.column_stack([lo_all[rows, binding[:, 0]], hi_all[rows, binding[:, 1]]])
-    return ends, ~infeasible & (ends[:, 0] <= ends[:, 1]), binding
+    # Per row and end, the greatest lower and least upper bound (rows -lo,
+    # then hi) and the first m that gives it, as argmax and argmin take it.
+    t = len(idx)
+    end = np.concatenate([r, r + t])
+    bounds = np.concatenate([np.where(~tiny & (slope < 0), -bound, _INF),
+                             np.where(~tiny & (slope > 0), bound, _INF)])
+    least, binding = _row_min(end, bounds, 2 * t), np.full(2 * t, -1)
+    first = np.flatnonzero(bounds == least[end])
+    first = first[np.diff(end[first], prepend=-1) > 0]
+    least[end[first]], binding[end[first]] = bounds[first], m[first % len(m)]
+    ends = np.column_stack([-least[:t], least[t:]])
+    return ends, ~infeasible & (ends[:, 0] <= ends[:, 1]), binding.reshape(2, t).T
 
 
-def _corner_gaps(cx, idx, pts):
-    """The signed gap |p - x_m| - r_m of each corner point p in ``pts`` (a
-    corner of the triple in ``idx``) to every sphere m, inf at the triple."""
-    balls = cx.balls
-    diff = pts[:, None, :] - balls.centers[None, :, :]
-    gap = np.sqrt(np.einsum("tmj,tmj->tm", diff, diff)) - balls.radii[None, :]
-    gap[np.arange(len(idx))[:, None], idx] = _INF
-    return gap
+def _corner_gaps(cx, pts, m):
+    """The signed gap |p - x_m| - r_m of the points ``pts`` to the spheres
+    ``m``, broadcast as in _powers."""
+    d = pts - cx.balls.centers[m]
+    return np.sqrt(np.einsum("...j,...j->...", d, d)) - cx.balls.radii[m]
 
 
 def _tie_gaps(cx, z, quads):
@@ -512,8 +560,9 @@ def _tie_gaps(cx, z, quads):
     Voronoi vertex z of each tetrahedron in ``quads``, inf at its members.
     Where it vanishes the five balls are power-equidistant at z, so the
     configuration sits on a flip submanifold and the set of tetrahedra is a
-    tie-break."""
-    pows = _powers(z, cx.balls)
+    tie-break.  A ball that misses a member can still tie, so this test
+    runs over every ball."""
+    pows = _powers(z[:, None], cx.balls, slice(None))
     rows = np.arange(len(quads))
     gap = np.abs(pows - pows[rows, quads[:, 0], None]) / cx.balls.scale
     gap[rows[:, None], quads] = _INF
@@ -555,7 +604,8 @@ def _build_arcs(cx):
     """
     balls = cx.balls
     keys = cx.edge_keys
-    cx._circle_gap = _circle_gaps(cx, np.arange(len(keys))).min(axis=1, initial=_INF)
+    near = _incident(cx._meet, keys)      # the balls that meet both spheres
+    cx._circle_gap = _row_min(near[0], _circle_gaps(cx, *near), len(keys))
     pairs = cx.edge_pairs
     e1, e2 = plane_basis(pairs.u_ij)
     # Each exposed corner of triangle t lies on its three sides' circles;
@@ -584,10 +634,9 @@ def _build_arcs(cx):
     # On an intact circle each start is followed by an end.
     a = np.flatnonzero(~broken[edge] & ~ends)
     # The circles without corners: exposed when their point on e1 is.
-    bare = np.flatnonzero(count == 0)
-    pows = _powers(pairs.center[bare] + pairs.r[bare][:, None] * e1[bare], balls)
-    pows[np.arange(len(bare))[:, None], keys[bare]] = _INF
-    whole = bare[pows.min(axis=1) >= 0.0]
+    c, m = (v[count[near[0]] == 0] for v in near)
+    pows = _powers((pairs.center + pairs.r[:, None] * e1)[c], balls, m)
+    whole = np.flatnonzero((count == 0) & (_row_min(c, pows, len(keys)) >= 0.0))
     # A whole circle takes both its endpoints from a blank entry put last.
     t, tag, occ, angle, p = (np.concatenate((v, [fill])) for v, fill in (
         (t, -1), (tag, 0), (occ, -1), (angle, np.nan), (p, np.full(3, np.nan))))
@@ -599,9 +648,9 @@ def _build_arcs(cx):
                        occluder=occ[at], point=p[at], angle=angle[at])
 
 
-def _circle_gaps(cx, rows):
-    """The gap of every sphere m to touching the alpha circle S_ij of each
-    edge in ``rows``, inf at i and j.
+def _circle_gaps(cx, e, m):
+    """The gap of sphere m to touching the alpha circle S_ij of edge row e,
+    pair by pair.
 
     The points of S_ij nearest to and farthest from x_m lie at distances
     dmin and dmax; sphere m touches the circle when either equals r_m.  The
@@ -610,14 +659,12 @@ def _circle_gaps(cx, rows):
     """
     balls = cx.balls
     pairs = cx.edge_pairs
-    u, rho = pairs.u_ij[rows], pairs.r[rows, None]
-    g = balls.centers[None, :, :] - pairs.center[rows, None, :]
-    g_u = np.einsum("emk,ek->em", g, u)
-    b = np.linalg.norm(g - g_u[:, :, None] * u[:, None, :], axis=2)
-    gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),
-                     np.abs(np.hypot(g_u, b + rho) - balls.radii))
-    gap[np.arange(len(rows))[:, None], cx.edge_keys[rows]] = _INF
-    return gap
+    u, rho, radii = pairs.u_ij[e], pairs.r[e], balls.radii[m]
+    g = balls.centers[m] - pairs.center[e]
+    g_u = np.einsum("pk,pk->p", g, u)
+    b = np.linalg.norm(g - g_u[:, None] * u, axis=1)
+    return np.minimum(np.abs(np.hypot(g_u, b - rho) - radii),
+                      np.abs(np.hypot(g_u, b + rho) - radii))
 
 
 def _mark_boundary_vertices(cx):
@@ -628,9 +675,8 @@ def _mark_boundary_vertices(cx):
     on = np.zeros(balls.n, dtype=bool)
     on[cx.edge_keys[cx.arcs.edge]] = True
     rest = np.flatnonzero(cx.in_alpha & ~on)
-    pows = _powers(balls.centers[rest] + balls.radii[rest, None] * np.array([0.0, 0.0, 1.0]),
-                   balls)
-    pows[np.arange(len(rest)), rest] = _INF
-    on[rest] = pows.min(axis=1) >= 0.0
+    pts = balls.centers[rest] + balls.radii[rest, None] * np.array([0.0, 0.0, 1.0])
+    r, m = _incident(cx._meet, rest[:, None])
+    on[rest] = _row_min(r, _powers(pts[r], balls, m), len(rest)) >= 0.0
     cx.on_boundary = on
 

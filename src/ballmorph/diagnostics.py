@@ -9,8 +9,8 @@ the residual columns the build keeps, one per decision, and the Betti
 numbers read the complex's tables as columns, rows found by key.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,14 @@ from .errors import CoincidentCenters, DegenerateState, Unclassifiable
 from .geometry import EPS_GEO, as_momentum, triple_points
 from .pipeline import evaluate
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str          # "I" or "II"
     simplex: tuple
     residual: float
     event_class: str = None
 
 
-@dataclass
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     violations: list
     min_residual: float
 
@@ -185,8 +183,7 @@ def _closest_corner(cx, quad):
 
 # -- gradient probe along a motion path ------------------------------------
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     tau: float
     gauss: float = None
     grad_norm: float = None
@@ -194,8 +191,7 @@ class ProbeRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SideLimits:
+class SideLimits(NamedTuple):
     tau: float
     grad_minus: np.ndarray
     grad_plus: np.ndarray
@@ -205,11 +201,10 @@ class SideLimits:
         return float(np.abs(self.grad_minus - self.grad_plus).max())
 
 
-@dataclass
-class ProbeResult:
+class ProbeResult(NamedTuple):
     rows: list
-    flagged: list = field(default_factory=list)
-    limits: list = field(default_factory=list)
+    flagged: list
+    limits: list
 
 
 def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):

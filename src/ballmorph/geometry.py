@@ -9,7 +9,7 @@ centre; it gives the two points where three spheres meet.  All functions
 are pure and operate on immutable inputs.
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def as_momentum(t, n):
     return t.reshape(n, 3)
 
 
-@dataclass(frozen=True)
-class PairTable:
+class PairTable(NamedTuple):
     """Intersection data of sphere pairs, one array row per pair.
 
     ``u_ij`` points from x_j to x_i.  ``xi_i`` and ``xi_j`` are the signed
@@ -114,7 +113,7 @@ class PairTable:
 
     def take(self, rows):
         """The PairTable of the given rows, in their order."""
-        return PairTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return self._make(column[rows] for column in self)
 
 
 def row_dots(a, b):

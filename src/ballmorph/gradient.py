@@ -10,7 +10,7 @@ arc endpoints, read from the arc table (``_sigma_ij_forces``: e and sigma_ij').
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def _pair_forces(n, a, b, force):
     return vec
 
 
-@dataclass(frozen=True)
-class ArcEndpoints:
+class ArcEndpoints(NamedTuple):
     """Motion data of the corners that end exposed arcs, one row per corner.
 
     Corner P of circle S_ij (row ``edge`` of cx.edge_keys) lies on the
@@ -176,8 +175,7 @@ def term_h(balls, cx, measures):
                         coeff[:, :, None] * corners.u)
 
 
-@dataclass(frozen=True)
-class GaussGradient:
+class GaussGradient(NamedTuple):
     """Gradient of the weighted Gaussian curvature, with its four parts."""
 
     d: np.ndarray

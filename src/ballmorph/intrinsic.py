@@ -13,7 +13,7 @@ rows of the candidate triple table.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .geometry import pow_squares, row_dots, row_norms
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class IntrinsicVolumes:
+class IntrinsicVolumes(NamedTuple):
     volume: float
     area: float
     mean: float

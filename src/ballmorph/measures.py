@@ -14,7 +14,7 @@ Monte Carlo cross-check oracles.nu_i_mc.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class FractionalMeasures:
+class FractionalMeasures(NamedTuple):
     """The measures as arrays aligned with the complex's sorted keys."""
 
     sigma_v: np.ndarray     # sigma_i of every ball, 0 off the boundary

@@ -6,7 +6,6 @@ JSON with every float printed at 17 significant digits, so identical
 inputs produce byte-identical documents and parsing them back is lossless.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -134,6 +133,8 @@ def to_json(obj, indent=0):
 
 
 def input_digest(path):
+    import hashlib      # only the JSON provenance needs it; kept off start-up
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -12,7 +12,7 @@ corners (complexes.CornerTable), with the same bits per corner either way,
 and reads the product of sines from one ``_radicand`` evaluation per call.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def _iso_area(x, r):
                                               / (4.0 * x * r * r), 1.0)))
 
 
-@dataclass(frozen=True)
-class CornerGeometry:
+class CornerGeometry(NamedTuple):
     """Normal spherical triangle of a corner and its quadrangle split.
 
     ``a``, ``b``, ``c`` are the squared half-side cosines of sides ij, jk

@@ -12,10 +12,16 @@ Cliques and sample counts must agree exactly.  Arcs must have the same
 corner keys in the same cyclic order, extents within 1e-12, the same
 empty and full circles, and every degeneracy the cover loop records must
 be among the build's records.
+
+The build runs each of its tests over the balls that meet every member
+ball.  ``dense_reference`` runs the same tests over every ball, with the
+(rows, n) kernels and argmin/argmax tie-breaks, on the build's own pair
+and triple tables; decisions, tetrahedra, records at every tolerance and
+the least residuals must be identical.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from ballmorph.errors import DegenerateState
 from ballmorph.geometry import EPS_GEO
 from ballmorph.oracles import _MC_BLOCK, _ball_block, _unit_directions
 from conftest import brute_cover, edge_arcs, pair, union_measure
+from test_near_tangency import planted_draw
 
 
 def brute_cliques(circle):
@@ -239,3 +246,196 @@ def test_union_measure_wrapping():
     assert union_measure(segs) == pytest.approx(1.5 - overlap, abs=1e-14)
     segs = [(1.0, 2.0, None), (2.0, 2.0, None)]
     assert union_measure(segs) == pytest.approx(3.0)
+
+
+def dense_powers(pts, balls):
+    """The power of each point in ``pts`` (shape (k, 3)) to every ball."""
+    d = pts[:, None, :] - balls.centers
+    return np.einsum("...j,...j->...", d, d) - balls.radii ** 2
+
+
+def dense_circle_gaps(cx):
+    """The gap of every sphere to touching each alpha circle, inf at its own."""
+    balls, pairs = cx.balls, cx.edge_pairs
+    g = balls.centers[None, :, :] - pairs.center[:, None, :]
+    g_u = np.einsum("emk,ek->em", g, pairs.u_ij)
+    b = np.linalg.norm(g - g_u[:, :, None] * pairs.u_ij[:, None, :], axis=2)
+    rho = pairs.r[:, None]
+    gap = np.minimum(np.abs(np.hypot(g_u, b - rho) - balls.radii),
+                     np.abs(np.hypot(g_u, b + rho) - balls.radii))
+    gap[np.arange(len(gap))[:, None], cx.edge_keys] = np.inf
+    return gap
+
+
+def dense_reference(cx):
+    """The build's decisions and residual columns with every test over all
+    the balls, read off the build's pair and triple tables."""
+    balls, tol, n = cx.balls, cx.tol, cx.balls.n
+    ref = {}
+    keys, table = cx._pair_keys, cx._pair_table
+    pows = dense_powers(table.center, balls)
+    rows = np.arange(len(keys))
+    own = pows[rows, keys[:, 0]]
+    pows[rows[:, None], keys] = np.inf
+    centre = keys[table.has_circle & (own <= pows.min(axis=1) + tol ** 2)]
+    # The Voronoi intervals of the live triples on their radical lines.
+    tri = cx._triple_table
+    live = np.flatnonzero(tri.h_sq > tol * balls.scale)
+    idx, center, axis = tri.ijk[live], tri.center[live], tri.axis[live]
+    half = np.sqrt(tri.h_sq[live])
+    rows = np.arange(len(live))
+    other = np.ones((len(live), n), dtype=bool)
+    other[rows[:, None], idx] = False
+    pows = dense_powers(center, balls)
+    inter = pows[rows, idx[:, 0], None] - pows
+    along = axis @ (balls.centers - balls.centers[0]).T
+    slope = 2.0 * (along - along[rows, idx[:, 0], None])
+    tiny = np.abs(slope) < 1e-300
+    bound = np.where(tiny, 0.0, -inter / np.where(tiny, 1.0, slope))
+    lo = np.where(other & ~tiny & (slope < 0), bound, -np.inf)
+    hi = np.where(other & ~tiny & (slope > 0), bound, np.inf)
+    binding = np.column_stack([lo.argmax(axis=1), hi.argmin(axis=1)])
+    ends = np.column_stack([lo[rows, binding[:, 0]], hi[rows, binding[:, 1]]])
+    feasible = ~(other & tiny & (inter > 0)).any(axis=1) & (ends[:, 0] <= ends[:, 1])
+    a, b = np.maximum(ends[:, 0], -half), np.minimum(ends[:, 1], half)
+    nu = np.where(feasible & (b > a), (b - a) / (2.0 * half), 0.0)
+    accept = nu > 0.0
+    ref["triangles"] = (idx[accept], nu[accept])
+    # The signed gap of each corner to every other sphere.
+    diff = cx.corner_points(live)[:, :, None, :] - balls.centers
+    gaps = np.where(other[:, None, :], np.sqrt(np.einsum("tsmj,tsmj->tsm", diff, diff))
+                    - balls.radii, np.inf)
+    ref["exposed"] = gaps.min(axis=2)[accept] > 0.0
+    ref["corner"] = np.full((len(tri.ijk), 2, n), np.inf)
+    ref["corner"][live] = gaps
+    # The tetrahedra at the ends of V_ijk inside the corner segments.
+    t, end = np.nonzero(accept[:, None] & (np.abs(ends) < half[:, None]))
+    t, end = (v[cx._circle[idx[t], binding[t, end, None]].all(axis=1)] for v in (t, end))
+    quads = np.sort(np.column_stack([idx[t], binding[t, end]]), axis=1)
+    codes, first = np.unique(quads @ n ** np.arange(3, -1, -1), return_index=True)
+    ref["tets"] = np.column_stack(np.unravel_index(codes, (n,) * 4))
+    t, end = t[first], end[first]
+    ref["tet_vertex"] = center[t] + ends[t, end, None] * axis[t]
+    # The edges: the centre test, closed under the faces of the triangles.
+    sides = cx.triangle_table.ijk[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    ref["edges"] = np.unique(np.concatenate([centre, sides]), axis=0)
+    ref["circle"] = dense_circle_gaps(cx)
+    # The circles without exposed corners are whole when their point on e1
+    # is exposed; a sphere without arcs, when its point x_i + r_i z is.
+    tris = cx.triangle_table
+    cornered = cx.edge_rows(tris.ijk[tris.exposed.any(axis=1)][:, [0, 1, 0, 2, 1, 2]])
+    bare = np.setdiff1d(np.arange(len(cx.edge_keys)), cornered)
+    pairs = cx.edge_pairs
+    e1, _ = plane_basis(pairs.u_ij)
+    pows = dense_powers(pairs.center[bare] + pairs.r[bare][:, None] * e1[bare], balls)
+    pows[np.arange(len(bare))[:, None], cx.edge_keys[bare]] = np.inf
+    ref["whole"] = bare[pows.min(axis=1) >= 0.0]
+    on = np.zeros(n, dtype=bool)
+    on[cx.edge_keys[cx.arcs.edge]] = True
+    rest = np.flatnonzero(cx.in_alpha & ~on)
+    pows = dense_powers(balls.centers[rest] + balls.radii[rest, None] * np.array([0.0, 0.0, 1.0]),
+                        balls)
+    pows[np.arange(len(rest)), rest] = np.inf
+    on[rest] = pows.min(axis=1) >= 0.0
+    ref["on_boundary"] = on
+    z = ref["tet_vertex"]
+    pows = dense_powers(z, balls)
+    ties = np.abs(pows - pows[np.arange(len(z)), ref["tets"][:, 0], None]) / balls.scale
+    ties[np.arange(len(z))[:, None], ref["tets"]] = np.inf
+    ref["ties"] = ties
+    return ref
+
+
+def dense_records(cx, ref, tol):
+    """The records below ``tol`` from the all-ball gaps, in the build's order."""
+    def within(condition, keys, gaps):
+        r, m = np.nonzero(gaps < tol)
+        keys = keys.tolist()
+        return [(condition, tuple(sorted([*keys[a], b])), g)
+                for a, b, g in zip(r.tolist(), m.tolist(), gaps[r, m].tolist())]
+
+    tri = cx._triple_table
+    out = within("II", np.arange(cx.balls.n)[:, None], cx._pair_gap)
+    out += [("I" if c else "II", tuple(key), g) for key, c, g in zip(
+        tri.ijk.tolist(), tri.collinear.tolist(), tri.gap.tolist()) if g < tol]
+    corner = ref["corner"]
+    t, s = np.nonzero(np.abs(corner.min(axis=2)) < tol)
+    out += within("II", tri.ijk[t], np.abs(corner[t, s]))
+    t = np.flatnonzero(ref["ties"].min(axis=1, initial=np.inf) < tol)
+    out += within("I", ref["tets"][t], ref["ties"][t])
+    e = np.flatnonzero(ref["circle"].min(axis=1, initial=np.inf) < tol)
+    out += within("II", cx.edge_keys[e], ref["circle"][e])
+    return out + [("II", tuple(key), 0.0) for key in cx.edge_keys[cx._arc_gap < tol].tolist()]
+
+
+def near_miss_draw():
+    """Three unit balls with a live corner p, and a fourth ball that misses
+    B_0 by 1e-3 near the ray from x_0 through p, about 1.1e-3 from p.  Its
+    nearest point on B_0 is 0.01 from p, clear of the circles through p,
+    so no gap to a corner or circle ties with the pair gap.  Returns the
+    balls and p's gap to sphere 3."""
+    centers = np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [0.6, 1.0, 0.1]])
+    p = build_alpha_complex(BallSet(centers, np.ones(3)), strict=False).corner_points([0])[0, 0]
+    v = p + 0.01 * np.array([0.0, 0.0, 1.0])
+    x = (1.0 + 0.3 + 1e-3) * v / np.linalg.norm(v)
+    return BallSet(np.vstack([centers, x]), [1.0, 1.0, 1.0, 0.3]), np.linalg.norm(p - x) - 0.3
+
+
+def locality_cases():
+    """Seeded draws at test density and sparse with wide radii, the planted
+    near-tangency draws, the 3x3x3 unit lattice at spacings 1.0 and 1.2,
+    and the near-miss draw."""
+    rng = np.random.default_rng(20261020)
+    for k in range(24):
+        n = int(rng.integers(4, 41))
+        wide = k % 2 == 0
+        yield BallSet(rng.uniform(0.0, (1.6 if wide else 1.1) * n ** (1.0 / 3.0), size=(n, 3)),
+                      rng.uniform(*((0.2, 2.5) if wide else (0.7, 1.3)), size=n),
+                      rng.uniform(-2.0, 2.0, size=n))
+    planted = np.random.default_rng(4)
+    for _ in range(600):
+        yield planted_draw(planted)[0]
+    lattice = np.array(list(product(range(3), repeat=3)), dtype=float)
+    for spacing in (1.0, 1.2):
+        yield BallSet(lattice * spacing, np.ones(len(lattice)))
+    yield near_miss_draw()[0]
+
+
+def test_local_kernels_match_dense_kernels():
+    # Each test over the balls that meet every member ball, with the
+    # near-miss re-check in the records, decides as the all-ball kernels do.
+    for case, balls in enumerate(locality_cases()):
+        cx = build_alpha_complex(balls, strict=False)
+        ref = dense_reference(cx)
+        tris = cx.triangle_table
+        tested = tris.nu > 0.0       # the rest are faces added by closure
+        assert np.array_equal(tris.ijk[tested], ref["triangles"][0]), case
+        assert tris.nu[tested].tobytes() == ref["triangles"][1].tobytes(), case
+        assert np.array_equal(tris.exposed[tested], ref["exposed"]), case
+        assert np.array_equal(cx.tet_keys, ref["tets"]), case
+        assert cx._tet_vertex.tobytes() == ref["tet_vertex"].tobytes(), case
+        assert np.array_equal(cx.edge_keys, ref["edges"]), case
+        assert np.array_equal(cx.arcs.edge[cx.arcs.full], ref["whole"]), case
+        assert np.array_equal(cx.on_boundary, ref["on_boundary"]), case
+        for tol in (cx.tol, 1e-6, 1e-2):
+            assert cx.records(tol) == dense_records(cx, ref, tol), (case, tol)
+        corner = np.abs(ref["corner"].min(axis=2, initial=np.inf))
+        pair, tri = cx._pair_gap.min(), cx._triple_table
+        assert cx.min_residual == min(
+            pair, tri.gap.min(initial=np.inf), corner.min(initial=np.inf), cx._arc_gap.min(initial=np.inf),
+            ref["ties"].min(initial=np.inf), ref["circle"].min(initial=np.inf)), case
+        assert cx.condition2_margin == min(pair, tri.gap[~tri.collinear].min(initial=np.inf),
+                                           corner.min(initial=np.inf)), case
+
+
+def test_near_miss_corner_is_rechecked():
+    # Ball 3 misses B_0, so it is none of the balls the build tests corner
+    # p of 012 against; its record comes from the re-check of the corners
+    # of ball 0, whose near miss is 1e-3.
+    balls, gap = near_miss_draw()
+    cx = build_alpha_complex(balls, strict=False)
+    assert cx._near_miss[0] == pytest.approx(1e-3, rel=1e-9)
+    assert np.isinf(cx._corner_gap[0]).all() and 1e-3 < gap < 1.2e-3
+    listed = [g for _, simplex, g in cx.records(1e-2) if simplex == (0, 1, 2, 3)]
+    assert any(g == pytest.approx(gap, rel=1e-9) for g in listed), listed
+    assert [r for r in cx.records(1e-6) if r[1] == (0, 1, 2, 3)] == []
