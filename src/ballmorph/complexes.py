@@ -64,6 +64,16 @@ every sphere when its gap or a member's near miss is below ``tol``; at
 cx.tol no row is added.  The strict refusal and
 ``diagnostics.general_position_check`` are that one view at cx.tol and at
 the caller's tol.
+
+A stack of states (geometry.BallSet.with_states) builds in one pass.  Each
+ball's row of the pair arrays (``cx._pair_gap``, ``cx._circle``,
+``cx._meet`` and the vertex powers) spans only the ``size`` balls of its
+own state, computed a state at a time from slices of the centres, so they
+are (n, size) arrays, and (n, n) for a plain set.  The cliques stay
+within a state, so the flat (row, m) kernels run unchanged; ``_incident``
+maps a row's columns to the balls of its state, and the Voronoi slopes,
+the five-ball tie and the records read the row's state only.  The strict
+refusal names the first state with a record, in that state's own indices.
 """
 
 import math
@@ -181,8 +191,9 @@ class AlphaComplex:
         self.triangle_table = None   # the TriangleTable, set by the build
         self.tet_keys = None      # the alpha tetrahedra in key order, (tets, 4)
         # The residual columns; the triple table holds the triples' own.
-        self._pair_gap = None     # (n, n) tangency gaps, inf off the upper triangle
-        self._meet = None         # (n, n) the balls that meet, False on the diagonal
+        # The pair arrays are (n, size): each ball's row spans its own state.
+        self._pair_gap = None     # tangency gaps, inf at the ball itself and below
+        self._meet = None         # the balls that meet, False at the ball itself
         self._near_miss = None    # (n,) each ball's least gap to a ball it does not meet
         self._corner_gap = None   # (triples, 2) live corners' |nearest gap|, else inf
         self._tet_vertex = None   # (tets, 3) the Voronoi vertex of each tetrahedron
@@ -241,11 +252,14 @@ class AlphaComplex:
         ijk = tris.ijk[on]
         sides = tuple(self.pair_columns(ijk[:, side]) for side in ([0, 1], [1, 2], [0, 2]))
         cos = tuple(side.cos_phi for side in sides)
+        # The angles at i, j and k are vertex_angle of the three rotations.
+        turns = [np.concatenate(cos[m:] + cos[:m]) for m in range(3)]
         try:
             geo = corner_geometry(*cos)
-            angles = np.column_stack([vertex_angle(*cos[m:], *cos[:m]) for m in range(3)])
+            angles = vertex_angle(*turns).reshape(3, -1).T
         except NonRealizableTriangle as exc:
-            raise DegenerateState(str(exc), simplex=tuple(ijk[exc.index].tolist())) from exc
+            raise DegenerateState(str(exc), simplex=tuple(
+                (ijk[exc.index % len(ijk)] % self.balls.size).tolist())) from exc
         return CornerTable(
             ijk=ijk, sigma=0.5 * tris.exposed[on].sum(axis=1), sides=sides,
             u=np.stack([sides[0].u_ij, sides[1].u_ij, -sides[2].u_ij], axis=1),
@@ -281,11 +295,13 @@ class AlphaComplex:
         ``tol`` or a member's near miss is."""
         if self.min_residual >= tol:     # the usual case, kept off the row scans
             return []
-        tri, n = self._triple_table, self.balls.n
-        other = ~np.eye(n, dtype=bool)        # every sphere but the row's members
+        tri, size = self._triple_table, self.balls.size
+        other = np.ones_like(self._meet)      # every sphere of the state but the row's members
+        other[_diagonal(self)] = False
         near = self._near_miss < tol
         r, m = np.nonzero(self._pair_gap < tol)
-        out = _within("II", np.arange(n)[:, None], r, m, self._pair_gap[r, m], tol)
+        out = _within("II", np.arange(self.balls.n)[:, None], r, m + r // size * size,
+                      self._pair_gap[r, m], tol)
         t = np.flatnonzero(tri.gap < tol)
         out += [("I" if c else "II", tuple(key), g) for key, c, g in zip(
             tri.ijk[t].tolist(), tri.collinear[t].tolist(), tri.gap[t].tolist())]
@@ -300,7 +316,8 @@ class AlphaComplex:
         t = np.flatnonzero(self._tie_gap < tol)
         gaps = _tie_gaps(self, self._tet_vertex[t], self.tet_keys[t])
         r, m = np.nonzero(gaps < tol)
-        out += _within("I", self.tet_keys[t], r, m, gaps[r, m], tol)
+        out += _within("I", self.tet_keys[t], r, m + self.tet_keys[t[r], 0] // size * size,
+                       gaps[r, m], tol)
         e = np.flatnonzero((self._circle_gap < tol) | near[self.edge_keys].any(axis=1))
         r, m = _incident(other, self.edge_keys[e])
         out += _within("II", self.edge_keys[e], r, m, _circle_gaps(self, e[r], m), tol)
@@ -328,9 +345,16 @@ class AlphaComplex:
         return self.records(self.tol)
 
     def require_generic(self, conditions=("I", "II")):
+        """Raise DegenerateState at the least record of ``conditions``; in a
+        stack, the least of the first state with one, in its own indices."""
+        size = self.balls.size
         records = [record for record in self.degeneracies if record[0] in conditions]
         if records:
-            cond, simplex, residual = min(records, key=lambda r: r[2])
+            state = min(record[1][0] // size for record in records)
+            cond, simplex, residual = min(
+                (record for record in records if record[1][0] // size == state),
+                key=lambda r: r[2])
+            simplex = tuple(v - state * size for v in simplex)
             raise DegenerateState(
                 f"state violates Condition {cond} at simplex {simplex} "
                 f"(residual {residual:.3e})", simplex=simplex, residual=residual)
@@ -374,15 +398,29 @@ def _powers(pts, balls, m):
     return np.einsum("...j,...j->...", d, d) - balls.radii[m] ** 2
 
 
+def _diagonal(cx):
+    """The index arrays of each ball's own column in the (n, size) arrays."""
+    rows = np.arange(cx.balls.n)
+    return rows, rows % cx.balls.size
+
+
 def _incident(mask, rows):
     """The flat pairs (r, m), r ascending and m ascending within a row, of
     each row of ``rows`` (a (k, d) index array) and every m with mask[a, m]
     for all its members a.  With ``cx._meet`` these are the balls that meet
-    every member ball; the members drop out through its False diagonal."""
+    every member ball; the members drop out through its False diagonal.
+    The columns of ``mask`` are the balls of the row's state, so m is its
+    column plus the index of the state's first ball; the rows are in key
+    order, so state by state."""
     hit = mask[rows[:, 0]]
     for column in rows.T[1:]:
         hit &= mask[column]
-    return np.nonzero(hit)
+    r, m = np.nonzero(hit)
+    size = mask.shape[1]
+    bounds = np.searchsorted(r, np.searchsorted(rows[:, 0], np.arange(0, len(mask) + 1, size)))
+    for first, a, b in zip(range(size, len(mask), size), bounds[1:], bounds[2:]):
+        m[a:b] += first
+    return r, m
 
 
 def _row_min(r, values, rows):
@@ -399,11 +437,13 @@ def _extend_cliques(circle, rows):
     order) by one ball, in lexicographic order.
 
     A sorted row is extended by every larger index adjacent to all its
-    members: the AND of the members' rows of the strict upper triangle of
-    ``circle``.  np.nonzero walks that row-major, which is the order of
+    members: the AND of the members' rows of ``circle`` (an (n, size)
+    array, columns the balls of the row's state) above each row's own
+    column.  np.nonzero walks that row-major, which is the order of
     itertools.combinations.
     """
-    r, m = _incident(np.triu(circle, 1), rows)
+    size = circle.shape[1]
+    r, m = _incident(circle & (np.arange(len(circle))[:, None] % size < np.arange(size)), rows)
     return np.column_stack([rows[r], m])
 
 
@@ -419,25 +459,32 @@ def _check_pairs(cx):
     """The tangency gaps ``cx._pair_gap``, the circle-pair mask, the
     incidence ``cx._meet`` (d_im < r_i + r_m + tol, off the diagonal) and
     each ball's least gap ``cx._near_miss`` to a ball it does not meet;
-    returns the squared centre distances."""
-    balls = cx.balls
-    n = balls.n
-    diff = balls.centers[:, None, :] - balls.centers[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-    dist = np.sqrt(dist_sq)
-    r_sum = balls.radii[:, None] + balls.radii[None, :]
-    r_dif = np.abs(balls.radii[:, None] - balls.radii[None, :])
-    gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
-    upper = np.arange(n)[:, None] < np.arange(n)
-    cx._pair_gap = np.where(upper, gap, _INF)
-    close = upper & (dist <= EPS_GEO * np.maximum(balls.radii[:, None], balls.radii))
-    if close.any():
-        a, b = np.argwhere(close)[0].tolist()
-        raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
-    cx._circle = (r_dif < dist) & (dist < r_sum)
-    cx._meet = dist < r_sum + cx.tol
-    cx._near_miss = np.where(cx._meet, _INF, gap).min(axis=1)
-    np.fill_diagonal(cx._meet, False)
+    returns the squared centre distances.  Each is an (n, size) array: a
+    ball's row spans the balls of its own state, in that state's order,
+    computed a state at a time so that a stack's blocks stay in cache."""
+    balls, size = cx.balls, cx.balls.size
+    shape = (balls.n, size)
+    dist_sq, cx._pair_gap, cx._near_miss = np.empty(shape), np.empty(shape), np.empty(balls.n)
+    cx._circle, cx._meet = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    upper = np.arange(size)[:, None] < np.arange(size)
+    for first in range(0, balls.n, size):
+        rows = slice(first, first + size)
+        centers, radii = balls.centers[rows], balls.radii[rows]
+        diff = centers[:, None, :] - centers[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=dist_sq[rows])
+        dist = np.sqrt(dist_sq[rows])
+        r_sum = radii[:, None] + radii[None, :]
+        r_dif = np.abs(radii[:, None] - radii[None, :])
+        gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
+        cx._pair_gap[rows] = np.where(upper, gap, _INF)
+        close = upper & (dist <= EPS_GEO * np.maximum(radii[:, None], radii))
+        if close.any():
+            a, b = np.argwhere(close)[0].tolist()
+            raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
+        cx._circle[rows] = (r_dif < dist) & (dist < r_sum)
+        meet = np.less(dist, r_sum + cx.tol, out=cx._meet[rows])
+        cx._near_miss[rows] = np.where(meet, _INF, gap).min(axis=1)
+        np.fill_diagonal(meet, False)
     return dist_sq
 
 
@@ -445,9 +492,11 @@ def _build_vertices(cx, dist_sq):
     """Vertex i is in the complex when x_i lies in V_i; closure adds the rest.
 
     Row i of ``dist_sq`` minus the squared radii is the power of x_i to
-    every ball."""
-    pows = dist_sq - cx.balls.radii ** 2
-    cx.in_alpha = np.diagonal(pows) <= pows.min(axis=1) + cx.tol ** 2
+    every ball of its state."""
+    size = cx.balls.size
+    radii_sq = (cx.balls.radii ** 2).reshape(-1, 1, size)
+    pows = (dist_sq.reshape(-1, size, size) - radii_sq).reshape(cx.balls.n, size)
+    cx.in_alpha = pows[_diagonal(cx)] <= pows.min(axis=1) + cx.tol ** 2
 
 
 def _build_edges(cx, pairs):
@@ -475,7 +524,8 @@ def _build_triangles(cx, idx):
     # The discriminant h^2 is the smooth residual of the corner pair
     # degenerating; divided by the scale it is a length, like every residual.
     gap = np.abs(columns[2]) / balls.scale
-    gap[collinear] = _collinear_gaps(cx, idx[collinear])
+    if collinear.any():
+        gap[collinear] = _collinear_gaps(cx, idx[collinear])
     cx._triple_table = TripleTable(idx, collinear, *columns, gap)
     rows = np.flatnonzero(columns[2] > cx.tol * balls.scale)     # the live triples
     center, axis, half = columns[0][rows], columns[1][rows], np.sqrt(columns[2][rows])
@@ -499,7 +549,8 @@ def _build_triangles(cx, idx):
     # segment of an alpha triangle ijk, so inside all four balls; such an l
     # meets i, j and k in circles but for rounding at a tangency.
     t, end = np.nonzero(accept[:, None] & (np.abs(ends) < half[:, None]))
-    t, end = (v[cx._circle[idx[rows[t]], binding[t, end, None]].all(axis=1)] for v in (t, end))
+    own = binding[t, end, None] % balls.size
+    t, end = (v[cx._circle[idx[rows[t]], own].all(axis=1)] for v in (t, end))
     quads = np.sort(np.column_stack([idx[rows[t]], binding[t, end]]), axis=1)
     codes, first = np.unique(quads @ balls.n ** np.arange(3, -1, -1), return_index=True)
     cx.tet_keys = np.column_stack(np.unravel_index(codes, (balls.n,) * 4))
@@ -529,7 +580,9 @@ def _voronoi_intervals(cx, idx, center, axis, r, m):
     i = idx[:, 0]
     # pi_i(p(s)) - pi_m(p(s)) = inter + s * slope  per pair (triple, ball m).
     inter = _powers(center, balls, i)[r] - _powers(center[r], balls, m)
-    rel = balls.centers - balls.centers[0]    # <axis, x_m - x_0>: differences only
+    # <axis, x_m - x_0> with x_0 the first ball of the state: differences only.
+    rel = balls.centers.reshape(-1, balls.size, 3)
+    rel = (rel - rel[:, :1]).reshape(-1, 3)
     slope = 2.0 * (row_dots(axis[r], rel[m]) - row_dots(axis, rel[i])[r])
     tiny = np.abs(slope) < 1e-300
     infeasible = np.bincount(r[tiny & (inter > 0)], minlength=len(idx)) > 0
@@ -561,11 +614,16 @@ def _tie_gaps(cx, z, quads):
     Where it vanishes the five balls are power-equidistant at z, so the
     configuration sits on a flip submanifold and the set of tetrahedra is a
     tie-break.  A ball that misses a member can still tie, so this test
-    runs over every ball."""
-    pows = _powers(z[:, None], cx.balls, slice(None))
+    runs over every ball of the state; column m is the state's ball m."""
+    balls, size = cx.balls, cx.balls.size
+    cuts = np.searchsorted(quads[:, 0], np.arange(0, balls.n + 1, size))
+    pows = [_powers(z[a:b, None], balls, slice(first, first + size))
+            for first, a, b in zip(range(0, balls.n, size), cuts, cuts[1:])]
+    pows = pows[0] if len(pows) == 1 else np.concatenate(pows)
+    own = quads % size
     rows = np.arange(len(quads))
-    gap = np.abs(pows - pows[rows, quads[:, 0], None]) / cx.balls.scale
-    gap[rows[:, None], quads] = _INF
+    gap = np.abs(pows - pows[rows, own[:, 0], None]) / balls.scale
+    gap[rows[:, None], own] = _INF
     return gap
 
 

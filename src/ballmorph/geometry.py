@@ -21,7 +21,14 @@ EPS_GEO = 1e-9
 
 
 class BallSet:
-    """A fixed collection of balls; the moving state is the stacked centers."""
+    """A fixed collection of balls; the moving state is the stacked centers.
+
+    ``with_states`` makes a stack: the balls of several states of one set,
+    state after state, ``size`` balls each (``size`` is n for a plain set).
+    A build of a stack decides each state over its own balls only, and its
+    V, A, M and K are one value per state, each the bits of that state's
+    own evaluation.
+    """
 
     def __init__(self, centers, radii, weights=None):
         self.centers = np.array(centers, dtype=float)
@@ -41,6 +48,8 @@ class BallSet:
         if not (np.all(np.isfinite(self.centers)) and np.all(np.isfinite(self.radii))
                 and np.all(np.isfinite(self.weights))):
             raise ValueError("centers, radii and weights must be finite")
+        self.size = n            # balls per state
+        self.stacked = False     # whether the set is a stack of states
 
     @property
     def n(self):
@@ -60,14 +69,31 @@ class BallSet:
         return self.centers.ravel().copy()
 
     def with_state(self, x):
-        """New BallSet with centers replaced by the state vector x."""
+        """New BallSet with centers replaced by the state vector x; a stack
+        stays a stack."""
         x = np.asarray(x, dtype=float)
         if x.size != 3 * self.n:
             raise DimensionMismatch(f"state must have length {3 * self.n}")
-        return BallSet(x.reshape(self.n, 3), self.radii, self.weights)
+        return self._stacked_like(BallSet(x.reshape(self.n, 3), self.radii, self.weights))
 
     def with_weights(self, weights):
-        return BallSet(self.centers, self.radii, weights)
+        return self._stacked_like(BallSet(self.centers, self.radii, weights))
+
+    def with_states(self, xs):
+        """The stack of the states ``xs``, each a state vector of one state
+        of this set (length 3 * size), in order."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != 3 * self.size:
+            raise DimensionMismatch(f"states must have shape (k, {3 * self.size})")
+        k = xs.shape[0]
+        stack = BallSet(xs.reshape(k * self.size, 3), np.tile(self.radii[:self.size], k),
+                        np.tile(self.weights[:self.size], k))
+        stack.size, stack.stacked = self.size, True
+        return stack
+
+    def _stacked_like(self, balls):
+        balls.size, balls.stacked = self.size, self.stacked
+        return balls
 
 
 def cross_rows(a, b):

@@ -9,7 +9,8 @@ clipped disks of its alpha edges, whose areas reduce in turn to exposed
 arcs and clipped corner segments (Edelsbrunner and Koehl, PNAS 2003).
 Every sum reads columns: the pair rows of the alpha edges, the corner
 table, and the triangle table with the centres and half-lengths of its
-rows of the candidate triple table.
+rows of the candidate triple table.  On a stack of states every sum is
+taken per state, so each volume is one value per state.
 """
 
 import math
@@ -32,14 +33,22 @@ class IntrinsicVolumes(NamedTuple):
     gauss_corner: float
 
 
-def _sum(terms, start=0.0):
-    """start plus an array of terms, added left to right in key order."""
-    return sum(terms.tolist(), start)
+def _sum(balls, terms, first=None, start=0.0):
+    """start plus an array of terms, added left to right in key order: a
+    float, or for a stack one value per state, each term in the state of
+    its simplex's ``first`` ball (the term's own ball when None) and
+    ``start`` one value or one per state."""
+    if not balls.stacked:
+        return sum(terms.tolist(), start)
+    first = np.arange(balls.n) if first is None else first
+    parts = np.split(terms, np.searchsorted(first, np.arange(balls.size, balls.n, balls.size)))
+    starts = np.broadcast_to(start, len(parts)).tolist()
+    return np.array([sum(part.tolist(), s) for part, s in zip(parts, starts)])
 
 
 def weighted_area(balls, cx, measures):
     """4*pi sum of w_i sigma_i r_i^2 over boundary vertices."""
-    return FOUR_PI * _sum(balls.weights * measures.sigma_v * pow_squares(balls.radii))
+    return FOUR_PI * _sum(balls, balls.weights * measures.sigma_v * pow_squares(balls.radii))
 
 
 def weighted_mean(balls, cx, measures):
@@ -47,8 +56,8 @@ def weighted_mean(balls, cx, measures):
     w = balls.weights
     i, j = cx.edge_keys.T
     pairs = cx.edge_pairs
-    patch = FOUR_PI * _sum(w * measures.sigma_v * balls.radii)
-    arc = _sum(0.5 * (w[i] + w[j]) * measures.sigma_e * pairs.phi * pairs.r)
+    patch = FOUR_PI * _sum(balls, w * measures.sigma_v * balls.radii)
+    arc = _sum(balls, 0.5 * (w[i] + w[j]) * measures.sigma_e * pairs.phi * pairs.r, i)
     return patch - math.pi * arc
 
 
@@ -56,13 +65,13 @@ def weighted_gauss(balls, cx, measures):
     """Weighted Gaussian curvature with its patch/arc/corner breakdown."""
     w = balls.weights
     i, j = cx.edge_keys.T
-    patch = FOUR_PI * _sum(w * measures.sigma_v)
-    arc = 0.0 - _sum(math.pi * (w[i] + w[j]) * measures.sigma_e * cx.edge_pairs.lam)
+    patch = FOUR_PI * _sum(balls, w * measures.sigma_v)
+    arc = 0.0 - _sum(balls, math.pi * (w[i] + w[j]) * measures.sigma_e * cx.edge_pairs.lam, i)
     corners = cx.corner_table
     geo, wc = corners.geo, w[corners.ijk]
     a_i, a_j, a_k = geo.alphas
-    corner = _sum(2.0 * corners.sigma * (a_i * wc[:, 0] + a_j * wc[:, 1] + a_k * wc[:, 2])
-                  * geo.area)
+    corner = _sum(balls, 2.0 * corners.sigma * (a_i * wc[:, 0] + a_j * wc[:, 1]
+                                                + a_k * wc[:, 2]) * geo.area, corners.ijk[:, 0])
     return patch + arc + corner, (patch, arc, corner)
 
 
@@ -97,8 +106,8 @@ def weighted_volume(balls, cx, measures):
     w = balls.weights
     i, j = keys.T
     r_cubed = np.array([r ** 3 for r in balls.radii.tolist()])   # pow, as pow_squares
-    total = _sum((w[i] * pairs.xi_i + w[j] * pairs.xi_j) * disk,
-                 FOUR_PI * _sum(w * measures.sigma_v * r_cubed))
+    total = _sum(balls, (w[i] * pairs.xi_i + w[j] * pairs.xi_j) * disk, i,
+                 FOUR_PI * _sum(balls, w * measures.sigma_v * r_cubed))
     return total / 3.0
 
 

@@ -123,9 +123,11 @@ def _circuits(cx, sphere, row, side, arc_term):
     corners = None if repeated and sphere[repeat] == sphere[0] else cx.corner_table
     if repeated:
         tri = cx.edge_keys[arcs.edge[row[repeat]]].tolist() + [arcs.occluder[row, side][repeat]]
-        raise DegenerateState("more than two arcs meet at a corner", simplex=sorted(map(int, tri)))
+        raise DegenerateState("more than two arcs meet at a corner",
+                              simplex=sorted(int(v) % cx.balls.size for v in tri))
     if open_.any():
-        raise DegenerateState("boundary circuit on sphere does not close", simplex=(int(first),))
+        raise DegenerateState("boundary circuit on sphere does not close",
+                              simplex=(int(first) % cx.balls.size,))
     out = arcs.corner[row, 1 - side]
     turn = corners.angles[out, np.argmax(corners.ijk[out] == sphere[:, None], axis=1)]
     # Pointer doubling: the least corner key on each link's circuit, and

@@ -4,6 +4,11 @@ Central finite differences for every analytic derivative and Monte Carlo
 estimators for the boundary measures and the volume.  These deliberately
 share no code with the analytic implementations they check: sampling here
 is raw point classification, and the FD driver only moves ball centers.
+``fd_gradient`` evaluates its objective once per ball, on a stack of the
+ball's six displaced states (BallSet.with_states), whose build decides
+each state over its own balls and whose sums are taken per state, so each
+difference has the bits of one evaluation per state and the fixed cost of
+a call is paid n times instead of 6n.
 
 Every Monte Carlo sample is a pure function of (seed, ball, block, index):
 each block draws from a Philox stream jumped by a key of its own, so any
@@ -30,28 +35,54 @@ FOUR_PI = 4.0 * math.pi
 def fd_directional(fn, balls, t, step=1e-5):
     """Central difference of fn along momentum t: (f(x+ht) - f(x-ht)) / 2h
     with h = ``step``."""
-    if not step > 0:
-        raise ValueError("finite-difference step must be positive")
+    _check_step(step)
     t = as_momentum(t, balls.n)
     x = balls.state
-    try:
-        f_plus = fn(balls.with_state(x + step * t.ravel()))
-        f_minus = fn(balls.with_state(x - step * t.ravel()))
-    except DegenerateState as exc:
-        raise OracleDegenerate(
-            f"finite-difference probe crossed a degenerate state: {exc}") from exc
+    f_plus = _probe(fn, balls.with_state(x + step * t.ravel()))
+    f_minus = _probe(fn, balls.with_state(x - step * t.ravel()))
     return (f_plus - f_minus) / (2.0 * step)
 
 
 def fd_gradient(fn, balls, step=1e-5):
-    """Central differences of fn along each of the 3n unit momenta."""
+    """Central differences of fn along each of the 3n unit momenta.
+
+    ``fn`` takes a stack of states (BallSet.with_states) and returns one
+    value per state.  It is called once per ball, on the stack of the
+    ball's six displaced states, +x, -x, +y, -y, +z and -z, so one build
+    serves six differences.  Each value is the bits of fd_directional along
+    the unit momentum, and a stack with a degenerate state raises the
+    OracleDegenerate of its first one, in its own indices.
+    """
+    _check_step(step)
+    x = balls.state
     grad = np.zeros(3 * balls.n)
     e_m = np.zeros_like(grad)
-    for m in range(grad.size):
-        e_m[m] = 1.0
-        grad[m] = fd_directional(fn, balls, e_m, step)
-        e_m[m] = 0.0
+    for b in range(balls.n):
+        xs = []
+        for m in range(3 * b, 3 * b + 3):
+            e_m[m] = 1.0
+            xs += [x + step * e_m, x - step * e_m]
+            e_m[m] = 0.0
+        values = np.asarray(_probe(fn, balls.with_states(xs)), dtype=float)
+        if values.shape != (6,):
+            raise ValueError("the objective must return one value per state of the stack, "
+                             f"6, not an array of shape {values.shape}")
+        grad[3 * b:3 * b + 3] = (values[0::2] - values[1::2]) / (2.0 * step)
     return grad
+
+
+def _check_step(step):
+    if not step > 0:
+        raise ValueError("finite-difference step must be positive")
+
+
+def _probe(fn, balls):
+    """fn at one probe state; a DegenerateState there is OracleDegenerate."""
+    try:
+        return fn(balls)
+    except DegenerateState as exc:
+        raise OracleDegenerate(
+            f"finite-difference probe crossed a degenerate state: {exc}") from exc
 
 
 def mc_boundary_integrals(balls, samples, seed):

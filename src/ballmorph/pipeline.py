@@ -10,9 +10,11 @@ from .measures import compute_measures
 
 
 class Evaluation:
-    """The pipeline at one state.  The constructor builds the strict alpha
-    complex, so a degenerate state raises DegenerateState there; each later
-    stage is computed once, on first use."""
+    """The pipeline at one state, or at each state of a stack
+    (BallSet.with_states), whose volumes and K are one value per state.
+    The constructor builds the strict alpha complex, so a degenerate state
+    raises DegenerateState there; each later stage is computed once, on
+    first use."""
 
     def __init__(self, balls):
         self.balls = balls

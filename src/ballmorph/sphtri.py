@@ -165,9 +165,8 @@ def _corner(a, b, c):
     area = triangle_area(a, b, c)
     r = cap_half_radius(a, b, c)
     sgm_i, sgm_j, sgm_k = signs = corner_signs(a, b, c)
-    iso_a = _iso_area(a, r)   # over side ij, apex at the circumcenter
-    iso_b = _iso_area(b, r)   # over side jk
-    iso_c = _iso_area(c, r)   # over side ki
+    # Over sides ij, jk and ki, apex at the circumcenter, in one evaluation.
+    iso_a, iso_b, iso_c = _iso_area(np.stack([a, b, c]), r)
     quads = (0.5 * (sgm_k * iso_a + sgm_j * iso_c),
              0.5 * (sgm_i * iso_b + sgm_k * iso_a),
              0.5 * (sgm_j * iso_c + sgm_i * iso_b))

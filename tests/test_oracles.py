@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, evaluate, fd_directional, fd_gradient, mc_boundary_integrals
+import gen
+import run as perfbench
+from ballmorph import BallSet, evaluate, fd_directional, fd_gradient, mc_boundary_integrals, \
+    pipeline
+from ballmorph.cli import main
 from ballmorph.geometry import pair_table
+from ballmorph.serial import parse_diagram, parse_diagram_text
 from ballmorph.errors import OracleDegenerate
 from conftest import make_config, two_balls
 
@@ -103,3 +110,76 @@ def test_prefix_stability_of_sample_blocks():
     a = _ball_block(balls, 0, seed=4, block_idx=0, count=100)
     b = _ball_block(balls, 0, seed=4, block_idx=0, count=1000)
     assert np.array_equal(a, b[:100])
+
+
+def fd_loop(fn, balls, step=1e-5):
+    """fd_gradient as one fd_directional per coordinate."""
+    grad = np.zeros(3 * balls.n)
+    e_m = np.zeros_like(grad)
+    for m in range(grad.size):
+        e_m[m] = 1.0
+        grad[m] = fd_directional(fn, balls, e_m, step)
+        e_m[m] = 0.0
+    return grad
+
+
+def gauss(bs):
+    return evaluate(bs).gauss
+
+
+def test_fd_gradient_is_the_directional_loop_bit_for_bit():
+    data = Path(__file__).parent / "data"
+    sets = [parse_diagram(str(data / f"{name}.txt")) for name in ("g08", "g12", "g20")]
+    wl = perfbench.WORKLOADS["fdcheck-small"]
+    for seed in (1, 2, 3):
+        sets.append(parse_diagram_text(gen.make_input(seed, wl.n, wl.weights, wl.bands)[0]))
+    for balls in sets:
+        assert fd_gradient(gauss, balls).tobytes() == fd_loop(gauss, balls).tobytes()
+
+
+def fd_errors(balls):
+    """The OracleDegenerate messages of fd_gradient and of the loop."""
+    messages = []
+    for fd in (fd_gradient, fd_loop):
+        with pytest.raises(OracleDegenerate) as info:
+            fd(gauss, balls)
+        messages.append(str(info.value))
+    return messages
+
+
+def test_fd_gradient_degenerate_message_is_the_loops():
+    # Ball 0's -x state is within the band of the (0, 1) tangency.
+    balls = BallSet([[0, 0, 0], [-2.0 - 1e-5, 0, 0], [0.3, 1.6, 0.2]], [1.0, 1.0, 0.9],
+                    [1.0, -0.5, 2.0])
+    fast, loop = fd_errors(balls)
+    assert fast == loop and "simplex (0, 1)" in fast
+    # Its -x state touches ball 1 and its +y state, closer still, ball 2:
+    # the first state's tangency is the one to name.
+    balls = BallSet([[0, 0, 0], [-2.0 - 1e-5 + 3e-10, 0, 0], [0, 2.0 + 1e-5 + 1e-11, 0]],
+                    [1.0, 1.0, 1.0])
+    fast, loop = fd_errors(balls)
+    assert fast == loop and "simplex (0, 1)" in fast
+
+
+def test_fd_gradient_objective_returns_one_value_per_state():
+    balls = two_balls(d=1.0)
+    for fn in (lambda bs: 1.0, lambda bs: np.zeros(5), lambda bs: np.zeros((6, 1))):
+        with pytest.raises(ValueError):
+            fd_gradient(fn, balls)
+
+
+def test_fdcheck_builds_once_per_ball(monkeypatch, capsys):
+    # One build for the analytic gradient and one per ball for its six
+    # displaced states.
+    calls = []
+    build = pipeline.build_alpha_complex
+
+    def counted(balls, *args, **kwargs):
+        calls.append(balls.n)
+        return build(balls, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_alpha_complex", counted)
+    data = Path(__file__).parent / "data"
+    assert main(["fdcheck", "--input", str(data / "g08.txt")]) == 0
+    capsys.readouterr()
+    assert calls == [8] + [48] * 8
