@@ -410,17 +410,13 @@ def _incident(mask, rows):
     for all its members a.  With ``cx._meet`` these are the balls that meet
     every member ball; the members drop out through its False diagonal.
     The columns of ``mask`` are the balls of the row's state, so m is its
-    column plus the index of the state's first ball; the rows are in key
-    order, so state by state."""
+    column plus the index of the state's first ball."""
     hit = mask[rows[:, 0]]
     for column in rows.T[1:]:
         hit &= mask[column]
     r, m = np.nonzero(hit)
     size = mask.shape[1]
-    bounds = np.searchsorted(r, np.searchsorted(rows[:, 0], np.arange(0, len(mask) + 1, size)))
-    for first, a, b in zip(range(size, len(mask), size), bounds[1:], bounds[2:]):
-        m[a:b] += first
-    return r, m
+    return r, m + rows[r, 0] // size * size
 
 
 def _row_min(r, values, rows):
@@ -596,7 +592,7 @@ def _voronoi_intervals(cx, idx, center, axis, r, m):
     least, binding = _row_min(end, bounds, 2 * t), np.full(2 * t, -1)
     first = np.flatnonzero(bounds == least[end])
     first = first[np.diff(end[first], prepend=-1) > 0]
-    least[end[first]], binding[end[first]] = bounds[first], m[first % len(m)]
+    binding[end[first]] = m[first % len(m)]
     ends = np.column_stack([-least[:t], least[t:]])
     return ends, ~infeasible & (ends[:, 0] <= ends[:, 1]), binding.reshape(2, t).T
 
@@ -617,9 +613,8 @@ def _tie_gaps(cx, z, quads):
     runs over every ball of the state; column m is the state's ball m."""
     balls, size = cx.balls, cx.balls.size
     cuts = np.searchsorted(quads[:, 0], np.arange(0, balls.n + 1, size))
-    pows = [_powers(z[a:b, None], balls, slice(first, first + size))
-            for first, a, b in zip(range(0, balls.n, size), cuts, cuts[1:])]
-    pows = pows[0] if len(pows) == 1 else np.concatenate(pows)
+    pows = np.concatenate([_powers(z[a:b, None], balls, slice(first, first + size))
+                           for first, a, b in zip(range(0, balls.n, size), cuts, cuts[1:])])
     own = quads % size
     rows = np.arange(len(quads))
     gap = np.abs(pows - pows[rows, own[:, 0], None]) / balls.scale
@@ -678,7 +673,7 @@ def _build_arcs(cx):
     p = points[t, s]
     rel = p - pairs.center[edge]
     x, y = row_dots(rel, e1[edge]), row_dots(rel, e2[edge])
-    angle = np.array([math.atan2(v, u) for u, v in zip(x.tolist(), y.tolist())]) % TWO_PI
+    angle = np.arctan2(y, x) % TWO_PI
     ends = row_dots(balls.centers[occ] - p, cross_rows(pairs.u_ij[edge], rel)) > 0.0
     tag = 1 - 2 * s
     order = np.lexsort((tag, t, angle, edge))

@@ -6,7 +6,8 @@ pairs, with the normal projection length lambda_ij and its distance
 derivative.  ``triple_points`` is the one triple kernel and the
 program's one radical-centre solve, relative to each triple's first
 centre; it gives the two points where three spheres meet.  All functions
-are pure and operate on immutable inputs.
+are pure and operate on immutable inputs, and they square and sum with
+numpy's array operations, never Python's float ``**`` or ``sum``.
 """
 
 from typing import NamedTuple
@@ -24,10 +25,10 @@ class BallSet:
     """A fixed collection of balls; the moving state is the stacked centers.
 
     ``with_states`` makes a stack: the balls of several states of one set,
-    state after state, ``size`` balls each (``size`` is n for a plain set).
-    A build of a stack decides each state over its own balls only, and its
-    V, A, M and K are one value per state, each the bits of that state's
-    own evaluation.
+    state after state, ``size`` balls each (``size`` is n for a plain set,
+    a stack of one state).  A build of a stack decides each state over its
+    own balls only, and its V, A, M and K are one value per state, each the
+    bits of that state's own evaluation.
     """
 
     def __init__(self, centers, radii, weights=None):
@@ -49,11 +50,15 @@ class BallSet:
                 and np.all(np.isfinite(self.weights))):
             raise ValueError("centers, radii and weights must be finite")
         self.size = n            # balls per state
-        self.stacked = False     # whether the set is a stack of states
 
     @property
     def n(self):
         return self.centers.shape[0]
+
+    @property
+    def stacked(self):
+        """Whether the set is a stack of more than one state."""
+        return self.n > self.size
 
     def __len__(self):
         return self.n
@@ -88,11 +93,11 @@ class BallSet:
         k = xs.shape[0]
         stack = BallSet(xs.reshape(k * self.size, 3), np.tile(self.radii[:self.size], k),
                         np.tile(self.weights[:self.size], k))
-        stack.size, stack.stacked = self.size, True
+        stack.size = self.size
         return stack
 
     def _stacked_like(self, balls):
-        balls.size, balls.stacked = self.size, self.stacked
+        balls.size = self.size
         return balls
 
 
@@ -176,32 +181,20 @@ def pair_table(centers, radii, idx):
         raise CoincidentCenters(f"balls {idx[k, 0]} and {idx[k, 1]} have coincident "
                                 f"centers (d={d[k]:.3e})")
     u = delta / d[:, None]
-    r2 = pow_squares(radii)
-    ri2, rj2, d2 = r2[idx[:, 0]], r2[idx[:, 1]], pow_squares(d)
+    r2 = np.square(radii)
+    ri2, rj2, d2 = r2[idx[:, 0]], r2[idx[:, 1]], np.square(d)
     xi_i = 0.5 * (d + (ri2 - rj2) / d)
     xi_j = d - xi_i
-    r_sq = ri2 - pow_squares(xi_i)
+    r_sq = ri2 - np.square(xi_i)
     cos_phi = (ri2 + rj2 - d2) / (2.0 * ri * rj)
     return PairTable(
         d=d, u_ij=u, xi_i=xi_i, xi_j=xi_j,
-        has_circle=r_sq > pow_squares(EPS_GEO * scale),
+        has_circle=r_sq > np.square(EPS_GEO * scale),
         center=centers[idx[:, 0]] - xi_i[:, None] * u,
         r_sq=r_sq, r=np.sqrt(np.where(r_sq > 0.0, r_sq, 0.0)), cos_phi=cos_phi,
         phi=np.arccos(np.clip(cos_phi, -1.0, 1.0)),
         lam=xi_i / ri + xi_j / rj,
         dlam_dd=(0.5 / ri + 0.5 / rj) - (0.5 / ri - 0.5 / rj) * (ri2 - rj2) / d2)
-
-
-def pow_squares(a):
-    """a ** 2 elementwise, rounded as Python's float ``**`` rounds it.
-
-    Python squares a float with the C library's pow, which is not always
-    correctly rounded: glibc's differs from numpy's a * a in the last bit
-    on about one uniform double in 1,400.  The pair table and the
-    gradient's cap rows keep pow's rounding, which the CLI goldens were
-    made with.
-    """
-    return np.array([v ** 2 for v in a.tolist()])
 
 
 def triple_points(centers, radii, idx, eps):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateState, NonRealizableTriangle
-from .geometry import as_momentum, cross_rows, pow_squares, row_dots
+from .geometry import as_momentum, cross_rows, row_dots
 from .sphtri import quad_area_gradient
 
 TWO_PI = 2.0 * math.pi
@@ -129,8 +129,8 @@ def term_d(balls, cx, measures, ends=None):
         ends = arc_endpoint_data(balls, cx)
     i, j = cx.edge_keys.T
     pairs = cx.edge_pairs
-    w, r, r2 = balls.weights, balls.radii, pow_squares(balls.radii)
-    d2 = pow_squares(pairs.d)
+    w, r, r2 = balls.weights, balls.radii, np.square(balls.radii)
+    d2 = np.square(pairs.d)
     sig = measures.sigma_e
     cap_i = np.pi * w[i] * sig / r[i] * (1.0 - (r2[i] - r2[j]) / d2)
     cap_j = np.pi * w[j] * sig / r[j] * (1.0 - (r2[j] - r2[i]) / d2)

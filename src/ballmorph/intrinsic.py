@@ -9,8 +9,10 @@ clipped disks of its alpha edges, whose areas reduce in turn to exposed
 arcs and clipped corner segments (Edelsbrunner and Koehl, PNAS 2003).
 Every sum reads columns: the pair rows of the alpha edges, the corner
 table, and the triangle table with the centres and half-lengths of its
-rows of the candidate triple table.  On a stack of states every sum is
-taken per state, so each volume is one value per state.
+rows of the candidate triple table.  Every sum is one np.bincount over
+per-state bins, each state's terms added in key order after its start, so
+it rounds the same on every Python version; a plain set is one state and
+gives a float, a stack one value per state.
 """
 
 import math
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import pow_squares, row_dots, row_norms
+from .geometry import row_dots, row_norms
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,18 +39,18 @@ def _sum(balls, terms, first=None, start=0.0):
     """start plus an array of terms, added left to right in key order: a
     float, or for a stack one value per state, each term in the state of
     its simplex's ``first`` ball (the term's own ball when None) and
-    ``start`` one value or one per state."""
-    if not balls.stacked:
-        return sum(terms.tolist(), start)
+    ``start`` one value or one per state.  One bincount adds each state's
+    bin in sequence, its start first."""
+    states = balls.n // balls.size
     first = np.arange(balls.n) if first is None else first
-    parts = np.split(terms, np.searchsorted(first, np.arange(balls.size, balls.n, balls.size)))
-    starts = np.broadcast_to(start, len(parts)).tolist()
-    return np.array([sum(part.tolist(), s) for part, s in zip(parts, starts)])
+    total = np.bincount(np.concatenate([np.arange(states), first // balls.size]),
+                        np.concatenate([np.broadcast_to(start, states), terms]), minlength=states)
+    return total if balls.stacked else float(total[0])
 
 
 def weighted_area(balls, cx, measures):
     """4*pi sum of w_i sigma_i r_i^2 over boundary vertices."""
-    return FOUR_PI * _sum(balls, balls.weights * measures.sigma_v * pow_squares(balls.radii))
+    return FOUR_PI * _sum(balls, balls.weights * measures.sigma_v * np.square(balls.radii))
 
 
 def weighted_mean(balls, cx, measures):
@@ -105,9 +107,8 @@ def weighted_volume(balls, cx, measures):
     np.add.at(disk, at, 0.5 * h * seg)
     w = balls.weights
     i, j = keys.T
-    r_cubed = np.array([r ** 3 for r in balls.radii.tolist()])   # pow, as pow_squares
     total = _sum(balls, (w[i] * pairs.xi_i + w[j] * pairs.xi_j) * disk, i,
-                 FOUR_PI * _sum(balls, w * measures.sigma_v * r_cubed))
+                 FOUR_PI * _sum(balls, w * measures.sigma_v * balls.radii ** 3))
     return total / 3.0
 
 

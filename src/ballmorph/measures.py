@@ -5,8 +5,9 @@ length fraction of circle S_ij, sigma_ijk the exposed fraction of the two
 corner points, and nu_ijk the fraction of the corner segment inside the
 Voronoi edge.  sigma_ij sums the extents of its circle's rows of the arc
 table, and sigma_i is a flat Gauss-Bonnet sum over the links the arcs make
-between corners, each circuit a cycle of the link permutation and each
-turn an angle of the corner's normal triangle, from the corner table.
+between corners, each turn an angle of the corner's normal triangle, from
+the corner table, and each circuit's 2 pi on the link that enters its
+least corner, so one bincount adds every sphere's terms.
 sigma_ijk and nu_ijk are columns of the triangle table.  With the pair
 and triple tables of the complex, these give the weighted volume exactly
 (intrinsic.weighted_volume); the ball volume fraction nu_i is left to the
@@ -85,28 +86,27 @@ def _sphere_sigmas(balls, cx):
     xi = np.column_stack([cx.edge_pairs.xi_i, cx.edge_pairs.xi_j])
     cos_cap = xi[arcs.edge].ravel() / balls.radii[sphere]
     full = arcs.full[row]
-    whole = np.flatnonzero(full)
-    link = np.flatnonzero(~full)
+    whole, link = np.flatnonzero(full), np.flatnonzero(~full)
     link = link[np.argsort(sphere[link], kind="stable")]
-    owner, area = _circuits(cx, sphere[link], row[link], link % 2,
-                            arcs.extent[row[link]] * cos_cap[link])
-    # bincount adds each sphere's terms in order: its whole circles in key
-    # order, then its circuits from the least corner key up.
-    total = np.bincount(np.concatenate([sphere[whole], owner]),
-                        np.concatenate([TWO_PI * (1.0 + cos_cap[whole]), area]), minlength=n)
+    terms = _circuits(cx, sphere[link], row[link], link % 2,
+                      arcs.extent[row[link]] * cos_cap[link])
+    # bincount adds each sphere's whole circles in key order, then its links.
+    total = np.bincount(np.concatenate([sphere[whole], sphere[link]]),
+                        np.concatenate([TWO_PI * (1.0 + cos_cap[whole]), terms]), minlength=n)
     return np.where(np.bincount(sphere, minlength=n) > 0, total % FOUR_PI / FOUR_PI, 1.0)
 
 
 def _circuits(cx, sphere, row, side, arc_term):
-    """The sphere and area of each boundary circuit of the links that walk
-    the arc rows ``row`` from end ``side`` (sorted by sphere, each sphere's
-    in row order; ``arc_term`` is extent * cos_cap), sphere by sphere, each
-    from its least corner key up.  Raises DegenerateState at the first
-    sphere where two links enter one corner or that does not close.
+    """The term of each link that walks the arc row ``row`` from end
+    ``side`` (sorted by sphere, each sphere's in row order; ``arc_term`` is
+    extent * cos_cap): arc_term minus the turn at the corner it leaves, plus
+    2 pi on the link that enters its circuit's least corner key, so that
+    each circuit's links add up to its area.  Raises DegenerateState at the
+    first sphere where two links enter one corner or that does not close.
     """
     arcs, count = cx.arcs, len(row)
     if not count:
-        return sphere, arc_term
+        return arc_term
     corner = 2 * arcs.corner + (arcs.tag > 0)    # ordered as the corner keys
     span = corner.max() + 1
     enter, leave = (sphere * span + corner[row, end] for end in (side, 1 - side))
@@ -118,29 +118,21 @@ def _circuits(cx, sphere, row, side, arc_term):
     nxt = order[at]             # the link that goes on from where each one leaves
     open_ = ~found | (np.bincount(nxt[found], minlength=count) > 1)[nxt]
     first = sphere[open_].min(initial=cx.balls.n)
-    repeated = repeat < count and sphere[repeat] <= first
-    # A walk sphere by sphere reads the corner table after the first one's repeats.
-    corners = None if repeated and sphere[repeat] == sphere[0] else cx.corner_table
-    if repeated:
+    if repeat < count and sphere[repeat] <= first:
         tri = cx.edge_keys[arcs.edge[row[repeat]]].tolist() + [arcs.occluder[row, side][repeat]]
         raise DegenerateState("more than two arcs meet at a corner",
                               simplex=sorted(int(v) % cx.balls.size for v in tri))
     if open_.any():
         raise DegenerateState("boundary circuit on sphere does not close",
                               simplex=(int(first) % cx.balls.size,))
+    corners = cx.corner_table
     out = arcs.corner[row, 1 - side]
     turn = corners.angles[out, np.argmax(corners.ijk[out] == sphere[:, None], axis=1)]
-    # Pointer doubling: the least corner key on each link's circuit, and
-    # how many links ahead of it the link entering there lies.
-    least, ahead, dist = enter, nxt, np.zeros(count, dtype=int)
-    for k in range(int(np.bincount(sphere).max()).bit_length()):    # circuits stay on a sphere
-        better = least[ahead] < least
-        least = np.where(better, least[ahead], least)
-        dist = np.where(better, dist[ahead] + 2 ** k, dist)
-        ahead = ahead[ahead]
-    walk = np.lexsort((-dist, dist > 0, least))
-    term, head = (arc_term - turn)[walk], dist[walk] == 0
-    return sphere[walk][head], np.bincount(np.cumsum(head) - 1, np.where(head, TWO_PI + term, term))
+    # Pointer doubling: the least corner key on each link's circuit.
+    least, ahead = enter, nxt
+    for _ in range(int(np.bincount(sphere).max()).bit_length()):    # circuits stay on a sphere
+        least, ahead = np.minimum(least, least[ahead]), ahead[ahead]
+    return arc_term - turn + np.where(enter == least, TWO_PI, 0.0)
 
 
 def compute_measures(balls, cx):

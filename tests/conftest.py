@@ -1,9 +1,7 @@
 """Shared helpers: random generic configurations and small oracles."""
 
 import math
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +10,6 @@ from ballmorph import BallSet
 from ballmorph.complexes import TWO_PI, build_alpha_complex, plane_basis
 from ballmorph.errors import DegenerateState
 from ballmorph.serial import fmt
-
-# perfbench/ holds the benchmark's input generator (gen.py) and output
-# checks (run.py); tests import both as they are.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 
 def serialize_diagram(balls):

@@ -34,6 +34,18 @@ centre: V, A and K moved by at most 2.2e-15 relative (M kept every byte),
 the gradient entries by at most 1.5e-14 of max|G|, the degeneracy report's
 min_residual by 6.8e-14 relative, and the fdcheck gap from 1.101e-9 to
 7.70e-10.
+``g20_grad.*``, ``g20_compute.*``, ``g08_fdcheck.out`` and ``t03_probe.out``
+were regenerated when the code that kept the rounding of older scalar
+code went: squares and cubes by numpy instead of Python's ``**``, the arc
+angles by np.arctan2 instead of math.atan2, and each sphere's circuit
+terms of sigma_i added in one bincount, whole circles first and then the
+links in row order, instead of circuit by circuit.  The intrinsic sums,
+one np.bincount per state instead of Python's sum, kept their bits on
+Python 3.11 and no longer depend on the version.  V, A, M and K moved by
+at most 1.8e-15 relative, the gradient entries by at most 2.2e-16 of
+max|G|, and the probe's gauss and grad_norm columns by at most 2.6e-16
+relative; min_residual and the fdcheck gap kept every byte, and the
+fdcheck rel moved in its 12th digit.
 ``data/p20.txt`` is an n=20 diagram
 with three planted external near-tangencies, written with
 ``perfbench/gen.make_input(7, 20, "random", <unbounded bands>, planted=3)``.

@@ -6,8 +6,9 @@ is read somewhere, the measures, the volumes and the
 gradient read the arc, corner and triangle tables as columns with no walk
 over arcs, corners, triangles or boundary edges, only the gradient's two
 scatter kernels add into per-ball rows, the CLI and the diagnostics
-reach the pipeline stages only through evaluate, and no module solves a
-linear system besides the candidate-triple table's radical centres."""
+reach the pipeline stages only through evaluate, no module solves a
+linear system besides the candidate-triple table's radical centres, and
+the numeric modules round only as numpy's array operations do."""
 
 import ast
 import os
@@ -203,3 +204,32 @@ def test_cli_and_diagnostics_reach_stages_through_evaluate():
                 calls.append((name, node.lineno, called))
     assert calls == []
 
+
+# The modules from the pair table to the gradient: their outputs must not
+# depend on how the interpreter adds or raises floats.
+NUMERIC = ("geometry.py", "complexes.py", "measures.py", "intrinsic.py", "gradient.py",
+           "sphtri.py")
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_numeric_modules_round_as_numpy_does():
+    # Python's sum of floats rounds differently from 3.12 on, and ** and
+    # the math functions on single floats can round unlike numpy's
+    # elementwise operations.  So no code in these modules calls the
+    # builtin sum, and no comprehension applies ** or a math function
+    # element by element.
+    root = Path(ballmorph.__file__).parent
+    found = set()
+    for name in NUMERIC:
+        for top in ast.parse((root / name).read_text(encoding="utf-8")).body:
+            where = f"{name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                    found.add(where)
+            for comp in (node for node in ast.walk(top) if isinstance(node, COMPREHENSIONS)):
+                for node in ast.walk(comp):
+                    power = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    func = node.func if isinstance(node, ast.Call) else None
+                    if power or getattr(getattr(func, "value", None), "id", None) == "math":
+                        found.add(where)
+    assert sorted(found) == []

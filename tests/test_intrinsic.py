@@ -1,13 +1,16 @@
+import builtins
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballmorph import BallSet, build_alpha_complex, compute_measures, euler, \
+from ballmorph import BallSet, build_alpha_complex, compute_measures, euler, evaluate, \
     intrinsic_volumes, weighted_area, weighted_gauss, weighted_mean, weighted_volume
 from ballmorph.oracles import mc_weighted_volume
-from ballmorph.serial import parse_diagram_text
+from ballmorph.serial import parse_diagram, parse_diagram_text
 from conftest import make_config, random_rotation, two_balls
+from test_stacks import fd_states
 
 import gen
 import run as perfbench
@@ -237,3 +240,43 @@ def test_intrinsic_volumes_bundle(rng):
     assert vols.gauss == pytest.approx(
         vols.gauss_patch + vols.gauss_arc + vols.gauss_corner, rel=1e-12)
     assert vols.volume == weighted_volume(balls, cx, m)
+
+
+PLAIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """Python's sum with floats added as CPython 3.12 and later add them:
+    Neumaier's compensated sum, the compensation added at the end when it
+    is finite and not zero.  Anything but plain floats goes to the plain
+    sum."""
+    items = list(iterable)
+    if type(start) not in (int, float) or any(type(v) is not float for v in items):
+        return PLAIN_SUM(items, start)
+    total, comp = float(start), 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def outputs(balls):
+    """The bytes of V, A, M, K and G of a fresh evaluation."""
+    ev = evaluate(balls)
+    vols = ev.volumes
+    return [np.asarray(getattr(vols, f)).tobytes() for f in ("volume", "area", "mean", "gauss")] \
+        + [ev.gradient.per_ball.tobytes()]
+
+
+def test_sums_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    # Python's sum of floats rounds after each addition up to 3.11 and
+    # compensates from 3.12 on, so an output that goes through it would
+    # depend on the interpreter.  Every output must keep its bytes when sum
+    # compensates, on g20 and on a stack of its FD states.
+    balls = parse_diagram(str(Path(__file__).parent / "data" / "g20.txt"))
+    cases = [balls, balls.with_states(fd_states(balls, 3))]
+    want = [outputs(b) for b in cases]
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([1e16, 1.0, -1e16]) == 1.0      # 0.0 if each addition rounds
+    assert [outputs(b) for b in cases] == want
