@@ -25,12 +25,12 @@ circle), enumerated by extending each sorted clique with the common larger
 neighbours of its members.  Construction cost thus follows the cliques
 rather than all index tuples.  Each test then runs over flat (row, m)
 pairs, m a ball that meets every member ball of the row (d_im < r_i + r_m
-+ tol, ``cx._meet``), with a reduction per row: the power at q_ij, the
-Voronoi bounds and binding ball, the corner and circle gaps, and the
-bare-circle and sphere test points.  A ball m that misses member a has
-pow_m > 0 >= pow_a at all of these points, so it never binds, covers or
-decides, and its gap from a corner or circle on sphere a is at least the
-pair gap (a, m).  Only the five-ball tie runs over every ball.
++ tol, ``cx._meet``), with a reduction per row: the power at x_i and at
+q_ij, the Voronoi bounds and binding ball, the corner and circle gaps,
+and the bare-circle and sphere test points.  A ball m that misses member
+a has pow_m > 0 >= pow_a at all of these points, so it never binds,
+covers or decides, and its gap from a corner or circle on sphere a is at
+least the pair gap (a, m).  Only the five-ball tie runs over every ball.
 
 The candidate pairs and triples each get one batched pass per build
 (geometry.pair_table, geometry.triple_points), kept as tables in key
@@ -66,14 +66,14 @@ cx.tol no row is added.  The strict refusal and
 the caller's tol.
 
 A stack of states (geometry.BallSet.with_states) builds in one pass.  Each
-ball's row of the pair arrays (``cx._pair_gap``, ``cx._circle``,
-``cx._meet`` and the vertex powers) spans only the ``size`` balls of its
-own state, computed a state at a time from slices of the centres, so they
-are (n, size) arrays, and (n, n) for a plain set.  The cliques stay
-within a state, so the flat (row, m) kernels run unchanged; ``_incident``
-maps a row's columns to the balls of its state, and the Voronoi slopes,
-the five-ball tie and the records read the row's state only.  The strict
-refusal names the first state with a record, in that state's own indices.
+ball's row of the pair arrays (``cx._pair_gap``, ``cx._circle`` and
+``cx._meet``) spans only the ``size`` balls of its own state, computed a
+state at a time from slices of the centres, so they are (n, size) arrays,
+and (n, n) for a plain set.  The cliques stay within a state, so the flat
+(row, m) kernels run unchanged; ``_incident`` maps a row's columns to the
+balls of its state, and the Voronoi slopes, the five-ball tie and the
+records read the row's state only.  The strict refusal names the first
+state with a record, in that state's own indices.
 """
 
 import math
@@ -297,7 +297,7 @@ class AlphaComplex:
             return []
         tri, size = self._triple_table, self.balls.size
         other = np.ones_like(self._meet)      # every sphere of the state but the row's members
-        other[_diagonal(self)] = False
+        other[np.arange(len(other)), np.arange(len(other)) % size] = False
         near = self._near_miss < tol
         r, m = np.nonzero(self._pair_gap < tol)
         out = _within("II", np.arange(self.balls.n)[:, None], r, m + r // size * size,
@@ -368,9 +368,9 @@ def build_alpha_complex(balls, strict=True):
     complex; diagnostics passes strict=False to obtain the report instead.
     """
     cx = AlphaComplex(balls)
-    dist_sq = _check_pairs(cx)
+    _check_pairs(cx)
     pairs = _extend_cliques(cx._circle, np.arange(balls.n)[:, None])
-    _build_vertices(cx, dist_sq)
+    _build_vertices(cx)
     _build_edges(cx, pairs)
     _build_triangles(cx, _extend_cliques(cx._circle, pairs))
     _close_faces(cx)
@@ -396,12 +396,6 @@ def _powers(pts, balls, m):
     ``m``, an index array or slice broadcast against their leading axes."""
     d = pts - balls.centers[m]
     return np.einsum("...j,...j->...", d, d) - balls.radii[m] ** 2
-
-
-def _diagonal(cx):
-    """The index arrays of each ball's own column in the (n, size) arrays."""
-    rows = np.arange(cx.balls.n)
-    return rows, rows % cx.balls.size
 
 
 def _incident(mask, rows):
@@ -454,21 +448,20 @@ def _within(condition, keys, r, m, gaps, tol):
 def _check_pairs(cx):
     """The tangency gaps ``cx._pair_gap``, the circle-pair mask, the
     incidence ``cx._meet`` (d_im < r_i + r_m + tol, off the diagonal) and
-    each ball's least gap ``cx._near_miss`` to a ball it does not meet;
-    returns the squared centre distances.  Each is an (n, size) array: a
-    ball's row spans the balls of its own state, in that state's order,
-    computed a state at a time so that a stack's blocks stay in cache."""
+    each ball's least gap ``cx._near_miss`` to a ball it does not meet.
+    Each is an (n, size) array: a ball's row spans the balls of its own
+    state, in that state's order, computed a state at a time so that a
+    stack's blocks stay in cache."""
     balls, size = cx.balls, cx.balls.size
     shape = (balls.n, size)
-    dist_sq, cx._pair_gap, cx._near_miss = np.empty(shape), np.empty(shape), np.empty(balls.n)
+    cx._pair_gap, cx._near_miss = np.empty(shape), np.empty(balls.n)
     cx._circle, cx._meet = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     upper = np.arange(size)[:, None] < np.arange(size)
     for first in range(0, balls.n, size):
         rows = slice(first, first + size)
         centers, radii = balls.centers[rows], balls.radii[rows]
         diff = centers[:, None, :] - centers[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=dist_sq[rows])
-        dist = np.sqrt(dist_sq[rows])
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         r_sum = radii[:, None] + radii[None, :]
         r_dif = np.abs(radii[:, None] - radii[None, :])
         gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
@@ -481,18 +474,17 @@ def _check_pairs(cx):
         meet = np.less(dist, r_sum + cx.tol, out=cx._meet[rows])
         cx._near_miss[rows] = np.where(meet, _INF, gap).min(axis=1)
         np.fill_diagonal(meet, False)
-    return dist_sq
 
 
-def _build_vertices(cx, dist_sq):
+def _build_vertices(cx):
     """Vertex i is in the complex when x_i lies in V_i; closure adds the rest.
 
-    Row i of ``dist_sq`` minus the squared radii is the power of x_i to
-    every ball of its state."""
-    size = cx.balls.size
-    radii_sq = (cx.balls.radii ** 2).reshape(-1, 1, size)
-    pows = (dist_sq.reshape(-1, size, size) - radii_sq).reshape(cx.balls.n, size)
-    cx.in_alpha = pows[_diagonal(cx)] <= pows.min(axis=1) + cx.tol ** 2
+    The power of x_i is -r_i^2 to its own ball and tested against the balls
+    that meet B_i: a ball m that misses B_i has pow_m(x_i) > 0 > -r_i^2."""
+    balls = cx.balls
+    r, m = _incident(cx._meet, np.arange(balls.n)[:, None])
+    least = _row_min(r, _powers(balls.centers[r], balls, m), balls.n)
+    cx.in_alpha = -balls.radii ** 2 <= least + cx.tol ** 2
 
 
 def _build_edges(cx, pairs):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .complexes import build_alpha_complex
 from .errors import CoincidentCenters, DegenerateState, Unclassifiable
-from .geometry import EPS_GEO, as_momentum, triple_points
+from .geometry import EPS_GEO, as_momentum, row_norms, triple_points
 from .pipeline import evaluate
 
 class Violation(NamedTuple):
@@ -81,20 +81,26 @@ def betti_numbers(cx):
     return b0, b1, b2
 
 
-def classify_event(balls, cx, violation, delta=None):
+# The event of a Condition II crossing by tuple size: the names of a change
+# of b0, b1 and b2 across it, None where no such change can happen.
+_EVENTS = {2: ("merge_split_components", "close_break_loop", None),
+           3: (None, "fill_open_tunnel", "complete_puncture_shell"),
+           4: (None, None, "start_drown_void")}
+
+
+def classify_event(balls, cx, violation):
     """Name the topological event of a Condition II violation.
 
-    The touching point is located, tested against the rest of the diagram,
-    and the Betti numbers on the two sides of the crossing decide between
-    the event types of the violating tuple size.
+    Each tuple size picks the touching point p and the ball m that moves.
+    A point p inside another ball is an interior event; otherwise x_m moves
+    1e-3 * scale to either side along x_m - p, and the first of b0, b1 and
+    b2 that differs between the sides and has a name in ``_EVENTS`` names
+    the event.
     """
     if violation.condition != "II":
         raise Unclassifiable("only Condition II events change the surface")
     simplex = tuple(violation.simplex)
-    centers, radii = balls.centers, balls.radii
-    scale = balls.scale
-    delta = delta if delta is not None else 1e-3 * scale
-
+    centers, radii, scale = balls.centers, balls.radii, balls.scale
     if len(simplex) == 2:
         i, j = simplex
         # A pair record's residual is the pair's gap; a smaller one marks an
@@ -102,10 +108,7 @@ def classify_event(balls, cx, violation, delta=None):
         if cx._pair_gap[i, j] > violation.residual:
             raise Unclassifiable(f"the arcs of circle {simplex} are undecided")
         u = centers[j] - centers[i]
-        d = np.linalg.norm(u)
-        u = u / d
-        point = centers[i] + radii[i] * u
-        mover, direction = j, u
+        point, mover = centers[i] + radii[i] * (u / np.linalg.norm(u)), j
     elif len(simplex) == 3:
         # A sphere touching an alpha circle need not meet both its spheres
         # in circles, so the triple is solved here, not read off the table.
@@ -113,72 +116,47 @@ def classify_event(balls, cx, violation, delta=None):
                                                 EPS_GEO)
         if collinear[0]:
             raise Unclassifiable(f"no radical center for triple {simplex}")
-        point = center[0]
-        mover = simplex[2]
-        direction = centers[mover] - point
-        nd = np.linalg.norm(direction)
-        if nd < 1e-12 * scale:
-            raise Unclassifiable("degenerate separation direction")
-        direction = direction / nd
+        point, mover = center[0], simplex[2]
     elif len(simplex) == 4:
-        point, mover, direction = _closest_corner(cx, simplex)
+        point, mover = _closest_corner(cx, simplex)
     else:
         raise Unclassifiable(f"unsupported tuple size {len(simplex)}")
-
+    direction = centers[mover] - point
+    norm = np.linalg.norm(direction)
+    if norm < 1e-12 * scale:
+        raise Unclassifiable("degenerate separation direction")
     gaps = np.sqrt(np.einsum("ij,ij->i", centers - point, centers - point)) - radii
-    others = [m for m in range(balls.n) if m not in simplex]
-    if others and float(gaps[others].min()) < -1e-9 * scale:
+    others = np.ones(balls.n, dtype=bool)
+    others[list(simplex)] = False
+    if (gaps[others] < -cx.tol).any():
         return "interior_nongeneric"
-
+    x, step = balls.state, np.zeros((balls.n, 3))
+    step[mover] = 1e-3 * scale * (direction / norm)
     try:
-        before, after = [], []
-        for sign in (-1.0, 1.0):
-            c = centers.copy()
-            c[mover] = c[mover] + sign * delta * direction
-            side = build_alpha_complex(type(balls)(c, radii, balls.weights),
-                                       strict=False)
-            (before if sign < 0 else after).append(betti_numbers(side))
-        (b0a, b1a, b2a), (b0b, b1b, b2b) = before[0], after[0]
+        sides = [betti_numbers(build_alpha_complex(balls.with_state(x + sign * step.ravel()),
+                                                   strict=False)) for sign in (-1.0, 1.0)]
     except DegenerateState as exc:
         raise Unclassifiable(str(exc)) from exc
-
-    if len(simplex) == 2:
-        if b0a != b0b:
-            return "merge_split_components"
-        if b1a != b1b:
-            return "close_break_loop"
-    elif len(simplex) == 3:
-        if b1a != b1b:
-            return "fill_open_tunnel"
-        if b2a != b2b:
-            return "complete_puncture_shell"
-    else:
-        if b2a != b2b:
-            return "start_drown_void"
-    return "interior_nongeneric"
+    return next((name for name, before, after in zip(_EVENTS[len(simplex)], *sides)
+                 if name and before != after), "interior_nongeneric")
 
 
 def _closest_corner(cx, quad):
-    """Corner of some sub-triple of the quad lying on the fourth sphere."""
-    balls = cx.balls
-    triples = cx._triple_table
-    best = None
-    for tri in combinations(quad, 3):
-        m = next(v for v in quad if v not in tri)
-        row = cx.key_rows(triples.ijk, sorted(tri))[0]
-        if row < 0 or not triples.h_sq[row] > 0:
-            continue
-        for p in cx.corner_points([row])[0]:
-            gap = abs(np.linalg.norm(p - balls.centers[m]) - balls.radii[m])
-            if best is None or gap < best[0]:
-                direction = balls.centers[m] - p
-                nd = np.linalg.norm(direction)
-                if nd == 0.0:
-                    continue
-                best = (gap, p, m, direction / nd)
-    if best is None:
+    """The corner of a face of the quad nearest the sphere the face leaves
+    out, and that sphere's ball: the first least gap in face order (the
+    order of itertools.combinations), then p_plus before p_minus."""
+    balls, triples = cx.balls, cx._triple_table
+    rows = cx.key_rows(triples.ijk, np.sort(list(combinations(quad, 3)), axis=1))
+    live = rows >= 0
+    live[live] = triples.h_sq[rows[live]] > 0
+    if not live.any():
         raise Unclassifiable("no corner of the quad lies near the fourth sphere")
-    return best[1], best[2], best[3]
+    fourth = np.array(quad[::-1])[live]     # face f of combinations leaves out quad[3 - f]
+    corners = cx.corner_points(rows[live])
+    gaps = np.abs(row_norms(corners - balls.centers[fourth, None])
+                  - balls.radii[fourth, None])
+    face, corner = divmod(int(np.argmin(gaps)), 2)
+    return corners[face, corner], fourth[face]
 
 
 # -- gradient probe along a motion path ------------------------------------
@@ -207,21 +185,22 @@ class ProbeResult(NamedTuple):
     limits: list
 
 
-def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
+def gradient_jump_probe(balls, t, tau_range, steps):
     """Sample curvature and gradient along the path x + tau * t.
 
     States where the evaluation raises DegenerateState are flagged, and the
-    gradient is re-evaluated a small offset to either side of each flagged
-    tau to expose one-sided limits.  A state where two centres coincide is
-    reported as an undefined row without limits: the gradient diverges as
-    the centres meet.
+    gradient's one-sided limits at each flagged tau are one evaluation of
+    the stack of the two states 1e-4 of the tau range to either side; a
+    stack that holds a degenerate state gives no limits.  A state where two
+    centres coincide is reported as an undefined row without limits: the
+    gradient diverges as the centres meet.
     """
     t = as_momentum(t, balls.n)
     tau_min, tau_max = map(float, tau_range)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     taus = np.linspace(tau_min, tau_max, steps)
-    delta = side_delta if side_delta is not None else 1e-4 * (tau_max - tau_min)
+    delta = 1e-4 * (tau_max - tau_min)
     x0 = balls.state
     rows = []
     flagged = []
@@ -239,10 +218,10 @@ def gradient_jump_probe(balls, t, tau_range, steps, side_delta=None):
                 flagged.append(float(tau))
     for tau in flagged:
         try:
-            g_minus = evaluate(balls.with_state(x0 + (tau - delta) * t.ravel())).gradient
-            g_plus = evaluate(balls.with_state(x0 + (tau + delta) * t.ravel())).gradient
+            sides = evaluate(balls.with_states([x0 + (tau - delta) * t.ravel(),
+                                                x0 + (tau + delta) * t.ravel()]))
+            grad_minus, grad_plus = sides.gradient.per_ball.reshape(2, balls.n, 3)
         except (DegenerateState, CoincidentCenters):
             continue
-        limits.append(SideLimits(tau=tau, grad_minus=g_minus.per_ball,
-                                 grad_plus=g_plus.per_ball))
+        limits.append(SideLimits(tau=tau, grad_minus=grad_minus, grad_plus=grad_plus))
     return ProbeResult(rows=rows, flagged=flagged, limits=limits)

@@ -19,7 +19,8 @@ everywhere in B_i, while a point of B_i has power at most 0 for i up to
 rounding (about 1e-16 |x| r_i, far below 2 r_m tol unless the coordinates
 are ~1e6 times the radii), so no comparison with m can change outcome.
 The overlapping balls are taken one at a time, so the working set is a few
-block-sized vectors whatever their number.
+block-sized vectors whatever their number.  Both estimators are one block
+loop, ``_fraction``, with their own draw and hit test.
 """
 
 import math
@@ -85,40 +86,46 @@ def _probe(fn, balls):
             f"finite-difference probe crossed a degenerate state: {exc}") from exc
 
 
+def _fraction(samples, draw, hit):
+    """The fraction of ``samples`` points that ``hit`` accepts, and its
+    standard error; ``draw(block, count)`` gives block ``block``'s points."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    hits = 0
+    for block, done in enumerate(range(0, samples, _MC_BLOCK)):
+        hits += int(np.count_nonzero(hit(draw(block, min(_MC_BLOCK, samples - done)))))
+    p_hat = hits / samples
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples)
+
+
 def mc_boundary_integrals(balls, samples, seed):
     """Monte Carlo exposure fractions of every sphere.
 
     Returns (areas, sigmas, std_errors): uniform points on each sphere are
     classified against the other balls.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = balls.n
-    areas = np.zeros(n)
-    sigmas = np.zeros(n)
-    errors = np.zeros(n)
-    for i in range(n):
+    areas = np.zeros(balls.n)
+    sigmas = np.zeros(balls.n)
+    errors = np.zeros(balls.n)
+    for i in range(balls.n):
         near = _overlapping(balls, i)
         centers, radii2 = balls.centers[near], balls.radii[near] ** 2
-        exposed = 0
-        done = 0
-        block = 0
-        while done < samples:
-            count = min(_MC_BLOCK, samples - done)
+
+        def draw(block, count):
             pts = _unit_directions(seed, (i + 1) * (1 << 22) + block, count)
             pts *= balls.radii[i]
             pts += balls.centers[i]
-            free = np.ones(count, dtype=bool)
+            return pts
+
+        def exposed(pts):
+            free = np.ones(len(pts), dtype=bool)
             d = np.empty_like(pts)
             for m in range(len(near)):
                 free &= _power(pts, centers[m], radii2[m], d) >= 0.0
-            exposed += int(np.count_nonzero(free))
-            done += count
-            block += 1
-        p_hat = exposed / samples
-        sigmas[i] = p_hat
-        errors[i] = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-        areas[i] = 4.0 * math.pi * balls.radii[i] ** 2 * p_hat
+            return free
+
+        sigmas[i], errors[i] = _fraction(samples, draw, exposed)
+        areas[i] = FOUR_PI * balls.radii[i] ** 2 * sigmas[i]
     return areas, sigmas, errors
 
 
@@ -127,30 +134,19 @@ def nu_i_mc(balls, i, samples, seed):
 
     Uniform samples in the ball are tested for power minimality.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     cols = np.concatenate(([i], _overlapping(balls, i)))
     centers, radii2 = balls.centers[cols], balls.radii[cols] ** 2
-    inside = 0
-    done = 0
-    block_idx = 0
-    while done < samples:
-        count = min(_MC_BLOCK, samples - done)
-        pts = _ball_block(balls, i, seed, block_idx, count)
+
+    def minimal(pts):
         d = np.empty_like(pts)
         own = _power(pts, centers[0], radii2[0], d)
-        if len(cols) > 1:
-            best = _power(pts, centers[1], radii2[1], d)
-            for m in range(2, len(cols)):
-                np.minimum(best, _power(pts, centers[m], radii2[m], d), out=best)
-            inside += int(np.sum(own <= best))
-        else:
-            inside += count
-        done += count
-        block_idx += 1
-    p_hat = inside / samples
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return p_hat, std_err
+        best = np.full(len(pts), np.inf)
+        for m in range(1, len(cols)):
+            np.minimum(best, _power(pts, centers[m], radii2[m], d), out=best)
+        return own <= best
+
+    return _fraction(samples, lambda block, count: _ball_block(balls, i, seed, block, count),
+                     minimal)
 
 
 def mc_weighted_volume(balls, samples, seed):

@@ -7,8 +7,9 @@ gradient read the arc, corner and triangle tables as columns with no walk
 over arcs, corners, triangles or boundary edges, only the gradient's two
 scatter kernels add into per-ball rows, the CLI and the diagnostics
 reach the pipeline stages only through evaluate, no module solves a
-linear system besides the candidate-triple table's radical centres, and
-the numeric modules round only as numpy's array operations do."""
+linear system besides the candidate-triple table's radical centres, the
+numeric modules round only as numpy's array operations do, and some call
+passes every defaulted parameter."""
 
 import ast
 import os
@@ -233,3 +234,36 @@ def test_numeric_modules_round_as_numpy_does():
                     if power or getattr(getattr(func, "value", None), "id", None) == "math":
                         found.add(where)
     assert sorted(found) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A parameter with a default that no call sets is a constant in
+    # disguise.  Each defaulted parameter of a library function must be
+    # passed by some call in the library, the tests or the benchmark, by
+    # keyword or by position; a class's __init__ is called by the class
+    # name, and a method's positions do not count self.
+    root = Path(ballmorph.__file__).parent
+    here = Path(__file__).resolve().parent
+    knobs = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(None, tree)] + [(c.name, c) for c in tree.body if isinstance(c, ast.ClassDef)]
+        for cls, scope in scopes:
+            for func in (f for f in scope.body if isinstance(f, ast.FunctionDef)):
+                name = cls if func.name == "__init__" else func.name
+                args = func.args.posonlyargs + func.args.args
+                first = len(args) - len(func.args.defaults)
+                knobs |= {(name, arg.arg, pos - (cls is not None))
+                          for pos, arg in enumerate(args) if pos >= first}
+                knobs |= {(name, arg.arg, None) for arg, default in
+                          zip(func.args.kwonlyargs, func.args.kw_defaults) if default}
+    passed = set()
+    for path in (sorted(root.glob("*.py")) + sorted(here.glob("*.py"))
+                 + sorted(here.parent.glob("perfbench/*.py"))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {(name, kw.arg) for kw in node.keywords}
+                passed |= {(name, pos) for pos in range(len(node.args))}
+    assert sorted(f"{name}({arg})" for name, arg, pos in knobs
+                  if (name, arg) not in passed and (name, pos) not in passed) == []

@@ -207,6 +207,25 @@ def test_classify_start_drown_void():
         classify_event(balls, cx, v)
 
 
+def test_classify_triple_events():
+    # Three unit spheres with centres on a triangle of circumradius 1 meet
+    # in one point, its circumcentre: moving ball 2 either fills the hole
+    # of the ring there or opens it, so b1 changes.
+    tri = np.array([[0, 0, 0], [math.sqrt(3), 0, 0], [math.sqrt(3) / 2, 1.5, 0]])
+    for centers, event in ((tri, "fill_open_tunnel"),
+                           # A fourth ball over the hole: while the three
+                           # overlap, the space under it is a cavity, and it
+                           # opens with the hole, so b2 changes.
+                           (np.vstack([tri - tri.mean(axis=0), [0, 0, 1.2]]),
+                            "complete_puncture_shell")):
+        balls = BallSet(centers, np.ones(len(centers)))
+        cx = build_alpha_complex(balls, strict=False)
+        found = [v for v in general_position_check(balls, cx, tol=1e-6).violations
+                 if v.simplex == (0, 1, 2)]
+        assert found
+        assert [classify_event(balls, cx, v) for v in found] == [event] * len(found)
+
+
 def test_probe_smooth_chamber(rng):
     balls, _ = make_config(rng, 4)
     t = np.zeros((4, 3))
@@ -236,7 +255,7 @@ def test_probe_side_limits_jump_with_weights():
     # gradient genuinely jumps when the balls attach (tangency at tau=0.6).
     balls = BallSet([[0, 0, 0], [2.2, 0, 0]], [1.0, 0.6], [1.0, -0.5])
     t = np.array([[0.0, 0, 0], [-1.0, 0, 0]])
-    result = gradient_jump_probe(balls, t, (0.0, 1.0), 11, side_delta=1e-5)
+    result = gradient_jump_probe(balls, t, (0.0, 1.0), 11)
     assert result.flagged == [pytest.approx(0.6)]
     lim = result.limits[0]
     assert lim.grad_minus.shape == (2, 3)

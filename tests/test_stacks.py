@@ -1,8 +1,9 @@
 """Stacks of states: one build and one evaluation over several states.
 
 ``BallSet.with_states`` stacks the states of one ball set; the build
-decides each state over its own balls, and V, A, M and K are one value per
-state.  Each value must be the bits of that state's own evaluation, and a
+decides each state over its own balls, V, A, M and K are one value per
+state, and the gradient terms d, e, f and h one block of n rows per state.
+Each value must be the bits of that state's own evaluation, and a
 stack that holds degenerate states must raise what its first such state
 raises alone, in that state's own indices.
 """
@@ -90,6 +91,33 @@ def test_stack_volumes_on_perfbench_inputs():
             text, _, _ = gen.make_input(seed, wl.n, wl.weights, wl.bands)
             balls = parse_diagram_text(text)
             assert assert_stack_matches(balls, fd_states(balls, seed)) == 0
+
+
+def assert_stack_gradient_matches(balls, xs):
+    """Each state's rows of the stack's gradient terms d, e, f and h are the
+    bits of that state's own evaluation."""
+    grad = evaluate(balls.with_states(xs)).gradient
+    for s, x in enumerate(xs):
+        single = evaluate(balls.with_state(x)).gradient
+        for term in "defh":
+            got = getattr(grad, term).reshape(len(xs), balls.n, 3)[s]
+            assert got.tobytes() == getattr(single, term).tobytes(), (s, term)
+
+
+def test_stack_gradient_is_each_states_bits(rng):
+    # The draws of the volume tests above, and the benchmark's inputs.
+    for n in (3, 4, 6, 9, 13, 20, 30):
+        balls, _ = make_config(rng, n)
+        b = int(rng.integers(n))
+        assert_stack_gradient_matches(balls, fd_states(balls, b))
+        xs = [balls.state + rng.normal(scale=0.05, size=3 * n) for _ in range(4)]
+        assert_stack_gradient_matches(balls, np.array(xs))
+    for name in ("fdcheck-small", "compute-volume", "grad-large"):
+        wl = perfbench.WORKLOADS[name]
+        for seed in (1, 2, 3):
+            text, _, _ = gen.make_input(seed, wl.n, wl.weights, wl.bands)
+            balls = parse_diagram_text(text)
+            assert_stack_gradient_matches(balls, fd_states(balls, seed))
 
 
 def test_stack_of_planted_tangencies_raises_as_its_first_state():
