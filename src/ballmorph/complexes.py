@@ -65,15 +65,15 @@ cx.tol no row is added.  The strict refusal and
 ``diagnostics.general_position_check`` are that one view at cx.tol and at
 the caller's tol.
 
-A stack of states (geometry.BallSet.with_states) builds in one pass.  Each
-ball's row of the pair arrays (``cx._pair_gap``, ``cx._circle`` and
-``cx._meet``) spans only the ``size`` balls of its own state, computed a
-state at a time from slices of the centres, so they are (n, size) arrays,
-and (n, n) for a plain set.  The cliques stay within a state, so the flat
-(row, m) kernels run unchanged; ``_incident`` maps a row's columns to the
-balls of its state, and the Voronoi slopes, the five-ball tie and the
-records read the row's state only.  The strict refusal names the first
-state with a record, in that state's own indices.
+A stack of states (geometry.BallSet.with_states) builds in one pass, with
+no loop over states.  Each ball's row of the pair arrays (``cx._pair_gap``,
+``cx._circle`` and ``cx._meet``) spans only the ``size`` balls of its own
+state: they are one (states, size, size) pass over the centres, reshaped
+to (n, size), and (n, n) for a plain set.  The cliques stay within a state,
+so the flat (row, m) kernels run unchanged; ``_incident`` maps a row's
+columns to the balls of its state, and the Voronoi slopes, the five-ball
+tie (gathered by index) and the records read the row's state only.  The
+strict refusal names the first state with a record, in its own indices.
 """
 
 import math
@@ -279,7 +279,7 @@ class AlphaComplex:
 
     def boundary_edges(self):
         """The alpha edges with exposed arcs, in key order."""
-        return [tuple(key) for key in self.edge_keys[np.unique(self.arcs.edge)].tolist()]
+        return [tuple(key) for key in self.edge_keys[_unique(self.arcs.edge)].tolist()]
 
     # -- residuals -------------------------------------------------------
 
@@ -413,6 +413,12 @@ def _incident(mask, rows):
     return r, m + rows[r, 0] // size * size
 
 
+def _unique(values):
+    """np.unique of a 1-d array, by one sort: np.unique imports numpy.ma."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]     # the first is new
+
+
 def _row_min(r, values, rows):
     """The least of ``values`` over the flat pairs of each of ``rows`` rows,
     given their row indices ``r``; inf for a row without pairs."""
@@ -450,30 +456,25 @@ def _check_pairs(cx):
     incidence ``cx._meet`` (d_im < r_i + r_m + tol, off the diagonal) and
     each ball's least gap ``cx._near_miss`` to a ball it does not meet.
     Each is an (n, size) array: a ball's row spans the balls of its own
-    state, in that state's order, computed a state at a time so that a
-    stack's blocks stay in cache."""
+    state, in that state's order.  All states are one pass over (states,
+    size, size) arrays of the centres' differences, reshaped to (n, size)."""
     balls, size = cx.balls, cx.balls.size
-    shape = (balls.n, size)
-    cx._pair_gap, cx._near_miss = np.empty(shape), np.empty(balls.n)
-    cx._circle, cx._meet = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    centers, radii = balls.centers.reshape(-1, size, 3), balls.radii.reshape(-1, size)
+    diff = centers[:, :, None, :] - centers[:, None, :, :]
+    dist = np.sqrt(np.einsum("sijk,sijk->sij", diff, diff))
+    r_i, r_m = radii[:, :, None], radii[:, None, :]
+    r_sum, r_dif = r_i + r_m, np.abs(r_i - r_m)
+    gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
     upper = np.arange(size)[:, None] < np.arange(size)
-    for first in range(0, balls.n, size):
-        rows = slice(first, first + size)
-        centers, radii = balls.centers[rows], balls.radii[rows]
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        r_sum = radii[:, None] + radii[None, :]
-        r_dif = np.abs(radii[:, None] - radii[None, :])
-        gap = np.minimum(np.abs(dist - r_sum), np.abs(dist - r_dif))
-        cx._pair_gap[rows] = np.where(upper, gap, _INF)
-        close = upper & (dist <= EPS_GEO * np.maximum(radii[:, None], radii))
-        if close.any():
-            a, b = np.argwhere(close)[0].tolist()
-            raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
-        cx._circle[rows] = (r_dif < dist) & (dist < r_sum)
-        meet = np.less(dist, r_sum + cx.tol, out=cx._meet[rows])
-        cx._near_miss[rows] = np.where(meet, _INF, gap).min(axis=1)
-        np.fill_diagonal(meet, False)
+    close = upper & (dist <= EPS_GEO * np.maximum(r_i, r_m))
+    if close.any():
+        _, a, b = np.argwhere(close)[0].tolist()
+        raise CoincidentCenters(f"balls {a} and {b} have coincident centers")
+    cx._pair_gap = np.where(upper, gap, _INF).reshape(-1, size)
+    cx._circle = ((r_dif < dist) & (dist < r_sum)).reshape(-1, size)
+    meet = dist < r_sum + cx.tol
+    cx._near_miss = np.where(meet, _INF, gap).min(axis=2).ravel()
+    cx._meet = (meet & ~np.eye(size, dtype=bool)).reshape(-1, size)
 
 
 def _build_vertices(cx):
@@ -540,8 +541,7 @@ def _build_triangles(cx, idx):
     own = binding[t, end, None] % balls.size
     t, end = (v[cx._circle[idx[rows[t]], own].all(axis=1)] for v in (t, end))
     quads = np.sort(np.column_stack([idx[rows[t]], binding[t, end]]), axis=1)
-    codes, first = np.unique(quads @ balls.n ** np.arange(3, -1, -1), return_index=True)
-    cx.tet_keys = np.column_stack(np.unravel_index(codes, (balls.n,) * 4))
+    cx.tet_keys, first = np.unique(quads, axis=0, return_index=True)
     t, end = t[first], end[first]
     cx._tet_vertex = center[t] + ends[t, end, None] * axis[t]
     cx._tie_gap = _tie_gaps(cx, cx._tet_vertex, cx.tet_keys).min(axis=1, initial=_INF)
@@ -602,14 +602,16 @@ def _tie_gaps(cx, z, quads):
     Where it vanishes the five balls are power-equidistant at z, so the
     configuration sits on a flip submanifold and the set of tetrahedra is a
     tie-break.  A ball that misses a member can still tie, so this test
-    runs over every ball of the state; column m is the state's ball m."""
+    runs over every ball of the row's state; column m is the state's ball m."""
     balls, size = cx.balls, cx.balls.size
-    cuts = np.searchsorted(quads[:, 0], np.arange(0, balls.n + 1, size))
-    pows = np.concatenate([_powers(z[a:b, None], balls, slice(first, first + size))
-                           for first, a, b in zip(range(0, balls.n, size), cuts, cuts[1:])])
+    state = quads[:, 0] // size
+    d = balls.centers.reshape(-1, size, 3)[state]     # each row's own state, then z - x_m
+    np.subtract(z[:, None], d, out=d)
+    gap = np.einsum("...j,...j->...", d, d) - (balls.radii.reshape(-1, size) ** 2)[state]
+    del d       # the (rows, size, 3) block, before the temporaries below
     own = quads % size
     rows = np.arange(len(quads))
-    gap = np.abs(pows - pows[rows, own[:, 0], None]) / balls.scale
+    gap = np.abs(gap - gap[rows, own[:, 0], None]) / balls.scale
     gap[rows[:, None], own] = _INF
     return gap
 
@@ -623,7 +625,7 @@ def _close_faces(cx):
     tris, ijk = cx.triangle_table, cx._triple_table.ijk
     faces = cx.key_rows(ijk, cx.tet_keys[:, _FACES])   # a tetrahedron's faces are candidates
     live = cx._triple_table.h_sq[faces] > cx.tol * cx.balls.scale
-    new = np.unique(faces[live & ~np.isin(faces, tris.triple)])
+    new = _unique(faces[live & ~np.isin(faces, tris.triple)])
     triple = np.concatenate([tris.triple, new])
     order = np.argsort(triple)
     cx.triangle_table = TriangleTable(
@@ -632,7 +634,7 @@ def _close_faces(cx):
         exposed=np.concatenate([tris.exposed, np.zeros((len(new), 2), dtype=bool)])[order])
     n = cx.balls.n
     sides = cx.triangle_table.ijk[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
-    codes = np.unique(np.concatenate([cx.edge_keys, sides]) @ [n, 1])
+    codes = _unique(np.concatenate([cx.edge_keys, sides]) @ [n, 1])
     cx.edge_keys = np.column_stack(np.divmod(codes, n))
     cx.in_alpha[cx.edge_keys] = True
 

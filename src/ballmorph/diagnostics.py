@@ -100,35 +100,18 @@ def classify_event(balls, cx, violation):
     if violation.condition != "II":
         raise Unclassifiable("only Condition II events change the surface")
     simplex = tuple(violation.simplex)
+    # A pair record's residual is the pair's gap; a smaller one marks an
+    # alpha circle whose arcs are undecided, with no tangency to cross.
+    if len(simplex) == 2 and cx._pair_gap[simplex] > violation.residual:
+        raise Unclassifiable(f"the arcs of circle {simplex} are undecided")
+    point, mover = _touching_point(balls, cx, simplex)
     centers, radii, scale = balls.centers, balls.radii, balls.scale
-    if len(simplex) == 2:
-        i, j = simplex
-        # A pair record's residual is the pair's gap; a smaller one marks an
-        # alpha circle whose arcs are undecided, with no tangency to cross.
-        if cx._pair_gap[i, j] > violation.residual:
-            raise Unclassifiable(f"the arcs of circle {simplex} are undecided")
-        u = centers[j] - centers[i]
-        point, mover = centers[i] + radii[i] * (u / np.linalg.norm(u)), j
-    elif len(simplex) == 3:
-        # A sphere touching an alpha circle need not meet both its spheres
-        # in circles, so the triple is solved here, not read off the table.
-        collinear, center, _, _ = triple_points(centers, radii, np.array([sorted(simplex)]),
-                                                EPS_GEO)
-        if collinear[0]:
-            raise Unclassifiable(f"no radical center for triple {simplex}")
-        point, mover = center[0], simplex[2]
-    elif len(simplex) == 4:
-        point, mover = _closest_corner(cx, simplex)
-    else:
-        raise Unclassifiable(f"unsupported tuple size {len(simplex)}")
     direction = centers[mover] - point
     norm = np.linalg.norm(direction)
     if norm < 1e-12 * scale:
         raise Unclassifiable("degenerate separation direction")
     gaps = np.sqrt(np.einsum("ij,ij->i", centers - point, centers - point)) - radii
-    others = np.ones(balls.n, dtype=bool)
-    others[list(simplex)] = False
-    if (gaps[others] < -cx.tol).any():
+    if (np.delete(gaps, simplex) < -cx.tol).any():
         return "interior_nongeneric"
     x, step = balls.state, np.zeros((balls.n, 3))
     step[mover] = 1e-3 * scale * (direction / norm)
@@ -141,20 +124,38 @@ def classify_event(balls, cx, violation):
                  if name and before != after), "interior_nongeneric")
 
 
-def _closest_corner(cx, quad):
-    """The corner of a face of the quad nearest the sphere the face leaves
-    out, and that sphere's ball: the first least gap in face order (the
-    order of itertools.combinations), then p_plus before p_minus."""
-    balls, triples = cx.balls, cx._triple_table
-    rows = cx.key_rows(triples.ijk, np.sort(list(combinations(quad, 3)), axis=1))
+def _touching_point(balls, cx, simplex):
+    """The point p where the spheres of ``simplex`` touch, and the ball m
+    that moves across the tangency."""
+    centers, radii = balls.centers, balls.radii
+    if len(simplex) == 2:
+        i, j = simplex
+        u = centers[j] - centers[i]
+        d = np.linalg.norm(u)
+        # Where ball j holds ball i, the spheres touch on i's far side from x_j.
+        side = -1.0 if radii[i] < radii[j] and d < radii[j] else 1.0
+        return centers[i] + side * radii[i] * (u / d), j
+    if len(simplex) == 3:
+        # A sphere touching an alpha circle need not meet both its spheres
+        # in circles, so the triple is solved here, not read off the table.
+        collinear, center, _, _ = triple_points(centers, radii, np.sort([simplex]), EPS_GEO)
+        if collinear[0]:
+            raise Unclassifiable(f"no radical center for triple {simplex}")
+        return center[0], simplex[2]
+    if len(simplex) != 4:
+        raise Unclassifiable(f"unsupported tuple size {len(simplex)}")
+    # The corner of a face nearest the sphere the face leaves out, and that
+    # sphere's ball: the first least gap in face order (the order of
+    # itertools.combinations), then p_plus before p_minus.
+    triples = cx._triple_table
+    rows = cx.key_rows(triples.ijk, np.sort(list(combinations(simplex, 3)), axis=1))
     live = rows >= 0
     live[live] = triples.h_sq[rows[live]] > 0
     if not live.any():
         raise Unclassifiable("no corner of the quad lies near the fourth sphere")
-    fourth = np.array(quad[::-1])[live]     # face f of combinations leaves out quad[3 - f]
+    fourth = np.array(simplex[::-1])[live]     # face f leaves out simplex[3 - f]
     corners = cx.corner_points(rows[live])
-    gaps = np.abs(row_norms(corners - balls.centers[fourth, None])
-                  - balls.radii[fourth, None])
+    gaps = np.abs(row_norms(corners - centers[fourth, None]) - radii[fourth, None])
     face, corner = divmod(int(np.argmin(gaps)), 2)
     return corners[face, corner], fourth[face]
 

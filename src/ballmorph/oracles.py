@@ -57,13 +57,9 @@ def fd_gradient(fn, balls, step=1e-5):
     _check_step(step)
     x = balls.state
     grad = np.zeros(3 * balls.n)
-    e_m = np.zeros_like(grad)
     for b in range(balls.n):
-        xs = []
-        for m in range(3 * b, 3 * b + 3):
-            e_m[m] = 1.0
-            xs += [x + step * e_m, x - step * e_m]
-            e_m[m] = 0.0
+        steps = step * np.eye(3, x.size, 3 * b)       # ball b's steps along x, y and z
+        xs = np.stack([x + steps, x - steps], axis=1).reshape(6, x.size)
         values = np.asarray(_probe(fn, balls.with_states(xs)), dtype=float)
         if values.shape != (6,):
             raise ValueError("the objective must return one value per state of the stack, "

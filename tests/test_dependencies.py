@@ -187,6 +187,22 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_ops_leave_numpy_ma_and_random_unloaded(tmp_path):
+    # A plain np.unique imports numpy.ma, which costs a process 10-15 ms;
+    # no grad, fdcheck or compute op should pay for it or for numpy.random.
+    env = dict(os.environ, PYTHONPATH=str(Path(ballmorph.__file__).parents[1]))
+    data = str(Path(__file__).parent / "data" / "g08.txt")
+    code = ("import contextlib, io, sys\n"
+            "from ballmorph.cli import main\n"
+            "for argv in (['grad'], ['fdcheck'], ['compute', '--json', sys.argv[2]]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv + ['--input', sys.argv[1]]) == 0\n"
+            "print(sorted({'numpy.ma', 'numpy.random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, data, str(tmp_path / "out.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # Stages downstream of the build that only the pipeline's Evaluation calls.
 PIPELINE_STAGES = {"compute_measures", "intrinsic_volumes", "weighted_gauss",
                    "gauss_gradient"}

@@ -5,8 +5,8 @@ import pytest
 
 from ballmorph import BallSet, build_alpha_complex
 from ballmorph.cli import main
-from ballmorph.diagnostics import betti_numbers, classify_event, general_position_check, \
-    gradient_jump_probe
+from ballmorph.diagnostics import _touching_point, betti_numbers, classify_event, \
+    general_position_check, gradient_jump_probe
 from ballmorph.errors import DegenerateState, Unclassifiable
 from ballmorph.pipeline import evaluate
 from conftest import make_config, random_rotation, serialize_diagram, two_balls
@@ -181,6 +181,26 @@ def test_classify_interior_tangency():
     report = general_position_check(balls, cx, tol=1e-6)
     v = next(v for v in report.violations if v.simplex == (0, 1))
     assert classify_event(balls, cx, v) == "interior_nongeneric"
+
+
+def test_classify_internal_tangency_inside_the_larger_ball():
+    # Ball 1 holds ball 0 and touches it at (-0.5, 0, 0): moving ball 1
+    # across the tangency keeps one component.
+    balls = BallSet([[0, 0, 0], [0.5, 0, 0]], [0.5, 1.0])
+    cx = build_alpha_complex(balls, strict=False)
+    v = next(v for v in general_position_check(balls, cx, tol=1e-6).violations
+             if v.simplex == (0, 1))
+    assert classify_event(balls, cx, v) == "interior_nongeneric"
+
+
+def test_pair_touching_point_lies_on_both_spheres():
+    u = np.array([2.0, -1.0, 2.0]) / 3.0
+    # External, ball 1 holding ball 0, and ball 0 holding ball 1.
+    for radii, d in (([0.5, 0.7], 1.2), ([0.5, 1.2], 0.7), ([1.2, 0.5], 0.7)):
+        balls = BallSet([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3] + d * u], radii)
+        point, mover = _touching_point(balls, build_alpha_complex(balls, strict=False), (0, 1))
+        assert mover == 1
+        assert np.linalg.norm(point - balls.centers, axis=1) == pytest.approx(radii)
 
 
 def test_classify_close_break_loop():

@@ -150,6 +150,46 @@ def test_stack_refusal_names_the_first_degenerate_state():
     assert_stack_matches(balls, xs)
 
 
+def test_stack_of_a_thousand_states_is_each_states_bits():
+    # Steps of 0.2 change which balls meet and which spheres cross from
+    # state to state.  A state that raises alone is left out: the stack
+    # would raise as that state does (tested above).
+    rng = np.random.default_rng(32)
+    balls, _ = make_config(rng, 8)
+    xs, singles = [], []
+    while len(xs) < 1000:
+        x = balls.state + rng.normal(scale=0.2, size=3 * balls.n)
+        try:
+            single = evaluate(balls.with_state(x))
+            single.volumes
+        except (DegenerateState, CoincidentCenters):
+            continue
+        xs.append(x)
+        singles.append(single)
+    stack = evaluate(balls.with_states(xs))
+    cx = stack.cx
+    for mask in (cx._meet, cx._circle):
+        assert len({state.tobytes() for state in mask.reshape(len(xs), -1)}) > 100
+    for field in FIELDS:
+        want = np.array([getattr(single.volumes, field) for single in singles])
+        assert getattr(stack.volumes, field).tobytes() == want.tobytes(), field
+    state = cx.tet_keys[:, 0] // balls.n
+    for s, single in enumerate(singles):
+        assert cx.tet_keys[state == s].tobytes() == (single.cx.tet_keys + s * balls.n).tobytes()
+
+
+def test_stack_of_55200_balls():
+    # 13,800 states of a four-ball tetrahedron: 55,200 balls, past the
+    # 55,108 whose fourth power, a key code of four indices, fits int64.
+    corners = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+    balls = BallSet(corners, [1.1, 1.0, 1.2, 0.9], [1.0, -0.5, 2.0, 0.3])
+    single = evaluate(balls)
+    assert single.cx.tet_keys.tolist() == [[0, 1, 2, 3]]
+    stack = evaluate(balls.with_states(np.tile(balls.state, (13800, 1))))
+    assert stack.cx.tet_keys.tolist() == (4 * np.arange(13800)[:, None] + np.arange(4)).tolist()
+    assert stack.volumes.gauss.tobytes() == np.full(13800, single.volumes.gauss).tobytes()
+
+
 def test_stack_coincident_centers_name_local_indices():
     balls = BallSet([[0, 0, 0], [1.5, 0, 0], [0, 1.5, 0], [1.5, 1.5, 0]], np.ones(4))
     x = balls.state
